@@ -1,30 +1,11 @@
 #include "dpmerge/check/absint.h"
 
-#include <cstddef>
-#include <string>
-
 #include "dpmerge/check/absint_transfer.h"
-#include "dpmerge/obs/obs.h"
 
 namespace dpmerge::check {
 
-namespace {
-
 using analysis::InfoContent;
-using dfg::Edge;
-using dfg::EdgeId;
-using dfg::Graph;
-using dfg::Node;
-using dfg::NodeId;
-using dfg::OpKind;
-
-// The transfer functions live in absint_transfer.h so the bidirectional
-// fixpoint engine (absint_engine.cpp) reuses the exact same code — that
-// sharing is what makes "v2 never weaker than v1" a structural fact rather
-// than a test-enforced hope.
 using namespace absdom;  // NOLINT(google-build-using-namespace)
-
-}  // namespace
 
 // ------------------------------------------------------------- KnownBits --
 
@@ -47,17 +28,7 @@ int KnownBits::known_trailing_zeros() const {
   return n;
 }
 
-// --------------------------------------------------------- AbstractValue --
-
-AbstractValue AbstractValue::top(int w) {
-  return {KnownBits::top(w), interval_full(w)};
-}
-
-AbstractValue AbstractValue::constant(const BitVector& v) {
-  AbstractValue av{KnownBits::constant(v), interval_top()};
-  if (fits_u128(v.width())) av.range = interval_const(to_u128(v));
-  return av;
-}
+// ------------------------------------------------------------ predicates --
 
 bool contains(const AbstractValue& av, const BitVector& v) {
   if (v.width() != av.width()) return false;
@@ -72,105 +43,6 @@ bool contains(const AbstractValue& av, const BitVector& v) {
   }
   return true;
 }
-
-AbstractValue abstract_resize(const AbstractValue& av, int to_width,
-                              Sign sign) {
-  return {kb_resize(av.bits, to_width, sign),
-          itv_resize(av.range, av.width(), to_width, sign)};
-}
-
-// ------------------------------------------------------ forward analysis --
-
-AbstractAnalysis compute_abstract(const Graph& g) {
-  obs::Span span("check.absint");
-  AbstractAnalysis aa;
-  aa.at_output_port.resize(static_cast<std::size_t>(g.node_count()));
-  aa.at_edge.resize(static_cast<std::size_t>(g.edge_count()));
-  aa.at_operand.resize(static_cast<std::size_t>(g.edge_count()));
-
-  auto operand = [&](EdgeId eid) -> const AbstractValue& {
-    return aa.at_operand[static_cast<std::size_t>(eid.value)];
-  };
-
-  for (NodeId id : g.freeze().topo) {
-    const Node& n = g.node(id);
-    // Deliver operands: first resize onto the edge, second onto the node.
-    for (EdgeId eid : n.in) {
-      const Edge& e = g.edge(eid);
-      const AbstractValue carried = abstract_resize(
-          aa.out(e.src), e.width, e.sign);
-      aa.at_edge[static_cast<std::size_t>(eid.value)] = carried;
-      aa.at_operand[static_cast<std::size_t>(eid.value)] =
-          n.kind == OpKind::Extension
-              ? abstract_resize(carried, n.width, n.ext_sign)
-              : abstract_resize(carried, n.width, e.sign);
-    }
-
-    AbstractValue& out = aa.at_output_port[static_cast<std::size_t>(id.value)];
-    switch (n.kind) {
-      case OpKind::Input:
-        out = AbstractValue::top(n.width);
-        break;
-      case OpKind::Const:
-        out = AbstractValue::constant(n.value);
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        out = operand(n.in[0]);
-        break;
-      case OpKind::Add: {
-        const AbstractValue& a = operand(n.in[0]);
-        const AbstractValue& b = operand(n.in[1]);
-        out = {kb_add(a.bits, b.bits, Tri::F, /*invert_b=*/false),
-               itv_add(a.range, b.range, n.width)};
-        break;
-      }
-      case OpKind::Sub: {
-        const AbstractValue& a = operand(n.in[0]);
-        const AbstractValue& b = operand(n.in[1]);
-        out = {kb_add(a.bits, b.bits, Tri::T, /*invert_b=*/true),
-               itv_sub(a.range, b.range, n.width)};
-        break;
-      }
-      case OpKind::Mul: {
-        const AbstractValue& a = operand(n.in[0]);
-        const AbstractValue& b = operand(n.in[1]);
-        out = {kb_mul(a.bits, b.bits), itv_mul(a.range, b.range, n.width)};
-        break;
-      }
-      case OpKind::Neg: {
-        const AbstractValue& a = operand(n.in[0]);
-        out = {kb_add(KnownBits::constant(BitVector(n.width)), a.bits, Tri::T,
-                      /*invert_b=*/true),
-               itv_neg(a.range, n.width)};
-        break;
-      }
-      case OpKind::Shl: {
-        const AbstractValue& a = operand(n.in[0]);
-        out = {kb_shl(a.bits, n.shift), itv_shl(a.range, n.shift, n.width)};
-        break;
-      }
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq: {
-        const AbstractValue& a = operand(n.in[0]);
-        const AbstractValue& b = operand(n.in[1]);
-        const Tri r = n.kind == OpKind::LtS   ? decide_lts(a, b)
-                      : n.kind == OpKind::LtU ? decide_ltu(a, b)
-                                              : decide_eq(a, b);
-        out.bits = kb_bool(n.width, r);
-        out.range = fits_u128(n.width)
-                        ? Interval{true, r == Tri::T ? 1u : 0u,
-                                   r == Tri::F ? 0u : 1u}
-                        : interval_top();
-        break;
-      }
-    }
-  }
-  return aa;
-}
-
-// ------------------------------------------------------------------ lint --
 
 bool contradicts(const AbstractValue& av, InfoContent c) {
   const int w = av.width();
@@ -205,113 +77,6 @@ bool contradicts(const AbstractValue& av, InfoContent c) {
     if (itv.lo >= half && itv.hi < pow2(w) - half) return true;
   }
   return false;
-}
-
-namespace {
-
-/// Cross-domain consistency: a fully known bit pattern must lie inside the
-/// interval. Failure is a checker bug (absint.internal), never an analysis
-/// bug — kept as a cheap self-diagnostic.
-void self_check(const AbstractAnalysis& aa, CheckReport& rep) {
-  for (std::size_t i = 0; i < aa.at_output_port.size(); ++i) {
-    const AbstractValue& av = aa.at_output_port[i];
-    if (!av.range.valid || !fits_u128(av.width()) || !av.bits.all_known()) {
-      continue;
-    }
-    const u128 v = to_u128(av.bits.value);
-    if (v < av.range.lo || v > av.range.hi) {
-      rep.add(Severity::Error, "absint.internal",
-              "known-bits and interval domains are disjoint",
-              Locus{"node", static_cast<int>(i), -1, {}});
-    }
-  }
-}
-
-void lint_claim(const AbstractValue& av, InfoContent c, int port_width,
-                Locus locus, const char* what, CheckReport& rep) {
-  if (c.width < 0 || c.width > port_width) {
-    rep.add(Severity::Error, "ic.malformed",
-            std::string(what) + " claim " + c.to_string() +
-                " outside [0, " + std::to_string(port_width) + "]",
-            std::move(locus));
-    return;
-  }
-  if (contradicts(av, c)) {
-    rep.add(Severity::Error, "ic.unsound",
-            std::string(what) + " claim " + c.to_string() +
-                " is violated by every reachable value (abstract "
-                "interpretation proves the claimed extension bits differ)",
-            std::move(locus));
-  }
-}
-
-}  // namespace
-
-CheckReport lint_info_content(const Graph& g, const analysis::InfoAnalysis& ia,
-                              const AbstractAnalysis* pre) {
-  obs::Span span("check.lint.info_content");
-  CheckReport rep;
-  const auto nn = static_cast<std::size_t>(g.node_count());
-  const auto ne = static_cast<std::size_t>(g.edge_count());
-  if (ia.at_output_port.size() != nn || ia.at_edge.size() != ne ||
-      ia.at_operand.size() != ne) {
-    rep.add(Severity::Error, "ic.stale",
-            "info-content vectors sized for " +
-                std::to_string(ia.at_output_port.size()) + " nodes / " +
-                std::to_string(ia.at_edge.size()) +
-                " edges, graph has " + std::to_string(nn) + " / " +
-                std::to_string(ne) +
-                " (graph mutated after the analysis ran)");
-    return rep;
-  }
-
-  AbstractAnalysis local;
-  const AbstractAnalysis& aa = pre ? *pre : (local = compute_abstract(g));
-  self_check(aa, rep);
-
-  for (const Node& n : g.nodes()) {
-    lint_claim(aa.out(n.id), ia.out(n.id), n.width,
-               Locus{"node", n.id.value, -1, g.name(n)}, "output-port", rep);
-  }
-  for (const Edge& e : g.edges()) {
-    lint_claim(aa.edge(e.id), ia.edge(e.id), e.width,
-               Locus{"edge", e.id.value, -1, {}}, "carried-edge", rep);
-    const Node& dst = g.node(e.dst);
-    lint_claim(aa.operand(e.id), ia.operand(e.id), dst.width,
-               Locus{"edge", e.id.value, e.dst_port, {}}, "operand", rep);
-  }
-  return rep;
-}
-
-CheckReport lint_required_precision(const Graph& g,
-                                    const analysis::RequiredPrecision& rp) {
-  obs::Span span("check.lint.required_precision");
-  CheckReport rep;
-  const auto nn = static_cast<std::size_t>(g.node_count());
-  if (rp.at_output_port.size() != nn || rp.at_input_port.size() != nn) {
-    rep.add(Severity::Error, "rp.stale",
-            "required-precision vectors sized for " +
-                std::to_string(rp.at_output_port.size()) +
-                " nodes, graph has " + std::to_string(nn) +
-                " (graph mutated after the analysis ran)");
-    return rep;
-  }
-  const analysis::RequiredPrecision fresh =
-      analysis::compute_required_precision(g);
-  for (const Node& n : g.nodes()) {
-    const auto i = static_cast<std::size_t>(n.id.value);
-    if (rp.at_output_port[i] != fresh.at_output_port[i] ||
-        rp.at_input_port[i] != fresh.at_input_port[i]) {
-      rep.add(Severity::Error, "rp.stale",
-              "stored r(out)=" + std::to_string(rp.at_output_port[i]) +
-                  " r(in)=" + std::to_string(rp.at_input_port[i]) +
-                  ", fresh derivation gives r(out)=" +
-                  std::to_string(fresh.at_output_port[i]) + " r(in)=" +
-                  std::to_string(fresh.at_input_port[i]),
-              Locus{"node", n.id.value, -1, g.name(n)});
-    }
-  }
-  return rep;
 }
 
 }  // namespace dpmerge::check

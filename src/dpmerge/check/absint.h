@@ -1,34 +1,22 @@
 #pragma once
 
-/// Abstract interpretation of DFGs over two sound value domains, used by the
-/// analysis-soundness lint (DESIGN.md §9).
+/// Value domains of the abstract interpreter (DESIGN.md §9, §13) and the
+/// claim-refutation predicate the analysis-soundness lint is built on.
 ///
-/// Both domains are *over*-approximations of the reachable value set at every
-/// node output, edge carrier and delivered operand, propagated forward with
-/// the exact width/sign semantics of Section 2.2 (mirroring dfg::Evaluator):
+/// Both domains *over*-approximate the reachable value set of one signal
+/// (a node output, edge carrier or delivered operand):
 ///
 ///   - **Known bits**: per bit, whether the bit has the same value on every
-///     input stimulus (and which value). Add/sub/neg ripple tri-state carries;
-///     multiplies track known trailing zeros; resizes move/replicate masks.
+///     input stimulus (and which value).
 ///   - **Intervals**: an unsigned range [lo, hi] containing every reachable
-///     bit pattern, tracked while widths stay representable (<= 120 bits) and
-///     operations provably do not wrap; anything else widens to top.
+///     bit pattern, tracked while widths stay representable (<= 120 bits);
+///     anything else is top.
 ///
-/// The lint exploits the one inference two over-approximations permit: the
-/// reachable set is non-empty and contained in both the abstract value and in
-/// an analysis claim's concretisation, so if abstraction and claim are
-/// *disjoint* the claim is wrong for every reachable value — a definite
-/// soundness bug in `analysis::info_content` (or a stale result for a
-/// since-mutated graph). Required-precision results carry no refinement
-/// state, so they are checked by exact re-derivation instead.
-
-#include <cstddef>
-#include <vector>
+/// The transfer functions over these domains live in absint_transfer.h; the
+/// engine that propagates them (plus congruences and demanded bits) to a
+/// fixpoint, and the lint that consumes it, live in absint_engine.h.
 
 #include "dpmerge/analysis/info_content.h"
-#include "dpmerge/analysis/required_precision.h"
-#include "dpmerge/check/diagnostic.h"
-#include "dpmerge/dfg/graph.h"
 #include "dpmerge/support/bitvector.h"
 
 namespace dpmerge::check {
@@ -56,69 +44,24 @@ struct Interval {
   unsigned __int128 hi = 0;
 };
 
+/// The known-bits × interval pair the comparator decisions and the claim
+/// check read (the engine's `AbsFact::value()` projection).
 struct AbstractValue {
   KnownBits bits;
   Interval range;
 
   int width() const { return bits.width(); }
-  static AbstractValue top(int w);
-  static AbstractValue constant(const BitVector& v);
 };
 
 /// True iff the concrete value `v` is a member of the abstraction — the
 /// soundness predicate the property tests drive.
 bool contains(const AbstractValue& av, const BitVector& v);
 
-/// Abstract width adaptation matching BitVector::resize(to_width, sign).
-AbstractValue abstract_resize(const AbstractValue& av, int to_width, Sign sign);
-
-/// Abstract values everywhere the evaluator defines concrete ones; vectors
-/// are indexed by node/edge id like the analysis results they cross-check.
-struct AbstractAnalysis {
-  std::vector<AbstractValue> at_output_port;
-  std::vector<AbstractValue> at_edge;     ///< carried(e)
-  std::vector<AbstractValue> at_operand;  ///< operand delivered into dst
-
-  const AbstractValue& out(dfg::NodeId n) const {
-    return at_output_port[static_cast<std::size_t>(n.value)];
-  }
-  const AbstractValue& edge(dfg::EdgeId e) const {
-    return at_edge[static_cast<std::size_t>(e.value)];
-  }
-  const AbstractValue& operand(dfg::EdgeId e) const {
-    return at_operand[static_cast<std::size_t>(e.value)];
-  }
-};
-
-/// Single forward topological sweep, O(V + E) with small per-bit constants.
-/// The graph must pass the IR verifier (well-formed, acyclic).
-AbstractAnalysis compute_abstract(const dfg::Graph& g);
-
 /// True iff no value of width `av.width()` can satisfy the information-
 /// content claim `c` while lying inside `av` — i.e. the claim is provably
-/// violated on every reachable value.
+/// violated on every reachable value. The reachable set is non-empty and
+/// contained in both `av` and the claim's concretisation, so disjointness
+/// is a definite soundness bug in the claim (or a stale result).
 bool contradicts(const AbstractValue& av, analysis::InfoContent c);
-
-/// Abstract-interpretation soundness lint for information-content results.
-/// Rule catalog:
-///   ic.stale      result vectors do not match the graph's node/edge counts
-///                 (the graph was mutated after the analysis ran)
-///   ic.malformed  claimed width outside [0, port width]
-///   ic.unsound    claim disjoint from the abstract value — no reachable
-///                 value can satisfy it (soundness bug in the analysis or in
-///                 a refinement fed into it)
-///   absint.internal  the two abstract domains contradict each other (a bug
-///                 in this checker, never in the checked analysis)
-/// `pre` lets a caller reuse an already-computed abstraction.
-CheckReport lint_info_content(const dfg::Graph& g,
-                              const analysis::InfoAnalysis& ia,
-                              const AbstractAnalysis* pre = nullptr);
-
-/// Staleness check for required-precision results: re-derives the analysis
-/// (it is a pure function of the graph) and reports any divergence.
-///   rp.stale      stored r differs from the fresh derivation (or the vector
-///                 sizes do not match the graph)
-CheckReport lint_required_precision(const dfg::Graph& g,
-                                    const analysis::RequiredPrecision& rp);
 
 }  // namespace dpmerge::check

@@ -84,7 +84,7 @@ Congruence cong_resize(const Congruence& a, int to_w) {
 
 /// One round of mutual refinement between the three forward domains. Every
 /// step only adds information, so the product fact is never weaker than what
-/// the v1 single-domain transfers produced on their own.
+/// the single-domain transfers produced on their own.
 void reduce(AbsFact& f) {
   const int w = f.width();
   // interval → known bits: hi < 2^m pins bits [m, w) to zero.
@@ -191,8 +191,8 @@ Sign delivered_sign(const Node& n, const Edge& e) {
 }
 
 /// Trailing zeros of the operand delivered by `other` into Mul node `n`,
-/// provable from a literal Const source alone. Structural, so usable under
-/// Truncation semantics: the constant does not move when other widths shrink.
+/// provable from a literal Const source alone. Structural: the constant does
+/// not move when other widths shrink.
 int const_operand_trailing_zeros(const Graph& g, const Node& n,
                                  EdgeId other) {
   const Edge& e = g.edge(other);
@@ -226,7 +226,6 @@ bool fact_eq(const AbsFact& a, const AbsFact& b) {
 struct Engine {
   const Graph& g;
   const dfg::Csr& c;
-  const AbsintOptions& opts;
   AbsintResult& r;
 
   const AbsFact& operand(EdgeId eid) const {
@@ -343,18 +342,7 @@ struct Engine {
 
     if (n.in.empty()) return changed;
 
-    // Observability only: a bit the forward pass proved constant carries no
-    // influence from any input, so it demands nothing upstream. (Unsound as
-    // a truncation license — the proof depends on the very values a resize
-    // would change — hence gated on the semantics.)
-    BitVector d = dout;
-    if (opts.demand == DemandSemantics::Observability) {
-      const KnownBits& kb = r.out(id).bits;
-      for (int i = 0; i < d.width(); ++i) {
-        if (kb.known.bit(i)) d.set_bit(i, false);
-      }
-    }
-    const int dw = demand_msb1(d);
+    const int dw = demand_msb1(dout);
 
     for (std::size_t port = 0; port < n.in.size(); ++port) {
       const EdgeId eid = n.in[port];
@@ -366,7 +354,7 @@ struct Engine {
           break;  // no operands
         case OpKind::Output:
         case OpKind::Extension:
-          dop = d;
+          dop = dout;
           break;
         case OpKind::Add:
         case OpKind::Sub:
@@ -378,20 +366,15 @@ struct Engine {
         case OpKind::Mul: {
           // Column j of the product reads operand bits [0, j]; a constant
           // co-factor with t trailing zeros shifts every column up by t.
-          int tz = const_operand_trailing_zeros(
+          const int tz = const_operand_trailing_zeros(
               g, n, n.in[port == 0 ? 1 : 0]);
-          if (opts.demand == DemandSemantics::Observability) {
-            const AbsFact& other = operand(n.in[port == 0 ? 1 : 0]);
-            tz = std::max({tz, other.cong.trailing_zeros(),
-                           other.bits.known_trailing_zeros()});
-          }
           dop = low_mask(n.width, std::max(dw - tz, 0));
           break;
         }
         case OpKind::Shl:
           dop = low_mask(n.width, 0);
           for (int i = 0; i + n.shift < n.width; ++i) {
-            dop.set_bit(i, d.bit(i + n.shift));
+            dop.set_bit(i, dout.bit(i + n.shift));
           }
           break;
         case OpKind::LtS:
@@ -399,8 +382,8 @@ struct Engine {
         case OpKind::Eq:
           // Bits >= 1 of the result are structurally zero; only a demand on
           // bit 0 reaches the operands, and then every operand bit matters.
-          dop = dw >= 1 && d.bit(0) ? low_mask(n.width, n.width)
-                                    : BitVector(n.width);
+          dop = dw >= 1 && dout.bit(0) ? low_mask(n.width, n.width)
+                                       : BitVector(n.width);
           break;
       }
       auto& op_slot = r.demanded_operand[static_cast<std::size_t>(eid.value)];
@@ -527,7 +510,7 @@ int AbsintResult::demanded_width(dfg::NodeId n) const {
 
 // ---------------------------------------------------------- fixpoint --
 
-AbsintResult compute_absint(const Graph& g, const AbsintOptions& opts) {
+AbsintResult compute_absint(const Graph& g) {
   obs::Span span("check.absint2");
   obs::stat_add("check.absint2.runs");
   const dfg::Csr& c = g.freeze();
@@ -547,8 +530,10 @@ AbsintResult compute_absint(const Graph& g, const AbsintOptions& opts) {
     r.demanded_operand.emplace_back(g.node(e.dst).width);
   }
 
-  Engine engine{g, c, opts, r};
-  for (int round = 0; round < std::max(opts.max_rounds, 1); ++round) {
+  // Forward/backward alternations; a DAG settles in <= 2.
+  constexpr int kMaxRounds = 4;
+  Engine engine{g, c, r};
+  for (int round = 0; round < kMaxRounds; ++round) {
     const bool fwd = engine.forward_pass();
     const bool bwd = engine.backward_pass();
     r.rounds = round + 1;
@@ -561,7 +546,7 @@ AbsintResult compute_absint(const Graph& g, const AbsintOptions& opts) {
 
 namespace {
 
-void self_check_v2(const Graph& g, const AbsintResult& r, CheckReport& rep) {
+void self_check(const Graph& g, const AbsintResult& r, CheckReport& rep) {
   for (const Node& n : g.nodes()) {
     const AbsFact& f = r.out(n.id);
     const Locus locus{"node", n.id.value, -1, g.name(n)};
@@ -583,8 +568,8 @@ void self_check_v2(const Graph& g, const AbsintResult& r, CheckReport& rep) {
   }
 }
 
-void lint_claim_v2(const AbsFact& f, analysis::InfoContent cl, int port_width,
-                   Locus locus, const char* what, CheckReport& rep) {
+void lint_claim(const AbsFact& f, analysis::InfoContent cl, int port_width,
+                Locus locus, const char* what, CheckReport& rep) {
   if (cl.width < 0 || cl.width > port_width) {
     rep.add(Severity::Error, "ic.malformed",
             std::string(what) + " claim " + cl.to_string() + " outside [0, " +
@@ -601,6 +586,36 @@ void lint_claim_v2(const AbsFact& f, analysis::InfoContent cl, int port_width,
   }
 }
 
+/// rp.stale: required precision is a pure function of the graph, so the
+/// stored result must equal a fresh derivation.
+void lint_rp_fresh(const Graph& g, const analysis::RequiredPrecision& rp,
+                   CheckReport& rep) {
+  const auto nn = static_cast<std::size_t>(g.node_count());
+  if (rp.at_output_port.size() != nn || rp.at_input_port.size() != nn) {
+    rep.add(Severity::Error, "rp.stale",
+            "required-precision vectors sized for " +
+                std::to_string(rp.at_output_port.size()) +
+                " nodes, graph has " + std::to_string(nn) +
+                " (graph mutated after the analysis ran)");
+    return;
+  }
+  const analysis::RequiredPrecision fresh =
+      analysis::compute_required_precision(g);
+  for (const Node& n : g.nodes()) {
+    const auto i = static_cast<std::size_t>(n.id.value);
+    if (rp.at_output_port[i] != fresh.at_output_port[i] ||
+        rp.at_input_port[i] != fresh.at_input_port[i]) {
+      rep.add(Severity::Error, "rp.stale",
+              "stored r(out)=" + std::to_string(rp.at_output_port[i]) +
+                  " r(in)=" + std::to_string(rp.at_input_port[i]) +
+                  ", fresh derivation gives r(out)=" +
+                  std::to_string(fresh.at_output_port[i]) + " r(in)=" +
+                  std::to_string(fresh.at_input_port[i]),
+              Locus{"node", n.id.value, -1, g.name(n)});
+    }
+  }
+}
+
 }  // namespace
 
 CheckReport lint_absint(const Graph& g, const analysis::InfoAnalysis* ia,
@@ -614,7 +629,7 @@ CheckReport lint_absint(const Graph& g, const analysis::InfoAnalysis* ia,
   AbsintResult local;
   if (!pre) local = compute_absint(g);
   const AbsintResult& r = pre ? *pre : local;
-  self_check_v2(g, r, rep);
+  self_check(g, r, rep);
 
   if (ia) {
     if (ia->at_output_port.size() != nn || ia->at_edge.size() != ne ||
@@ -627,23 +642,21 @@ CheckReport lint_absint(const Graph& g, const analysis::InfoAnalysis* ia,
                   " (graph mutated after the analysis ran)");
     } else {
       for (const Node& n : g.nodes()) {
-        lint_claim_v2(r.out(n.id), ia->out(n.id), n.width,
-                      Locus{"node", n.id.value, -1, g.name(n)}, "output-port",
-                      rep);
+        lint_claim(r.out(n.id), ia->out(n.id), n.width,
+                   Locus{"node", n.id.value, -1, g.name(n)}, "output-port",
+                   rep);
       }
       for (const Edge& e : g.edges()) {
-        lint_claim_v2(r.edge(e.id), ia->edge(e.id), e.width,
-                      Locus{"edge", e.id.value, -1, {}}, "carried-edge", rep);
-        lint_claim_v2(r.operand(e.id), ia->operand(e.id),
-                      g.node(e.dst).width,
-                      Locus{"edge", e.id.value, e.dst_port, {}}, "operand",
-                      rep);
+        lint_claim(r.edge(e.id), ia->edge(e.id), e.width,
+                   Locus{"edge", e.id.value, -1, {}}, "carried-edge", rep);
+        lint_claim(r.operand(e.id), ia->operand(e.id), g.node(e.dst).width,
+                   Locus{"edge", e.id.value, e.dst_port, {}}, "operand", rep);
       }
     }
   }
 
   if (rp) {
-    rep.merge(lint_required_precision(g, *rp));
+    lint_rp_fresh(g, *rp, rep);
     if (rp->at_output_port.size() == nn) {
       // The demanded-bits transfers are pointwise at least as precise as the
       // required-precision transfers (DESIGN.md §13 proves the inequality
@@ -722,7 +735,7 @@ std::string absint_facts_json(const Graph& g, const AbsintResult& r) {
     const AbsFact& f = r.out(n.id);
     if (!first) out += ",";
     first = false;
-    out += "\n  {\"id\": " + std::to_string(n.id.value) + ", \"name\": \"" +
+    out += "{\"id\": " + std::to_string(n.id.value) + ", \"name\": \"" +
            json_escape(g.name(n)) + "\", \"kind\": \"" +
            std::string(dfg::to_string(n.kind)) +
            "\", \"width\": " + std::to_string(n.width);
@@ -743,7 +756,7 @@ std::string absint_facts_json(const Graph& g, const AbsintResult& r) {
     out += ", \"demanded_width\": " + std::to_string(r.demanded_width(n.id)) +
            "}";
   }
-  out += "\n]}\n";
+  out += "]}";
   return out;
 }
 

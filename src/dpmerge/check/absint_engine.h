@@ -1,13 +1,12 @@
 #pragma once
 
 /// Bidirectional multi-domain abstract interpretation over the frozen CSR
-/// graph (DESIGN.md §13) — "absint v2". A worklist fixpoint engine runs a
+/// graph (DESIGN.md §13). A worklist fixpoint engine runs a
 /// forward pass over three reduced-product value domains and a backward pass
 /// over a demanded-bits domain until neither direction changes anything:
 ///
-///   - **Known bits** and **intervals**: the v1 domains of absint.h, computed
-///     by the exact same transfer functions (absint_transfer.h), so the
-///     engine's facts are never weaker than the single forward sweep.
+///   - **Known bits** and **intervals** (absint.h), with the transfer
+///     functions of absint_transfer.h.
 ///   - **Congruence**: value ≡ residue (mod 2^k). Low-bit knowledge that
 ///     survives multiplication — (2a+1)·(2b+1) ≡ 1 (mod 2) — and composes
 ///     with shifts, which known-bits alone reconstructs only partially.
@@ -17,15 +16,9 @@
 ///     pointwise at least as precise, which is what the `rp.unsound`
 ///     cross-check in `lint_absint` exploits.
 ///
-/// Demand comes in two semantics, and the distinction is load-bearing for
-/// the `transform::shrink_widths` bridge: `Truncation` demand only uses the
-/// graph structure and literal Const operands, so an undemanded high bit may
-/// be *truncated away* and the design still computes the same outputs.
-/// `Observability` demand additionally uses forward facts (a comparator
-/// decided by the value analysis demands nothing), which is sound for
-/// reporting "this bit cannot reach an output" but NOT for resizing — a
-/// truncation can move values outside the forward abstraction that justified
-/// the claim.
+/// Demand uses only the graph structure and literal Const operands, never
+/// the forward facts: an undemanded high bit could be truncated away and the
+/// design would still compute the same outputs.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,29 +57,13 @@ struct AbsFact {
   int width() const { return bits.width(); }
   static AbsFact top(int w);
   static AbsFact constant(const BitVector& v);
-  /// Projection onto the v1 domains (for `contradicts` and the ic lint).
+  /// Projection onto known bits × interval (for `contradicts` and the
+  /// comparator decisions).
   AbstractValue value() const { return {bits, range}; }
 };
 
 /// Soundness predicate of the product domain (drives the property tests).
 bool contains(const AbsFact& f, const BitVector& v);
-
-/// Which claims the backward demanded-bits pass is allowed to make.
-enum class DemandSemantics {
-  /// Only graph structure and literal Const operands: an undemanded bit may
-  /// be truncated away without changing any output. Safe for
-  /// `transform::shrink_widths`.
-  Truncation,
-  /// Additionally uses forward facts (decided comparators, known-constant
-  /// output bits demand nothing upstream). Sound for observability reports
-  /// only — never as a resizing license.
-  Observability,
-};
-
-struct AbsintOptions {
-  int max_rounds = 4;  ///< Forward/backward alternations (a DAG needs <= 2).
-  DemandSemantics demand = DemandSemantics::Truncation;
-};
 
 /// Fixpoint facts everywhere the evaluator defines concrete values, plus the
 /// backward demand masks. Vectors are indexed by node/edge id.
@@ -122,23 +99,27 @@ struct AbsintResult {
   int demanded_width(dfg::NodeId n) const;
 };
 
-/// Runs the worklist engine to the combined forward/backward fixpoint. The
-/// graph must pass the IR verifier (well-formed, acyclic).
-AbsintResult compute_absint(const dfg::Graph& g, const AbsintOptions& opts = {});
+/// Runs the worklist engine to the combined forward/backward fixpoint (at
+/// most 4 forward/backward alternations; a DAG needs <= 2). The graph must
+/// pass the IR verifier (well-formed, acyclic).
+AbsintResult compute_absint(const dfg::Graph& g);
 
-/// The v2 soundness lint: strictly stronger than `lint_info_content` +
-/// `lint_required_precision` because (a) it checks the same claims against
-/// the tighter reduced-product facts and (b) it adds the demanded-bits
-/// cross-check. Rule catalog (extends the v1 ids):
-///   ic.stale / ic.malformed / ic.unsound   as in absint.h, against v2 facts
-///   rp.stale        stored r differs from a fresh derivation
-///   rp.unsound      Truncation-semantics demanded width exceeds r(p_o) —
-///                   the demand transfers are pointwise <= the required-
-///                   precision transfers, so this means one of the two
-///                   analyses has a soundness bug
+/// The analysis-soundness lint: checks information-content claims against
+/// the fixpoint facts and required precision against a fresh derivation and
+/// the demanded bits. Rule catalog:
+///   ic.stale        result vectors do not match the graph's node/edge
+///                   counts (the graph was mutated after the analysis ran)
+///   ic.malformed    claimed width outside [0, port width]
+///   ic.unsound      claim disjoint from the fixpoint fact — no reachable
+///                   value can satisfy it (`contradicts`, absint.h)
+///   rp.stale        stored r differs from a fresh derivation (or the vector
+///                   sizes do not match the graph)
+///   rp.unsound      demanded width exceeds r(p_o) — the demand transfers
+///                   are pointwise <= the required-precision transfers, so
+///                   this means one of the two analyses has a soundness bug
 ///   absint.internal the product domains are mutually disjoint (checker bug)
 /// `ia`/`rp` may be null to skip the respective claim checks; `pre` reuses
-/// an already-computed fixpoint (its demand must be Truncation semantics).
+/// an already-computed fixpoint.
 CheckReport lint_absint(const dfg::Graph& g,
                         const analysis::InfoAnalysis* ia = nullptr,
                         const analysis::RequiredPrecision* rp = nullptr,
@@ -147,7 +128,8 @@ CheckReport lint_absint(const dfg::Graph& g,
 /// Human-readable per-node fact report for `dpmerge-lint --absint`.
 std::string absint_facts_text(const dfg::Graph& g, const AbsintResult& r);
 
-/// Machine-readable fact report ({"nodes":[...],"rounds":N}).
+/// Machine-readable fact report on one line ({"rounds":N,"nodes":[...]}),
+/// so `dpmerge-lint --json` stays one JSON document per line.
 std::string absint_facts_json(const dfg::Graph& g, const AbsintResult& r);
 
 }  // namespace dpmerge::check

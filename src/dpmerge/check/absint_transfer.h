@@ -1,11 +1,9 @@
 #pragma once
 
-/// Shared abstract transfer functions of the known-bits and interval domains
+/// Abstract transfer functions of the known-bits and interval domains
 /// (DESIGN.md §9, §13). This is an *internal* header of dpmerge::check: the
-/// single-pass lint (absint.cpp) and the bidirectional fixpoint engine
-/// (absint_engine.cpp) must agree bit-for-bit on every transfer — the engine
-/// guarantees "never weaker than the single pass" by literally calling the
-/// same code — so the transfers live here, once.
+/// fixpoint engine (absint_engine.cpp) applies them node by node, and the
+/// claim predicates (absint.cpp) share the tri-state and u128 helpers.
 ///
 /// Everything is inline and allocation-light; the per-bit loops run over
 /// widths, not value ranges.

@@ -10,9 +10,10 @@
 ///   - `verify(netlist::Netlist)`: structural netlist checks (multiply-driven
 ///     nets, floating cell inputs, combinational loops via Tarjan SCC,
 ///     undriven primary outputs, cell-pin arity).
-///   - absint.h: abstract-interpretation soundness lint cross-checking
-///     `analysis::info_content` / `analysis::required_precision` claims
-///     against known-bits + interval domains.
+///   - absint_engine.h: abstract-interpretation soundness lint
+///     (`lint_absint`) cross-checking `analysis::info_content` /
+///     `analysis::required_precision` claims against the fixpoint facts of
+///     `compute_absint`.
 ///
 /// Every transform, the clusterer and each synth::flow stage calls the
 /// `enforce*` hooks at its boundaries. The hooks are gated by a process-wide
@@ -189,8 +190,9 @@ inline void enforce_pre(const dfg::Graph& g, std::string_view site) {
 
 /// Analysis-soundness check at boundaries where information-content /
 /// required-precision results cross into a consumer (the clusterer, the
-/// synthesizer). Runs the abstract-interpretation lint (absint.h) and the
-/// staleness re-derivations. Paranoid only. `rp` may be null.
+/// synthesizer). Runs the abstract-interpretation lint (`lint_absint`,
+/// absint_engine.h), staleness re-derivations included. Paranoid only.
+/// `rp` may be null.
 inline void enforce_analyses(const dfg::Graph& g,
                              const analysis::InfoAnalysis& ia,
                              const analysis::RequiredPrecision* rp,

@@ -1,6 +1,6 @@
 #include <string>
 
-#include "dpmerge/check/absint.h"
+#include "dpmerge/check/absint_engine.h"
 #include "dpmerge/check/check.h"
 #include "dpmerge/obs/obs.h"
 
@@ -82,9 +82,7 @@ void do_enforce_analyses(const dfg::Graph& g,
                          const analysis::InfoAnalysis& ia,
                          const analysis::RequiredPrecision* rp,
                          std::string_view site) {
-  CheckReport rep = lint_info_content(g, ia);
-  if (rp != nullptr) rep.merge(lint_required_precision(g, *rp));
-  account_and_throw(rep, site);
+  account_and_throw(lint_absint(g, &ia, rp), site);
 }
 
 }  // namespace detail

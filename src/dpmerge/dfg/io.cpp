@@ -1,5 +1,7 @@
 #include "dpmerge/dfg/io.h"
 
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -58,6 +60,20 @@ Sign sign_from(const std::string& s, int line) {
   if (s == "unsigned" || s == "u" || s == "0") return Sign::Unsigned;
   throw std::invalid_argument("line " + std::to_string(line) +
                               ": bad signedness '" + s + "'");
+}
+
+/// Parses the whole token `tok` as a T: trailing junk and values outside T's
+/// range are line-numbered parse errors, like every other malformed field.
+template <typename T>
+T number_from(const std::string& tok, int line, const char* what) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec == std::errc() && ptr == end) return v;
+  const char* why = ec == std::errc::result_out_of_range ? "out of range"
+                                                          : "not an integer";
+  throw std::invalid_argument("line " + std::to_string(line) + ": " + what +
+                              " '" + tok + "' " + why);
 }
 
 }  // namespace
@@ -139,7 +155,7 @@ Graph parse_graph(const std::string& text) {
     const std::string& cmd = tok[0];
     if (cmd == "input") {
       if (tok.size() < 3 || tok.size() > 4) fail("input <name> <width> [sign]");
-      const int w = std::stoi(tok[2]);
+      const int w = number_from<int>(tok[2], lineno, "width");
       if (w <= 0) fail("width must be positive");
       const NodeId id = g.add_node(OpKind::Input, w, tok[1]);
       g.set_node_ext_sign(id, tok.size() == 4 ? sign_from(tok[3], lineno)
@@ -147,29 +163,30 @@ Graph parse_graph(const std::string& text) {
       define(tok[1], id);
     } else if (cmd == "output") {
       if (tok.size() != 3) fail("output <name> <width>");
-      const int w = std::stoi(tok[2]);
+      const int w = number_from<int>(tok[2], lineno, "width");
       if (w <= 0) fail("width must be positive");
       define(tok[1], g.add_node(OpKind::Output, w, tok[1]));
     } else if (cmd == "const") {
       if (tok.size() != 4) fail("const <name> <width> <value>");
-      const int w = std::stoi(tok[2]);
+      const int w = number_from<int>(tok[2], lineno, "width");
       if (w <= 0) fail("width must be positive");
       BitVector v;
       if (tok[3].rfind("0b", 0) == 0) {
         v = BitVector::from_string(tok[3].substr(2)).resize(w, Sign::Signed);
       } else {
-        v = BitVector::from_int(w, std::stoll(tok[3]));
+        v = BitVector::from_int(
+            w, number_from<std::int64_t>(tok[3], lineno, "value"));
       }
       define(tok[1], g.add_const(v, tok[1]));
     } else if (cmd == "node") {
       if (tok.size() < 4) fail("node <name> <kind> <width> [arg]");
       const OpKind k = kind_from(tok[2], lineno);
-      const int w = std::stoi(tok[3]);
+      const int w = number_from<int>(tok[3], lineno, "width");
       if (w <= 0) fail("width must be positive");
       const NodeId id = g.add_node(k, w, tok[1]);
       if (k == OpKind::Shl) {
         if (tok.size() != 5) fail("shl needs a shift amount");
-        const int s = std::stoi(tok[4]);
+        const int s = number_from<int>(tok[4], lineno, "shift");
         if (s < 0) fail("shift must be non-negative");
         g.set_node_shift(id, s);
       } else if (k == OpKind::Extension) {
@@ -183,8 +200,8 @@ Graph parse_graph(const std::string& text) {
       if (tok.size() != 6) fail("edge <src> <dst> <port> <width> <sign>");
       const NodeId src = lookup(tok[1]);
       const NodeId dst = lookup(tok[2]);
-      const int port = std::stoi(tok[3]);
-      const int w = std::stoi(tok[4]);
+      const int port = number_from<int>(tok[3], lineno, "port");
+      const int w = number_from<int>(tok[4], lineno, "width");
       if (w <= 0) fail("width must be positive");
       const int want = operand_count(g.node(dst).kind);
       if (port < 0 || port >= want) fail("port out of range");

@@ -1,6 +1,7 @@
 #include "dpmerge/frontend/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -79,7 +80,12 @@ class Lexer {
         advance();
       }
       t.kind = Tok::Int;
-      t.value = std::stoll(t.text);
+      const char* end = t.text.data() + t.text.size();
+      const auto [ptr, ec] = std::from_chars(t.text.data(), end, t.value);
+      if (ec != std::errc() || ptr != end) {
+        throw ParseError(t.line, t.col, t.text,
+                         "integer literal '" + t.text + "' out of range");
+      }
       return t;
     }
     auto two = [&](char a, char b) {
@@ -226,12 +232,11 @@ class Parser {
     if (t.size() < 2 || (t[0] != 's' && t[0] != 'u')) {
       fail("bad type '" + t + "' (use s<width> or u<width>)");
     }
-    for (std::size_t i = 1; i < t.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(t[i]))) {
-        fail("bad type '" + t + "'");
-      }
-    }
-    const int w = std::stoi(t.substr(1));
+    int w = 0;
+    const char* end = t.data() + t.size();
+    const auto [ptr, ec] = std::from_chars(t.data() + 1, end, w);
+    if (ptr != end) fail("bad type '" + t + "'");
+    if (ec != std::errc()) fail("width out of range in '" + t + "'");
     if (w <= 0) fail("width must be positive in '" + t + "'");
     return {w, t[0] == 's' ? Sign::Signed : Sign::Unsigned};
   }

@@ -5,7 +5,6 @@
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/synth/cluster_synth.h"
-#include "dpmerge/transform/shrink_widths.h"
 #include "dpmerge/transform/width_prune.h"
 
 namespace dpmerge::synth {
@@ -213,15 +212,6 @@ FlowResult run_flow(const Graph& g, Flow flow, const SynthOptions& opt) {
         fs.end_stage(res.graph.node_count(), res.graph.edge_count());
         break;
       case Flow::NewMerge: {
-        if (opt.absint_shrink) {
-          // Optional absint stage ahead of the paper's normalisation: it
-          // only keeps verified batches, so the rest of the flow sees a
-          // graph equivalent to the input.
-          fs.begin_stage("shrink", res.graph.node_count(),
-                         res.graph.edge_count());
-          transform::shrink_widths(res.graph);
-          fs.end_stage(res.graph.node_count(), res.graph.edge_count());
-        }
         auto cr = prepare_new_merge(res.graph, &fs, opt.threads);
         res.partition = std::move(cr.partition);
         res.cluster_iterations = cr.iterations;

@@ -29,12 +29,6 @@ struct SynthOptions {
   /// 1 = serial, 0 = one thread per core, n = at most n. Any setting yields
   /// bit-identical netlists and DecisionLogs (DESIGN.md §11).
   int threads = 1;
-  /// NewMerge only: run `transform::shrink_widths` (the absint-driven
-  /// narrowing pass, DESIGN.md §13) on the graph before normalisation and
-  /// clustering. Every shrink batch is discharged by differential
-  /// simulation and, within budget, a BDD proof; its decisions land in the
-  /// flow's DecisionLog under the shrink.* rules.
-  bool absint_shrink = false;
 };
 
 struct FlowResult {

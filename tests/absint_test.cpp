@@ -1,11 +1,13 @@
-// Property and unit tests for the abstract-interpretation engine behind the
-// soundness lint: on random graphs and random stimuli, every concrete value
-// the reference interpreter computes must be contained in the abstraction.
+// Property and unit tests for the known-bits and interval domains of the
+// abstract interpreter (check::compute_absint) and the claim-refutation
+// predicate behind the soundness lint: on random graphs and random stimuli,
+// every concrete value the reference interpreter computes must be contained
+// in the abstraction.
 
 #include <gtest/gtest.h>
 
 #include "dpmerge/analysis/info_content.h"
-#include "dpmerge/check/absint.h"
+#include "dpmerge/check/absint_engine.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
@@ -13,7 +15,7 @@
 namespace dpmerge {
 namespace {
 
-using check::AbstractValue;
+using check::AbsFact;
 using check::contains;
 using dfg::Graph;
 using dfg::NodeId;
@@ -27,7 +29,7 @@ TEST(AbsintProperty, ContainsEveryConcreteValue) {
     opt.max_width = 4 + static_cast<int>(seed % 29);
     opt.cmp_fraction = 0.15;
     const Graph g = dfg::random_graph(rng, opt);
-    const auto aa = check::compute_abstract(g);
+    const auto aa = check::compute_absint(g);
     const dfg::Evaluator ev(g);
     for (int trial = 0; trial < 8; ++trial) {
       const auto results = ev.run(ev.random_inputs(rng));
@@ -53,8 +55,8 @@ TEST(AbsintUnit, ConstantsAreExact) {
   const NodeId c = g.add_const(BitVector::from_uint(8, 0xA5));
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(c, o, 0, 8, Sign::Unsigned);
-  const auto aa = check::compute_abstract(g);
-  const AbstractValue& av = aa.out(c);
+  const auto aa = check::compute_absint(g);
+  const AbsFact& av = aa.out(c);
   EXPECT_TRUE(av.bits.all_known());
   EXPECT_EQ(av.bits.value.to_uint64(), 0xA5u);
   EXPECT_TRUE(av.range.valid);
@@ -71,7 +73,7 @@ TEST(AbsintUnit, ConstantAddFolds) {
   g.add_edge(b, s, 1, 8, Sign::Unsigned);
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(s, o, 0, 8, Sign::Unsigned);
-  const auto aa = check::compute_abstract(g);
+  const auto aa = check::compute_absint(g);
   EXPECT_TRUE(aa.out(s).bits.all_known());
   EXPECT_EQ(aa.out(s).bits.value.to_uint64(), 42u);
 }
@@ -84,7 +86,7 @@ TEST(AbsintUnit, ShlPinsLowBitsToZero) {
   g.add_edge(x, sh, 0, 8, Sign::Unsigned);
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(sh, o, 0, 8, Sign::Unsigned);
-  const auto aa = check::compute_abstract(g);
+  const auto aa = check::compute_absint(g);
   const auto& kb = aa.out(sh).bits;
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(kb.known.bit(i));
@@ -102,7 +104,7 @@ TEST(AbsintUnit, ZeroExtensionPinsHighBits) {
   g.add_edge(x, ext, 0, 4, Sign::Unsigned);
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(ext, o, 0, 8, Sign::Unsigned);
-  const auto aa = check::compute_abstract(g);
+  const auto aa = check::compute_absint(g);
   const auto& kb = aa.out(ext).bits;
   for (int i = 4; i < 8; ++i) {
     EXPECT_TRUE(kb.known.bit(i)) << i;
@@ -123,35 +125,35 @@ TEST(AbsintUnit, ComparatorIsDecidedByDisjointIntervals) {
   g.add_edge(c, lt, 1, 8, Sign::Unsigned);
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(lt, o, 0, 1, Sign::Unsigned);
-  const auto aa = check::compute_abstract(g);
+  const auto aa = check::compute_absint(g);
   const auto& kb = aa.out(lt).bits;
   EXPECT_TRUE(kb.all_known());
   EXPECT_EQ(kb.value.to_uint64(), 1u);  // always true
 }
 
 TEST(AbsintUnit, ContradictsUnsignedClaim) {
-  const auto av = AbstractValue::constant(BitVector::from_uint(8, 255));
+  const auto av = AbsFact::constant(BitVector::from_uint(8, 255)).value();
   EXPECT_TRUE(check::contradicts(av, {4, Sign::Unsigned}));
   EXPECT_FALSE(check::contradicts(av, {8, Sign::Unsigned}));
   // 15 genuinely fits in 4 unsigned bits.
-  const auto small = AbstractValue::constant(BitVector::from_uint(8, 15));
+  const auto small = AbsFact::constant(BitVector::from_uint(8, 15)).value();
   EXPECT_FALSE(check::contradicts(small, {4, Sign::Unsigned}));
 }
 
 TEST(AbsintUnit, ContradictsSignedClaim) {
   // 0b0111_1111 = 127: a signed 4-bit claim needs bits [3,8) all equal,
   // but bit 3..6 are 1 and bit 7 is 0.
-  const auto av = AbstractValue::constant(BitVector::from_uint(8, 127));
+  const auto av = AbsFact::constant(BitVector::from_uint(8, 127)).value();
   EXPECT_TRUE(check::contradicts(av, {4, Sign::Signed}));
   EXPECT_FALSE(check::contradicts(av, {8, Sign::Signed}));
   // -4 = 0b1111_1100 is a sound signed-3 (even signed-4) claim.
-  const auto neg = AbstractValue::constant(BitVector::from_uint(8, 0xFC));
+  const auto neg = AbsFact::constant(BitVector::from_uint(8, 0xFC)).value();
   EXPECT_FALSE(check::contradicts(neg, {3, Sign::Signed}));
   EXPECT_TRUE(check::contradicts(neg, {1, Sign::Signed}));
 }
 
 TEST(AbsintUnit, TopContradictsNothing) {
-  const auto av = AbstractValue::top(16);
+  const auto av = AbsFact::top(16).value();
   for (int w = 0; w <= 16; ++w) {
     EXPECT_FALSE(check::contradicts(av, {w, Sign::Unsigned})) << w;
     if (w >= 1) {

@@ -9,7 +9,7 @@
 
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/analysis/required_precision.h"
-#include "dpmerge/check/absint.h"
+#include "dpmerge/check/absint_engine.h"
 #include "dpmerge/check/check.h"
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/formal/equiv.h"
@@ -70,12 +70,9 @@ TEST(CheckFuzz, AnalysesSurviveTheSoundnessLint) {
     transform::normalize_widths(g);
 
     const auto ia = analysis::compute_info_content(g);
-    const auto lint = check::lint_info_content(g, ia);
-    EXPECT_TRUE(lint.clean()) << "seed " << seed << "\n" << lint.to_text();
-
     const auto rp = analysis::compute_required_precision(g);
-    const auto rl = check::lint_required_precision(g, rp);
-    EXPECT_TRUE(rl.clean()) << "seed " << seed << "\n" << rl.to_text();
+    const auto lint = check::lint_absint(g, &ia, &rp);
+    EXPECT_TRUE(lint.clean()) << "seed " << seed << "\n" << lint.to_text();
   }
 }
 

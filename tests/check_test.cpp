@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dpmerge/check/absint.h"
+#include "dpmerge/check/absint_engine.h"
 #include "dpmerge/check/check.h"
 #include "dpmerge/designs/figures.h"
 #include "dpmerge/designs/kernels.h"
@@ -192,24 +192,6 @@ TEST(VerifyNetlist, GatePinArity) {
 
 // ------------------------------------------------------- analysis lints --
 
-TEST(AnalysisLint, StaleInfoContentAfterMutation) {
-  Graph g = small_adder();
-  auto ia = analysis::compute_info_content(g);
-  const NodeId extra = g.add_node(OpKind::Output, 9, "late");
-  g.add_edge(NodeId{2}, extra, 0, 9, Sign::Unsigned);
-  const CheckReport rep = check::lint_info_content(g, ia);
-  EXPECT_TRUE(rep.has_rule("ic.stale")) << rep.to_text();
-}
-
-TEST(AnalysisLint, StaleRequiredPrecisionAfterMutation) {
-  Graph g = small_adder();
-  auto rp = analysis::compute_required_precision(g);
-  // Shrinking the output edge changes what the adder must deliver.
-  g.set_edge_width(g.node(NodeId{3}).in[0], 4);
-  const CheckReport rep = check::lint_required_precision(g, rp);
-  EXPECT_TRUE(rep.has_rule("rp.stale")) << rep.to_text();
-}
-
 TEST(AnalysisLint, UnsoundClaimIsContradicted) {
   Graph g;
   const NodeId c = g.add_const(BitVector::from_uint(8, 255));
@@ -218,18 +200,8 @@ TEST(AnalysisLint, UnsoundClaimIsContradicted) {
   auto ia = analysis::compute_info_content(g);
   // Claim the constant fits in 4 unsigned bits; bit 7 is provably 1.
   ia.at_output_port[static_cast<std::size_t>(c.value)] = {4, Sign::Unsigned};
-  const CheckReport rep = check::lint_info_content(g, ia);
+  const CheckReport rep = check::lint_absint(g, &ia);
   EXPECT_TRUE(rep.has_rule("ic.unsound")) << rep.to_text();
-}
-
-TEST(AnalysisLint, SoundResultsAreClean) {
-  for (const auto& tc : designs::all_testcases()) {
-    auto ia = analysis::compute_info_content(tc.graph);
-    auto rp = analysis::compute_required_precision(tc.graph);
-    EXPECT_TRUE(check::lint_info_content(tc.graph, ia).clean()) << tc.name;
-    EXPECT_TRUE(check::lint_required_precision(tc.graph, rp).clean())
-        << tc.name;
-  }
 }
 
 // --------------------------------------------------- policy + boundaries --
@@ -277,6 +249,38 @@ TEST(Boundaries, TransformsRejectBrokenInputUnderParanoid) {
   g.set_node_shift(NodeId{2}, 3);
   PolicyScope scope(CheckPolicy::Paranoid);
   EXPECT_THROW(transform::normalize_widths(g), check::CheckFailure);
+}
+
+TEST(Boundaries, ParanoidAnalysisGuardRejectsUnsoundAndStaleResults) {
+  PolicyScope scope(CheckPolicy::Paranoid);
+  auto rule_thrown = [](const Graph& g, const analysis::InfoAnalysis& ia,
+                        const analysis::RequiredPrecision* rp,
+                        const char* rule) {
+    try {
+      check::enforce_analyses(g, ia, rp, "test.analyses");
+      ADD_FAILURE() << "enforce_analyses did not throw " << rule;
+    } catch (const check::CheckFailure& e) {
+      EXPECT_EQ(e.site(), "test.analyses");
+      EXPECT_TRUE(e.report().has_rule(rule)) << e.report().to_text();
+    }
+  };
+
+  // A tampered claim: the constant 255 does not fit 4 unsigned bits.
+  Graph k;
+  const NodeId c = k.add_const(BitVector::from_uint(8, 255));
+  k.add_edge(c, k.add_node(OpKind::Output, 8, "out"), 0, 8, Sign::Unsigned);
+  auto ia = analysis::compute_info_content(k);
+  ia.at_output_port[static_cast<std::size_t>(c.value)] = {4, Sign::Unsigned};
+  rule_thrown(k, ia, nullptr, "ic.unsound");
+
+  // A stale required precision: narrowing the output edge changes what the
+  // adder must deliver after `rp` was computed.
+  Graph g = small_adder();
+  const auto rp = analysis::compute_required_precision(g);
+  check::enforce_analyses(g, analysis::compute_info_content(g), &rp,
+                          "test.analyses");  // fresh and sound: no throw
+  g.set_edge_width(g.node(NodeId{3}).in[0], 4);
+  rule_thrown(g, analysis::compute_info_content(g), &rp, "rp.stale");
 }
 
 TEST(Boundaries, FullFlowsRunCleanUnderParanoid) {

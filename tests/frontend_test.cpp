@@ -131,6 +131,12 @@ TEST(Frontend, ErrorsHaveLocations) {
                "redefinition");
   expect_error("input a : x8\noutput y : s8 = a\n", "bad type");
   expect_error("input a : s0\noutput y : s8 = a\n", "width must be positive");
+  // Numbers too large for their field: located errors, not std::out_of_range.
+  expect_error("input a : s99999999999\noutput y : s8 = a\n",
+               "line 1:23: width out of range in 's99999999999'");
+  expect_error("input a : u8\noutput y : u8 = a + 12345678901234567890123\n",
+               "line 2:21: integer literal '12345678901234567890123' out of "
+               "range");
   expect_error("input a : s8\noutput y = a\n", "must declare a type");
   expect_error("input a : s8\noutput y : s8 = a +\n", "expected an expression");
   expect_error("input a : s8\noutput y : s8 = a << b\n",

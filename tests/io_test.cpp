@@ -85,6 +85,18 @@ TEST(Io, ErrorsCarryLineNumbers) {
   expect_throw("dfg v1\ninput a 8\nnode t add 8\nedge a t 0 8 signed\n",
                "graph invalid");
   expect_throw("", "empty input");
+  // Numeric fields are whole, in-range integers: partial parses, non-numbers
+  // and overflow never surface as a bare stoi message or std::out_of_range.
+  expect_throw("dfg v1\ninput a 99999999999\n",
+               "line 2: width '99999999999' out of range");
+  expect_throw("dfg v1\ninput a abc\n", "line 2: width 'abc' not an integer");
+  expect_throw("dfg v1\ninput a 8x\n", "line 2: width '8x' not an integer");
+  expect_throw("dfg v1\nconst k 8 12345678901234567890123\n",
+               "line 2: value '12345678901234567890123' out of range");
+  expect_throw("dfg v1\nnode s shl 8 4294967296\n",
+               "line 2: shift '4294967296' out of range");
+  expect_throw("dfg v1\ninput a 8\nnode t neg 8\nedge a t 0x 8 signed\n",
+               "line 4: port '0x' not an integer");
 }
 
 TEST(Io, RoundTripPreservesFunction) {

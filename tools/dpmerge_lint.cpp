@@ -9,12 +9,11 @@
 // Usage: dpmerge-lint [options] <file>...
 //   --policy=errors|paranoid  depth of the per-file checks (default paranoid:
 //                             verifier + abstract-interpretation lint)
-//   --absint                  use the bidirectional fixpoint engine
-//                             (check::compute_absint — known bits, intervals,
-//                             congruences, demanded bits) for the soundness
-//                             lint instead of the single-pass lint, and emit
-//                             its per-node fact report (text, or a "facts"
-//                             object with --json)
+//   --absint                  run the abstract-interpretation lint at any
+//                             policy and emit the per-node fact report of its
+//                             fixpoint (check::compute_absint — known bits,
+//                             intervals, congruences, demanded bits; text, or
+//                             an "absint" object with --json)
 //   --deadlogic               synthesise each input with the new-merge flow
 //                             and run the gate-level dead-logic lint on the
 //                             emitted netlist (net.absint.* warnings measure
@@ -57,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "dpmerge/check/absint.h"
 #include "dpmerge/check/absint_engine.h"
 #include "dpmerge/check/absint_netlist.h"
 #include "dpmerge/check/check.h"
@@ -366,25 +364,18 @@ int main(int argc, char** argv) {
     std::string facts_json;
     if (have_graph) {
       rep.merge(check::verify(graph));
-      if (rep.ok() && absint) {
-        // Bidirectional fixpoint: structurally never weaker than the
-        // single-pass lint below, plus the demanded-vs-RP cross-check.
+      if (rep.ok() && (absint || policy == check::CheckPolicy::Paranoid)) {
         const auto ia = analysis::compute_info_content(graph, {}, threads);
         const auto rp = analysis::compute_required_precision(graph, threads);
         const auto facts = check::compute_absint(graph);
         rep.merge(check::lint_absint(graph, &ia, &rp, &facts));
-        if (json) {
+        if (absint && json) {
           facts_json = check::absint_facts_json(graph, facts);
-        } else {
+        } else if (absint) {
           std::printf("%s: absint facts (%d round(s)):\n%s", path.c_str(),
                       facts.rounds,
                       check::absint_facts_text(graph, facts).c_str());
         }
-      } else if (rep.ok() && policy == check::CheckPolicy::Paranoid) {
-        const auto ia = analysis::compute_info_content(graph, {}, threads);
-        const auto rp = analysis::compute_required_precision(graph, threads);
-        rep.merge(check::lint_info_content(graph, ia));
-        rep.merge(check::lint_required_precision(graph, rp));
       }
       if (rep.ok() && deadlogic) {
         try {
