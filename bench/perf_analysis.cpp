@@ -184,7 +184,7 @@ void BM_TimingOptIncremental(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [gi, drive] = changes[i++ % changes.size()];
-    net.mutable_gates()[static_cast<std::size_t>(gi)].drive = drive;
+    net.set_drive(netlist::GateId{gi}, drive);
     if (incremental) {
       ista.update_drive_change(netlist::GateId{gi});
       benchmark::DoNotOptimize(ista.longest_path_ns());

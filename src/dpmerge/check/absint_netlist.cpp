@@ -91,7 +91,7 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
                                  kU);
   tri[static_cast<std::size_t>(nl.const0().value)] = kF;
   tri[static_cast<std::size_t>(nl.const1().value)] = kT;
-  const std::vector<GateId> order = nl.topo_gates();
+  const std::vector<GateId>& order = nl.topo_gates();
   for (GateId gid : order) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
     tri[static_cast<std::size_t>(gt.output.value)] = eval_gate(gt, tri);

@@ -22,6 +22,9 @@ enum class CellType : unsigned char {
   MUX2,  // inputs: {d0, d1, sel}
 };
 
+/// Number of `CellType` values (arrays indexed by cell type use this).
+constexpr int kCellTypeCount = 9;
+
 int cell_input_count(CellType t);
 std::string_view to_string(CellType t);
 
@@ -70,7 +73,7 @@ class CellLibrary {
 
  private:
   CellLibrary();
-  std::array<CellSpec, 9> specs_;
+  std::array<CellSpec, kCellTypeCount> specs_;
 };
 
 }  // namespace dpmerge::netlist

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "dpmerge/obs/obs.h"
+
 namespace dpmerge::netlist {
 
 Netlist::Netlist() {
@@ -11,27 +13,28 @@ Netlist::Netlist() {
 
 NetId Netlist::new_net() {
   driver_of_.push_back(-1);
+  ++version_;
   return NetId{net_count_++};
 }
 
-NetId Netlist::add_gate(CellType t, std::vector<NetId> inputs) {
+NetId Netlist::add_gate(CellType t, PinList inputs) {
   const NetId out = new_net();
-  add_gate_driving(t, std::move(inputs), out);
+  add_gate_driving(t, inputs, out);
   return out;
 }
 
-GateId Netlist::add_gate_driving(CellType t, std::vector<NetId> inputs,
-                                 NetId out) {
+GateId Netlist::add_gate_driving(CellType t, PinList inputs, NetId out) {
   assert(static_cast<int>(inputs.size()) == cell_input_count(t));
   Gate g;
   g.id = GateId{static_cast<int>(gates_.size())};
   g.type = t;
-  g.inputs = std::move(inputs);
+  g.inputs = inputs;
   g.output = out;
   assert(driver_of_[static_cast<std::size_t>(out.value)] == -1 &&
          "net already driven");
   driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
-  gates_.push_back(std::move(g));
+  gates_.push_back(g);
+  ++version_;
 #ifndef DPMERGE_OBS_DISABLED
   gate_owner_.push_back(current_owner_);
 #endif
@@ -166,35 +169,80 @@ const Gate* Netlist::driver(NetId n) const {
   return g < 0 ? nullptr : &gates_[static_cast<std::size_t>(g)];
 }
 
-std::vector<GateId> Netlist::topo_gates() const {
-  std::vector<int> pending(gates_.size(), 0);
-  // fanout_gates[net] -> gates reading it.
-  std::vector<std::vector<int>> readers(static_cast<std::size_t>(net_count_));
-  std::vector<GateId> order;
-  order.reserve(gates_.size());
-  std::vector<int> ready;
-  for (const Gate& g : gates_) {
-    int cnt = 0;
-    for (NetId in : g.inputs) {
-      if (driver_of_[static_cast<std::size_t>(in.value)] >= 0) {
-        ++cnt;
-        readers[static_cast<std::size_t>(in.value)].push_back(g.id.value);
-      }
+namespace {
+
+void build_view(const std::vector<Gate>& gates,
+                const std::vector<int>& driver_of, NetlistView& v) {
+  const std::size_t nets = driver_of.size();
+  const std::size_t ng = gates.size();
+
+  // One pass over the pins: reader counts per net, and per gate the number
+  // of driven inputs (Kahn's pending count, kept in `topo_pos` until the
+  // sort is done). Gates with none seed the ready stack in gate order.
+  v.reader_begin.assign(nets + 1, 0);
+  std::vector<std::int32_t>& pending = v.topo_pos;
+  pending.resize(ng);
+  std::vector<std::int32_t> ready;
+  for (std::size_t gi = 0; gi < ng; ++gi) {
+    std::int32_t cnt = 0;
+    for (NetId in : gates[gi].inputs) {
+      const auto ni = static_cast<std::size_t>(in.value);
+      ++v.reader_begin[ni];
+      if (driver_of[ni] >= 0) ++cnt;
     }
-    pending[static_cast<std::size_t>(g.id.value)] = cnt;
-    if (cnt == 0) ready.push_back(g.id.value);
+    pending[gi] = cnt;
+    if (cnt == 0) ready.push_back(static_cast<std::int32_t>(gi));
   }
+
+  // Reader CSR: turn the counts into end offsets, then place entries back
+  // to front so each net's readers come out in gate (and pin) order and the
+  // offsets end up as begin offsets.
+  for (std::size_t n = 1; n <= nets; ++n) {
+    v.reader_begin[n] += v.reader_begin[n - 1];
+  }
+  v.readers.resize(static_cast<std::size_t>(v.reader_begin[nets]));
+  for (std::size_t gi = ng; gi-- > 0;) {
+    const PinList& ins = gates[gi].inputs;
+    for (std::size_t k = ins.size(); k-- > 0;) {
+      const auto ni = static_cast<std::size_t>(ins[k].value);
+      v.readers[static_cast<std::size_t>(--v.reader_begin[ni])] =
+          static_cast<std::int32_t>(gi);
+    }
+  }
+
+  // Kahn-LIFO over the driven pins. Must stay element-for-element
+  // identical to the original per-call sort (tests/netlist_oracle.h):
+  // simplify and Verilog numbering follow this order.
+  v.topo.clear();
+  v.topo.reserve(ng);
   while (!ready.empty()) {
-    const int gi = ready.back();
+    const std::int32_t gi = ready.back();
     ready.pop_back();
-    order.push_back(GateId{gi});
-    const NetId out = gates_[static_cast<std::size_t>(gi)].output;
-    for (int r : readers[static_cast<std::size_t>(out.value)]) {
+    v.topo.push_back(GateId{gi});
+    const NetId out = gates[static_cast<std::size_t>(gi)].output;
+    if (driver_of[static_cast<std::size_t>(out.value)] < 0) continue;
+    for (std::int32_t r : v.readers_of(out)) {
       if (--pending[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
     }
   }
-  assert(order.size() == gates_.size() && "combinational cycle");
-  return order;
+
+  v.topo_pos.assign(ng, -1);
+  for (std::size_t p = 0; p < v.topo.size(); ++p) {
+    v.topo_pos[static_cast<std::size_t>(v.topo[p].value)] =
+        static_cast<std::int32_t>(p);
+  }
+}
+
+}  // namespace
+
+const NetlistView& Netlist::view() const {
+  if (view_version_ != version_) {
+    obs::Span span("netlist.view");
+    obs::stat_add("netlist.view_builds");
+    build_view(gates_, driver_of_, view_);
+    view_version_ = version_;
+  }
+  return view_;
 }
 
 std::vector<std::string> Netlist::validate() const {

@@ -1,5 +1,10 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,12 +25,68 @@ struct GateId {
   auto operator<=>(const GateId&) const = default;
 };
 
+/// A gate's input pins, stored inline: no heap block per gate. The
+/// capacity is the widest cell's arity (MUX2); appending past it throws
+/// `std::length_error` in every build type.
+class PinList {
+ public:
+  static constexpr int kCapacity = 3;
+
+  PinList() = default;
+  PinList(std::initializer_list<NetId> pins) {
+    for (NetId n : pins) push_back(n);
+  }
+
+  void push_back(NetId n) {
+    if (size_ == kCapacity) {
+      throw std::length_error("gate pin list holds at most 3 pins");
+    }
+    pins_[size_++] = n;
+  }
+
+  std::size_t size() const { return size_; }
+  NetId& operator[](std::size_t i) { return pins_[i]; }
+  const NetId& operator[](std::size_t i) const { return pins_[i]; }
+  NetId* begin() { return pins_.data(); }
+  NetId* end() { return pins_.data() + size_; }
+  const NetId* begin() const { return pins_.data(); }
+  const NetId* end() const { return pins_.data() + size_; }
+
+ private:
+  std::array<NetId, kCapacity> pins_{};
+  std::uint8_t size_ = 0;
+};
+
 struct Gate {
   GateId id;
   CellType type = CellType::INV;
   int drive = 0;  ///< drive-strength variant index (0 = X1)
-  std::vector<NetId> inputs;
+  PinList inputs;
   NetId output;
+};
+static_assert(sizeof(Gate) <= 32, "gates are stored flat; keep them small");
+
+/// Cached structural view of a Netlist, built by `Netlist::view()` and kept
+/// until the next structural mutation (new net, new gate, rewired pin,
+/// `mutable_gates`). Drive changes do not invalidate it. Mirrors `dfg::Csr`: build once, then
+/// share read-only.
+struct NetlistView {
+  /// Kahn-LIFO topological order (inputs first). A combinational cycle
+  /// leaves its gates out, so `topo.size() < gate_count()` flags one.
+  std::vector<GateId> topo;
+  /// Gate index -> position in `topo` (-1 for gates left out by a cycle).
+  std::vector<std::int32_t> topo_pos;
+  /// Reader CSR over every net (constants and primary inputs included):
+  /// the gates reading net n are readers[reader_begin[n]..reader_begin[n+1]),
+  /// one entry per reading pin, in gate order.
+  std::vector<std::int32_t> reader_begin;
+  std::vector<std::int32_t> readers;
+
+  std::span<const std::int32_t> readers_of(NetId n) const {
+    const auto i = static_cast<std::size_t>(n.value);
+    return {readers.data() + reader_begin[i],
+            readers.data() + reader_begin[i + 1]};
+  }
 };
 
 /// A multi-bit signal: nets in LSB-first order. Mirrors BitVector semantics
@@ -50,6 +111,11 @@ struct Bus {
 /// constant-folding helpers (`and2`, `or2`, ...) peephole away gates whose
 /// inputs are the constant nets — width adaptation and masked partial
 /// products generate many of those.
+///
+/// Thread-safety: const accessors are safe to call concurrently EXCEPT
+/// `view()` / `topo_gates()` / `validate()` while the view is stale (the
+/// first call after a structural mutation builds the cache). Code that
+/// shares a netlist across threads builds the view once up front.
 class Netlist {
  public:
   Netlist();
@@ -60,9 +126,20 @@ class Netlist {
   bool is_const(NetId n) const { return n.value <= 1; }
 
   /// Raw gate creation (no folding).
-  NetId add_gate(CellType t, std::vector<NetId> inputs);
+  NetId add_gate(CellType t, PinList inputs);
   /// Re-drives an existing net with a gate (used by buffering transforms).
-  GateId add_gate_driving(CellType t, std::vector<NetId> inputs, NetId out);
+  GateId add_gate_driving(CellType t, PinList inputs, NetId out);
+
+  /// Sets a gate's drive-strength variant. Not structural: the view stays.
+  void set_drive(GateId g, int drive) {
+    gates_[static_cast<std::size_t>(g.value)].drive = drive;
+  }
+  /// Rewires input pin `pin` of gate `g` to net `n`. Structural.
+  void set_input(GateId g, int pin, NetId n) {
+    gates_[static_cast<std::size_t>(g.value)]
+        .inputs[static_cast<std::size_t>(pin)] = n;
+    ++version_;
+  }
 
   // Folding helpers.
   NetId inv(NetId a);
@@ -92,7 +169,14 @@ class Netlist {
   const std::vector<Bus>& outputs() const { return outputs_; }
 
   const std::vector<Gate>& gates() const { return gates_; }
-  std::vector<Gate>& mutable_gates() { return gates_; }
+  /// Unchecked write access for the verifier tests' corruption cases; real
+  /// transforms use `set_drive` / `set_input`. Counts as a structural
+  /// mutation at the call: a reference obtained here must not be used to
+  /// change structure after the next view build (the view would go stale).
+  std::vector<Gate>& mutable_gates() {
+    ++version_;
+    return gates_;
+  }
   int gate_count() const { return static_cast<int>(gates_.size()); }
   int net_count() const { return net_count_; }
 
@@ -136,9 +220,11 @@ class Netlist {
   /// Driver gate of a net, or nullptr for primary inputs / constants.
   const Gate* driver(NetId n) const;
 
-  /// Gates in topological order (inputs first). Recomputed on demand —
-  /// optimisation passes may insert gates out of order.
-  std::vector<GateId> topo_gates() const;
+  /// Cached structural view (see `NetlistView`); rebuilt lazily on the
+  /// first call after a structural mutation.
+  const NetlistView& view() const;
+  /// Gates in topological order (inputs first): `view().topo`.
+  const std::vector<GateId>& topo_gates() const { return view().topo; }
 
   /// Structural checks: single driver per net, no combinational cycles, all
   /// gate inputs driven or primary/constant.
@@ -150,6 +236,9 @@ class Netlist {
   std::vector<int> driver_of_;  // net -> gate index, -1 if none
   std::vector<Bus> inputs_;
   std::vector<Bus> outputs_;
+  std::uint64_t version_ = 0;  ///< Structural mutation counter (view key).
+  mutable NetlistView view_;
+  mutable std::uint64_t view_version_ = ~std::uint64_t{0};
 #ifndef DPMERGE_OBS_DISABLED
   std::vector<int> gate_owner_;  // parallel to gates_; -1 = untagged
   int current_owner_ = -1;

@@ -6,8 +6,9 @@
 
 namespace dpmerge::netlist {
 
-PackedSimulator::PackedSimulator(const Netlist& n)
-    : net_(n), order_(n.topo_gates()) {}
+PackedSimulator::PackedSimulator(const Netlist& n) : net_(n) {
+  (void)n.view();  // built here, so concurrent runs only read it
+}
 
 std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     const std::vector<PackedBus>& inputs) const {
@@ -32,7 +33,7 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
 
   const Gate* gates = net_.gates().data();
   std::uint64_t ins[3];
-  for (GateId gid : order_) {
+  for (GateId gid : net_.topo_gates()) {
     const Gate& g = gates[static_cast<std::size_t>(gid.value)];
     for (std::size_t k = 0; k < g.inputs.size(); ++k) {
       ins[k] = value[static_cast<std::size_t>(g.inputs[k].value)];

@@ -41,7 +41,6 @@ class PackedSimulator {
 
  private:
   const Netlist& net_;
-  std::vector<GateId> order_;
 };
 
 }  // namespace dpmerge::netlist

@@ -6,7 +6,9 @@
 
 namespace dpmerge::netlist {
 
-Simulator::Simulator(const Netlist& n) : net_(n), order_(n.topo_gates()) {}
+Simulator::Simulator(const Netlist& n) : net_(n) {
+  (void)n.view();  // built here, so concurrent runs only read it
+}
 
 std::vector<BitVector> Simulator::run(
     const std::vector<BitVector>& inputs) const {
@@ -30,7 +32,7 @@ std::vector<BitVector> Simulator::run(
   }
 
   std::vector<bool> ins;
-  for (GateId gid : order_) {
+  for (GateId gid : net_.topo_gates()) {
     const Gate& g = net_.gates()[static_cast<std::size_t>(gid.value)];
     ins.clear();
     for (NetId in : g.inputs) {

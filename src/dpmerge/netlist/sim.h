@@ -29,7 +29,6 @@ class Simulator {
 
  private:
   const Netlist& net_;
-  std::vector<GateId> order_;
 };
 
 }  // namespace dpmerge::netlist

@@ -22,7 +22,7 @@ bool commutative(CellType t) {
   }
 }
 
-std::uint64_t gate_key(CellType t, const std::vector<NetId>& ins) {
+std::uint64_t gate_key(CellType t, const PinList& ins) {
   std::uint64_t k = static_cast<std::uint64_t>(t) + 1;
   for (NetId n : ins) {
     k = k * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(n.value) + 1;
@@ -68,8 +68,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
 
   for (GateId gid : n.topo_gates()) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
-    std::vector<NetId> ins;
-    ins.reserve(g.inputs.size());
+    PinList ins;
     for (NetId in : g.inputs) {
       const NetId m = map[static_cast<std::size_t>(in.value)];
       assert(m.valid() && "input net not yet rebuilt");
@@ -185,14 +184,14 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
     for (GateId gid : out.topo_gates()) {
       const Gate& g = out.gates()[static_cast<std::size_t>(gid.value)];
       if (!live[static_cast<std::size_t>(g.output.value)]) continue;
-      std::vector<NetId> ins;
+      PinList ins;
       for (NetId in : g.inputs) {
         auto& slot = pmap[static_cast<std::size_t>(in.value)];
         if (!slot.valid()) slot = pruned.new_net();  // shouldn't happen
         ins.push_back(slot);
       }
       const NetId o = pruned.add_gate(g.type, ins);
-      pruned.mutable_gates().back().drive = g.drive;
+      pruned.set_drive(GateId{pruned.gate_count() - 1}, g.drive);
       pmap[static_cast<std::size_t>(g.output.value)] = o;
     }
     for (const Bus& b : out.outputs()) {

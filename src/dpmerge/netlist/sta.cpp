@@ -8,14 +8,24 @@
 
 namespace dpmerge::netlist {
 
-std::vector<double> Sta::net_loads(const Netlist& n) const {
-  std::vector<double> load(static_cast<std::size_t>(n.net_count()), 0.0);
+namespace {
+
+/// Per-net load, accumulated in gate order: the FP addition order every
+/// load in the timer uses, so full and incremental loads are bit-identical.
+void accumulate_loads(const Netlist& n, const CellLibrary& lib,
+                      std::vector<double>& load) {
+  load.assign(static_cast<std::size_t>(n.net_count()), 0.0);
   for (const Gate& g : n.gates()) {
-    for (NetId in : g.inputs) {
-      load[static_cast<std::size_t>(in.value)] +=
-          lib_.variant(g.type, g.drive).input_cap;
-    }
+    const double cap = lib.variant(g.type, g.drive).input_cap;
+    for (NetId in : g.inputs) load[static_cast<std::size_t>(in.value)] += cap;
   }
+}
+
+}  // namespace
+
+std::vector<double> Sta::net_loads(const Netlist& n) const {
+  std::vector<double> load;
+  accumulate_loads(n, lib_, load);
   return load;
 }
 
@@ -23,51 +33,7 @@ TimingReport Sta::analyze(const Netlist& n) const {
   obs::Span span("sta.analyze");
   obs::stat_add("sta.full_runs");
   obs::stat_add("sta.full_gates", n.gate_count());
-  TimingReport rep;
-  rep.arrival.assign(static_cast<std::size_t>(n.net_count()), 0.0);
-  std::vector<NetId> from(static_cast<std::size_t>(n.net_count()), NetId{});
-
-  const std::vector<double> load = net_loads(n);
-
-  for (GateId gid : n.topo_gates()) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
-    const CellVariant& v = lib_.variant(g.type, g.drive);
-    const double d =
-        v.intrinsic_ns +
-        v.drive_res_ns * load[static_cast<std::size_t>(g.output.value)];
-    double worst = 0.0;
-    NetId worst_in{};
-    for (NetId in : g.inputs) {
-      const double a = rep.arrival[static_cast<std::size_t>(in.value)];
-      if (a >= worst) {
-        worst = a;
-        worst_in = in;
-      }
-    }
-    rep.arrival[static_cast<std::size_t>(g.output.value)] = worst + d;
-    from[static_cast<std::size_t>(g.output.value)] = worst_in;
-  }
-
-  NetId worst_net{};
-  for (const Bus& b : n.outputs()) {
-    for (NetId bit : b.signal.bits) {
-      const double a = rep.arrival[static_cast<std::size_t>(bit.value)];
-      if (a > rep.longest_path_ns) {
-        rep.longest_path_ns = a;
-        worst_net = bit;
-      }
-    }
-  }
-
-  // Trace the critical path back to its source.
-  std::vector<NetId> path;
-  for (NetId cur = worst_net; cur.valid(); cur = from[static_cast<std::size_t>(cur.value)]) {
-    path.push_back(cur);
-    if (!n.driver(cur)) break;
-  }
-  std::reverse(path.begin(), path.end());
-  rep.critical_path = std::move(path);
-  return rep;
+  return IncrementalSta(n, lib_).report();
 }
 
 double Sta::area(const Netlist& n) const {
@@ -85,31 +51,10 @@ IncrementalSta::IncrementalSta(const Netlist& n, const CellLibrary& lib)
 
 void IncrementalSta::rebuild() {
   const std::size_t nets = static_cast<std::size_t>(net_.net_count());
-  const std::size_t gates = net_.gates().size();
-
-  topo_ = net_.topo_gates();
-  topo_pos_.assign(gates, -1);
-  for (std::size_t p = 0; p < topo_.size(); ++p) {
-    topo_pos_[static_cast<std::size_t>(topo_[p].value)] = static_cast<int>(p);
-  }
-
-  // Reader lists and loads, both accumulated in gate order so per-net sums
-  // are bit-identical (FP addition order) to Sta::net_loads.
-  reader_of_.assign(nets, {});
-  load_.assign(nets, 0.0);
-  for (std::size_t gi = 0; gi < gates; ++gi) {
-    const Gate& g = net_.gates()[gi];
-    for (NetId in : g.inputs) {
-      reader_of_[static_cast<std::size_t>(in.value)].push_back(
-          static_cast<int>(gi));
-      load_[static_cast<std::size_t>(in.value)] +=
-          lib_.variant(g.type, g.drive).input_cap;
-    }
-  }
-
+  accumulate_loads(net_, lib_, load_);
   arrival_.assign(nets, 0.0);
   from_.assign(nets, NetId{});
-  for (GateId gid : topo_) {
+  for (GateId gid : net_.topo_gates()) {
     recompute_gate(gid.value);
   }
 
@@ -119,7 +64,7 @@ void IncrementalSta::rebuild() {
   }
   refresh_longest();
 
-  queued_.assign(gates, 0);
+  queued_.assign(net_.gates().size(), 0);
 }
 
 void IncrementalSta::recompute_gate(int gate_idx) {
@@ -132,7 +77,7 @@ void IncrementalSta::recompute_gate(int gate_idx) {
   NetId worst_in{};
   for (NetId in : g.inputs) {
     const double a = arrival_[static_cast<std::size_t>(in.value)];
-    if (a >= worst) {  // same tie-break as Sta::analyze: last input wins
+    if (a >= worst) {  // tie-break: last input wins
       worst = a;
       worst_in = in;
     }
@@ -155,6 +100,7 @@ void IncrementalSta::refresh_longest() {
 
 void IncrementalSta::update_drive_change(GateId g) {
   const Gate& gate = net_.gates()[static_cast<std::size_t>(g.value)];
+  const NetlistView& view = net_.view();
 
   // Min-heap over topo positions so cone gates are re-evaluated in
   // dependency order (each gate at most once per update).
@@ -162,7 +108,7 @@ void IncrementalSta::update_drive_change(GateId g) {
   auto enqueue = [&](int gate_idx) {
     if (!queued_[static_cast<std::size_t>(gate_idx)]) {
       queued_[static_cast<std::size_t>(gate_idx)] = 1;
-      pq.push(topo_pos_[static_cast<std::size_t>(gate_idx)]);
+      pq.push(view.topo_pos[static_cast<std::size_t>(gate_idx)]);
     }
   };
 
@@ -174,7 +120,7 @@ void IncrementalSta::update_drive_change(GateId g) {
     const std::size_t ni = static_cast<std::size_t>(in.value);
     double l = 0.0;
     // One reader entry per reading *pin*, in full-pass accumulation order.
-    for (int reader : reader_of_[ni]) {
+    for (std::int32_t reader : view.readers_of(in)) {
       const Gate& r = net_.gates()[static_cast<std::size_t>(reader)];
       l += lib_.variant(r.type, r.drive).input_cap;
     }
@@ -188,14 +134,14 @@ void IncrementalSta::update_drive_change(GateId g) {
   while (!pq.empty()) {
     const int pos = pq.top();
     pq.pop();
-    const int gi = topo_[static_cast<std::size_t>(pos)].value;
+    const int gi = view.topo[static_cast<std::size_t>(pos)].value;
     queued_[static_cast<std::size_t>(gi)] = 0;
     ++cone_gates;
     const NetId out = net_.gates()[static_cast<std::size_t>(gi)].output;
     const double before = arrival_[static_cast<std::size_t>(out.value)];
     recompute_gate(gi);
     if (arrival_[static_cast<std::size_t>(out.value)] != before) {
-      for (int reader : reader_of_[static_cast<std::size_t>(out.value)]) {
+      for (std::int32_t reader : view.readers_of(out)) {
         enqueue(reader);
       }
     }
@@ -221,11 +167,19 @@ std::vector<NetId> IncrementalSta::critical_path() const {
   return path;
 }
 
-TimingReport IncrementalSta::report() const {
+TimingReport IncrementalSta::report() const& {
   TimingReport rep;
   rep.longest_path_ns = longest_;
   rep.arrival = arrival_;
   rep.critical_path = critical_path();
+  return rep;
+}
+
+TimingReport IncrementalSta::report() && {
+  TimingReport rep;
+  rep.longest_path_ns = longest_;
+  rep.critical_path = critical_path();
+  rep.arrival = std::move(arrival_);
   return rep;
 }
 

@@ -24,6 +24,8 @@ class Sta {
  public:
   explicit Sta(const CellLibrary& lib) : lib_(lib) {}
 
+  /// Full analysis: `IncrementalSta(n, lib).report()`, so the full and the
+  /// incremental timer share one propagation loop.
   TimingReport analyze(const Netlist& n) const;
 
   /// Capacitive load per net id (sum of reader-pin input caps), computed in
@@ -50,11 +52,13 @@ class Sta {
 /// exactly that cone and stops where arrivals (and critical-path `from`
 /// links) settle. Invariants maintained between calls:
 ///   - `load_[n]`    == sum of reader-pin input caps of net n
-///   - `arrival_[n]` == Sta::analyze arrival of net n
+///   - `arrival_[n]` == from-scratch arrival of net n
 ///   - `from_[n]`    == latest-arriving input of n's driver (ties broken
-///                      identically to Sta::analyze: last input wins)
-/// Any structural edit (adding gates, rewiring inputs) invalidates the
-/// state; call `rebuild()` afterwards.
+///                      last input wins)
+/// Topological order, topo positions and reader lists come from the
+/// netlist's cached `NetlistView`, fetched afresh on every call (no pointer
+/// into it is kept). Any structural edit (adding gates, rewiring inputs)
+/// invalidates the timing state; call `rebuild()` afterwards.
 class IncrementalSta {
  public:
   IncrementalSta(const Netlist& n, const CellLibrary& lib);
@@ -79,8 +83,10 @@ class IncrementalSta {
   /// Critical path traced on demand from the latest-arriving output bit.
   std::vector<NetId> critical_path() const;
 
-  /// Full report in the `Sta::analyze` format.
-  TimingReport report() const;
+  /// Full report in the `Sta::analyze` format (the rvalue form moves the
+  /// arrival array out instead of copying it).
+  TimingReport report() const&;
+  TimingReport report() &&;
 
  private:
   void recompute_gate(int gate_idx);
@@ -88,12 +94,9 @@ class IncrementalSta {
 
   const Netlist& net_;
   const CellLibrary& lib_;
-  std::vector<GateId> topo_;
-  std::vector<int> topo_pos_;                // gate idx -> topo position
-  std::vector<std::vector<int>> reader_of_;  // net -> reader gate idxs
-  std::vector<double> arrival_;              // per net
-  std::vector<double> load_;                 // per net
-  std::vector<NetId> from_;                  // per net: critical predecessor
+  std::vector<double> arrival_;  // per net
+  std::vector<double> load_;     // per net
+  std::vector<NetId> from_;      // per net: critical predecessor
   std::vector<NetId> output_bits_;
   double longest_ = 0.0;
   NetId longest_net_{};

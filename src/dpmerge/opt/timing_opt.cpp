@@ -84,10 +84,11 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
 
     bool applied = false;
     if (best_gate.value >= 0) {
-      Gate& g = net.mutable_gates()[static_cast<std::size_t>(best_gate.value)];
+      const int drive =
+          net.gates()[static_cast<std::size_t>(best_gate.value)].drive;
       const double before_ns = ista.longest_path_ns();
-      ++g.drive;
-      ista.update_drive_change(g.id);
+      net.set_drive(best_gate, drive + 1);
+      ista.update_drive_change(best_gate);
       check();
       const double delta_ns = before_ns - ista.longest_path_ns();
       if (delta_ns > 1e-9) {
@@ -97,8 +98,9 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         obs::stat_add("opt.slack_recovered_ps",
                       static_cast<std::int64_t>(std::llround(delta_ns * 1e3)));
       } else {
-        --g.drive;  // revert: the larger input cap hurt upstream more
-        ista.update_drive_change(g.id);
+        // Revert: the larger input cap hurt upstream more.
+        net.set_drive(best_gate, drive);
+        ista.update_drive_change(best_gate);
         check();
         locked_upsize.insert(best_gate.value);
         obs::stat_add("opt.upsize.reject");
@@ -140,14 +142,21 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
           }
         }
         const double before_ns = ista.longest_path_ns();
+        // `worst`'s readers, taken before the buffer becomes one of them.
+        // One entry per pin in gate order, so a gate reading `worst` on
+        // several pins appears in a run of equal entries.
+        const auto view_readers = net.view().readers_of(worst);
+        const std::vector<std::int32_t> readers(view_readers.begin(),
+                                                view_readers.end());
         const NetId buffered = net.buf(worst);
         int rewired = 0;
-        for (Gate& g : net.mutable_gates()) {
-          if (g.id.value == keep_gate) continue;
-          if (g.output == buffered) continue;  // the buffer itself
-          for (NetId& in : g.inputs) {
-            if (in == worst) {
-              in = buffered;
+        for (std::size_t i = 0; i < readers.size(); ++i) {
+          const std::int32_t gi = readers[i];
+          if (gi == keep_gate || (i > 0 && readers[i - 1] == gi)) continue;
+          const Gate& g = net.gates()[static_cast<std::size_t>(gi)];
+          for (std::size_t pin = 0; pin < g.inputs.size(); ++pin) {
+            if (g.inputs[pin] == worst) {
+              net.set_input(GateId{gi}, static_cast<int>(pin), buffered);
               ++rewired;
             }
           }
@@ -201,17 +210,19 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
   // Area recovery: once the target is met, try to give back the sizing on
   // cells that no longer need it.
   if (opt.recover_area && ista.longest_path_ns() <= opt.target_ns) {
-    for (Gate& g : net.mutable_gates()) {
-      while (g.drive > 0) {
-        --g.drive;
-        ista.update_drive_change(g.id);
+    for (int gi = 0; gi < net.gate_count(); ++gi) {
+      const GateId id{gi};
+      for (int drive = net.gates()[static_cast<std::size_t>(gi)].drive;
+           drive > 0; --drive) {
+        net.set_drive(id, drive - 1);
+        ista.update_drive_change(id);
         check();
         if (ista.longest_path_ns() <= opt.target_ns) {
           ++res.moves;
           obs::stat_add("opt.downsize.accept");
         } else {
-          ++g.drive;
-          ista.update_drive_change(g.id);
+          net.set_drive(id, drive);
+          ista.update_drive_change(id);
           check();
           break;
         }

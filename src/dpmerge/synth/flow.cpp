@@ -1,5 +1,6 @@
 #include "dpmerge/synth/flow.h"
 
+#include <array>
 #include <cassert>
 #include <optional>
 
@@ -172,9 +173,15 @@ void finalize_flow_report(obs::FlowReport& rep, const Graph& g,
   rep.merge_decisions = arith - p.num_clusters();
   rep.csa_rows = sink.get("synth.csa.rows");
   rep.cpa_count = sink.get("synth.cpa.count");
-  rep.cells_by_type.clear();
+  std::array<std::int64_t, netlist::kCellTypeCount> cells{};
   for (const netlist::Gate& gate : net.gates()) {
-    ++rep.cells_by_type[std::string(netlist::to_string(gate.type))];
+    ++cells[static_cast<std::size_t>(gate.type)];
+  }
+  rep.cells_by_type.clear();
+  for (std::size_t t = 0; t < cells.size(); ++t) {
+    if (cells[t] == 0) continue;
+    rep.cells_by_type[std::string(
+        netlist::to_string(static_cast<netlist::CellType>(t)))] = cells[t];
   }
 }
 
