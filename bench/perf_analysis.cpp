@@ -212,6 +212,22 @@ void BM_HuffmanRebalancing(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanRebalancing)->Range(8, 4096);
 
+// The fir_100000 shape: one cluster of constant-multiple addends,
+// coefficients 1-64 (Observation 5.9 folds each into |c| copies) over
+// operand contents 2-24 bits wide.
+void BM_HuffmanRebalancingFir(benchmark::State& state) {
+  std::vector<analysis::Addend> addends;
+  Rng rng(11);
+  for (int i = 0; i < state.range(0); ++i) {
+    addends.push_back({{static_cast<int>(rng.uniform(2, 24)), Sign::Unsigned},
+                       rng.uniform(1, 64)});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::huffman_rebalanced_bound(addends));
+  }
+}
+BENCHMARK(BM_HuffmanRebalancingFir)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN: the shared dpmerge flags

@@ -58,8 +58,10 @@ int main() {
     const auto cr = synth::prepare_new_merge(work);
     std::printf("\nnew-merge clustering: %s\n",
                 cr.partition.summary(work).c_str());
-    for (const auto& c : cr.partition.clusters) {
-      const auto bound = cluster::rebalanced_cluster_bound(work, c, cr.info);
+    for (int ci = 0; ci < cr.partition.num_clusters(); ++ci) {
+      const auto& c = cr.partition.clusters[static_cast<std::size_t>(ci)];
+      const auto bound =
+          cluster::rebalanced_cluster_bound(work, cr.partition, ci, cr.info);
       std::printf("cluster rooted at node %d: rebalanced output bound %s\n",
                   c.root.value, bound.to_string().c_str());
     }

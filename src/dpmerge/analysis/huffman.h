@@ -25,6 +25,12 @@ struct Addend {
 /// combines them with the sound `ic_add`, which degenerates to the paper's
 /// rule when signs agree. Negative coefficients insert `ic_neg` of the base
 /// signal's content.
+///
+/// Copies are counted, not expanded: the multiset is a sorted array of
+/// (content, count) buckets, so a run costs O(K^2 + K log sum|c|) for K
+/// distinct contents whatever the coefficients (the equivalence argument
+/// is at the definition). Throws std::invalid_argument for a coefficient of
+/// -2^63 or a copy total past 2^63-1.
 InfoContent huffman_rebalanced_bound(const std::vector<Addend>& addends);
 
 /// Reference implementation for tests: the bound obtained by folding the
@@ -37,8 +43,8 @@ InfoContent sequential_bound(const std::vector<Addend>& addends);
 /// optimality claim.
 InfoContent exhaustive_best_bound(const std::vector<Addend>& addends);
 
-/// Expands coefficients into the flat multiset of per-copy contents the
-/// algorithms above operate on.
+/// Expands coefficients into the flat multiset of per-copy contents
+/// (`sequential_bound` and `exhaustive_best_bound` fold over it).
 std::vector<InfoContent> expand_addends(const std::vector<Addend>& addends);
 
 }  // namespace dpmerge::analysis

@@ -263,10 +263,21 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
       plog->next_iteration();
     }
     res.iterations = iter + 1;
-    res.info = analysis::compute_info_content(g, res.refinements, opt.threads);
-    res.rp = analysis::compute_required_precision(g, opt.threads);
-    const auto breaks = compute_breaks(g, res.info, res.rp, opt.threads);
-    res.partition = partition_from_breaks(g, breaks);
+    {
+      obs::Span stage_span("cluster.analyses");
+      res.info =
+          analysis::compute_info_content(g, res.refinements, opt.threads);
+      res.rp = analysis::compute_required_precision(g, opt.threads);
+    }
+    std::vector<bool> breaks;
+    {
+      obs::Span stage_span("cluster.breaks");
+      breaks = compute_breaks(g, res.info, res.rp, opt.threads);
+    }
+    {
+      obs::Span stage_span("cluster.partition");
+      res.partition = partition_from_breaks(g, breaks);
+    }
     res.per_iteration.push_back(
         {res.partition.num_clusters(),
          arith_nodes - res.partition.num_clusters(), 0});
@@ -279,6 +290,7 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     // each cluster is independent of every other's (flatten + Huffman over
     // const analyses), so they are computed cluster-parallel and applied
     // serially in cluster order — bit-identical to the serial loop.
+    obs::Span bounds_span("cluster.bounds");
     const auto& clusters = res.partition.clusters;
     std::vector<InfoContent> bounds(clusters.size());
     auto eval_bound = [&](int i) {
@@ -290,7 +302,7 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
         }
       }
       bounds[static_cast<std::size_t>(i)] =
-          rebalanced_cluster_bound(g, cl, res.info);
+          rebalanced_cluster_bound(g, res.partition, i, res.info);
     };
     support::audit::JobLabel job_label("cluster.huffman_bounds");
     if (opt.threads == 1) {

@@ -14,10 +14,12 @@ using dfg::Node;
 using dfg::NodeId;
 using dfg::OpKind;
 
-FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
+FlattenedCluster flatten_cluster(const Graph& g, const Partition& p, int ci) {
+  const Cluster& c = p.clusters[static_cast<std::size_t>(ci)];
   FlattenedCluster out;
-  std::vector<bool> member(static_cast<std::size_t>(g.node_count()), false);
-  for (NodeId n : c.nodes) member[static_cast<std::size_t>(n.value)] = true;
+  // One term per entry edge (one per two for a product), unless member
+  // fanout reconverges.
+  out.terms.reserve(c.input_edges.size());
 
   // Explicit-stack pre-order walk (clusters can be 100k-node chains; a
   // recursive walk overflows the stack). Each stack item is either a member
@@ -35,17 +37,17 @@ FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
   stack.push_back(Item{false, {}, c.root, false, 0});
   Item pending[2];
   while (!stack.empty()) {
-    const Item f = std::move(stack.back());
+    const Item f = stack.back();
     stack.pop_back();
     if (f.is_term) {
-      out.terms.push_back(std::move(f.term));
+      out.terms.push_back(f.term);
       continue;
     }
     const Node& n = g.node(f.id);
     int npending = 0;
     auto handle = [&](EdgeId eid, bool sub_neg, int shift) {
       const NodeId src = g.edge(eid).src;
-      if (member[static_cast<std::size_t>(src.value)]) {
+      if (p.index_of(src) == ci) {
         pending[npending++] = Item{false, {}, src, sub_neg, shift};
       } else {
         pending[npending++] =
@@ -77,9 +79,7 @@ FlattenedCluster flatten_cluster(const Graph& g, const Cluster& c) {
         // Clusters contain only arithmetic operators.
         break;
     }
-    for (int k = npending - 1; k >= 0; --k) {
-      stack.push_back(std::move(pending[k]));
-    }
+    for (int k = npending - 1; k >= 0; --k) stack.push_back(pending[k]);
   }
   return out;
 }
@@ -89,6 +89,7 @@ std::vector<Addend> cluster_addends(const Graph& g, const Cluster& c,
                                     const InfoAnalysis& ia) {
   (void)c;
   std::vector<Addend> addends;
+  addends.reserve(flat.terms.size());
   for (const Term& t : flat.terms) {
     const std::int64_t sign = t.negate ? -1 : 1;
     // A path shift of s scales the addend by 2^s: s more content bits.
@@ -133,10 +134,11 @@ std::vector<Addend> cluster_addends(const Graph& g, const Cluster& c,
   return addends;
 }
 
-InfoContent rebalanced_cluster_bound(const Graph& g, const Cluster& c,
-                                     const InfoAnalysis& ia) {
-  const FlattenedCluster flat = flatten_cluster(g, c);
-  return analysis::huffman_rebalanced_bound(cluster_addends(g, c, flat, ia));
+InfoContent rebalanced_cluster_bound(const Graph& g, const Partition& p,
+                                     int ci, const InfoAnalysis& ia) {
+  const FlattenedCluster flat = flatten_cluster(g, p, ci);
+  return analysis::huffman_rebalanced_bound(cluster_addends(
+      g, p.clusters[static_cast<std::size_t>(ci)], flat, ia));
 }
 
 }  // namespace dpmerge::cluster

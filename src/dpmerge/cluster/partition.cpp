@@ -35,22 +35,28 @@ Partition partition_from_breaks(const Graph& g,
   Partition p;
   p.cluster_of.assign(static_cast<std::size_t>(g.node_count()), -1);
 
-  const auto& order = g.freeze().topo;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Node& n = g.node(*it);
-    if (!dfg::is_arith_operator(n.kind)) continue;
-    const auto idx = static_cast<std::size_t>(n.id.value);
+  // Pass 1, reverse topological order: decide every arithmetic node's
+  // cluster (clusters are numbered in the order their roots are met) and
+  // count the members of each.
+  const dfg::Csr& csr = g.freeze();
+  std::vector<int> members;
+  for (auto it = csr.topo.rbegin(); it != csr.topo.rend(); ++it) {
+    const NodeId id = *it;
+    if (!dfg::is_arith_operator(g.node(id).kind)) continue;
+    const auto idx = static_cast<std::size_t>(id.value);
 
     // A non-break node may only join a cluster if *all* of its consumers are
     // clustered operators sharing one cluster; otherwise its value is needed
     // in more than one place and it must root its own cluster. This realises
     // Synthesizability Condition 2 (unique cluster outputs) — see DESIGN.md
-    // §2 on the paper's garbled statement of that condition.
+    // §2 on the paper's garbled statement of that condition. The verdict
+    // does not depend on the order the consumers are read in.
+    const auto fanout = csr.out(id);
     int target = -1;
-    bool must_root = is_break[idx] || n.out.empty();
-    for (EdgeId eid : n.out) {
+    bool must_root = is_break[idx] || fanout.empty();
+    for (std::int32_t eid : fanout) {
       if (must_root) break;
-      const NodeId dst = g.edge(eid).dst;
+      const NodeId dst = g.edge(EdgeId{eid}).dst;
       const int c = p.cluster_of[static_cast<std::size_t>(dst.value)];
       if (c < 0 || (target != -1 && target != c)) {
         must_root = true;
@@ -58,27 +64,45 @@ Partition partition_from_breaks(const Graph& g,
         target = c;
       }
     }
-
     if (must_root) {
-      p.cluster_of[idx] = static_cast<int>(p.clusters.size());
-      Cluster c;
-      c.root = n.id;
-      c.nodes.push_back(n.id);
-      p.clusters.push_back(std::move(c));
-    } else {
-      p.cluster_of[idx] = target;
-      p.clusters[static_cast<std::size_t>(target)].nodes.push_back(n.id);
+      target = static_cast<int>(members.size());
+      members.push_back(0);
+    }
+    p.cluster_of[idx] = target;
+    ++members[static_cast<std::size_t>(target)];
+  }
+
+  // The cluster an edge enters from outside (destination a member, source
+  // not), or -1.
+  auto entered = [&p](const Edge& e) {
+    const int cd = p.index_of(e.dst);
+    return cd >= 0 && p.index_of(e.src) != cd ? cd : -1;
+  };
+  std::vector<int> inputs(members.size(), 0);
+  for (const Edge& e : g.edges()) {
+    if (const int ci = entered(e); ci >= 0) {
+      ++inputs[static_cast<std::size_t>(ci)];
     }
   }
 
-  // Collect input edges (edges whose destination is a member but whose
-  // source is not), in deterministic edge-id order.
+  // Pass 2: size every list exactly, then fill members in the same reverse
+  // topological order (the root comes first) and input edges in edge-id
+  // order.
+  p.clusters.resize(members.size());
+  for (std::size_t ci = 0; ci < members.size(); ++ci) {
+    p.clusters[ci].nodes.reserve(static_cast<std::size_t>(members[ci]));
+    p.clusters[ci].input_edges.reserve(static_cast<std::size_t>(inputs[ci]));
+  }
+  for (auto it = csr.topo.rbegin(); it != csr.topo.rend(); ++it) {
+    const int ci = p.index_of(*it);
+    if (ci < 0) continue;
+    Cluster& c = p.clusters[static_cast<std::size_t>(ci)];
+    if (c.nodes.empty()) c.root = *it;
+    c.nodes.push_back(*it);
+  }
   for (const Edge& e : g.edges()) {
-    const int cd = p.cluster_of[static_cast<std::size_t>(e.dst.value)];
-    if (cd < 0) continue;
-    const int cs = p.cluster_of[static_cast<std::size_t>(e.src.value)];
-    if (cs != cd) {
-      p.clusters[static_cast<std::size_t>(cd)].input_edges.push_back(e.id);
+    if (const int ci = entered(e); ci >= 0) {
+      p.clusters[static_cast<std::size_t>(ci)].input_edges.push_back(e.id);
     }
   }
   return p;

@@ -1,15 +1,13 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dpmerge/netlist/cell.h"
 #include "dpmerge/support/bitvector.h"
+#include "dpmerge/support/inline_list.h"
 #include "dpmerge/support/sign.h"
 
 namespace dpmerge::netlist {
@@ -28,34 +26,7 @@ struct GateId {
 /// A gate's input pins, stored inline: no heap block per gate. The
 /// capacity is the widest cell's arity (MUX2); appending past it throws
 /// `std::length_error` in every build type.
-class PinList {
- public:
-  static constexpr int kCapacity = 3;
-
-  PinList() = default;
-  PinList(std::initializer_list<NetId> pins) {
-    for (NetId n : pins) push_back(n);
-  }
-
-  void push_back(NetId n) {
-    if (size_ == kCapacity) {
-      throw std::length_error("gate pin list holds at most 3 pins");
-    }
-    pins_[size_++] = n;
-  }
-
-  std::size_t size() const { return size_; }
-  NetId& operator[](std::size_t i) { return pins_[i]; }
-  const NetId& operator[](std::size_t i) const { return pins_[i]; }
-  NetId* begin() { return pins_.data(); }
-  NetId* end() { return pins_.data() + size_; }
-  const NetId* begin() const { return pins_.data(); }
-  const NetId* end() const { return pins_.data() + size_; }
-
- private:
-  std::array<NetId, kCapacity> pins_{};
-  std::uint8_t size_ = 0;
-};
+using PinList = support::InlineList<NetId, 3>;
 
 struct Gate {
   GateId id;

@@ -98,7 +98,10 @@ ArtifactSession::ArtifactSession(std::string name, ObsArgs args,
     : name_(std::move(name)), args_(std::move(args)) {
   // Bring the recorder up before any work runs: the first instance() call
   // installs the thread-pool telemetry hooks.
-  FlightRecorder::instance();
+  FlightRecorder& fr = FlightRecorder::instance();
+  if (!args_.profile.empty() || !args_.events.empty()) {
+    fr.set_capacity(kProfileRingEvents);
+  }
   install_crash_handlers(crash);
   set_run_context(name_, args_.seed);
   if (!args_.trace.empty()) Tracer::instance().start();

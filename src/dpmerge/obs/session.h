@@ -9,6 +9,12 @@
 
 namespace dpmerge::obs {
 
+/// Per-thread ring capacity while --profile or --events is requested:
+/// 131072 events (4 MiB a thread) hold a complete 100k-node `bench/scale`
+/// run, where the default 8192-event ring evicts the early spans and leaves
+/// their time as the parent's self time.
+inline constexpr std::uint32_t kProfileRingEvents = 1u << 17;
+
 /// Shared observability CLI contract — one parser for the benches,
 /// dpmerge-lint and dpmerge-explain, so every binary that runs flows
 /// accepts the same artifact flags (in both `--flag value` and
@@ -16,11 +22,12 @@ namespace dpmerge::obs {
 ///   --stats-json <path>     per-(design x flow) FlowReports as JSON
 ///   --trace <path>          Chrome trace_event JSON of the run
 ///   --profile <path>        hierarchical profile JSON (dpmerge-profile
-///                           renders/diffs it)
+///                           renders/diffs it); raises the per-thread
+///                           flight-recorder ring to kProfileRingEvents
 ///   --metrics <path>        Prometheus/OpenMetrics text exposition of the
 ///                           stats registry
 ///   --events <path>         JSONL structured event log (drained flight
-///                           recorder)
+///                           recorder); raises the ring like --profile
 ///   --seed <n>              stimulus seed, recorded in artifacts (default 1)
 ///   --stats-deterministic   zero wall-clock/memory fields in artifacts so
 ///                           repeated runs are byte-identical

@@ -97,10 +97,12 @@ void booth_rows(Netlist& net, CsaTree& tree, const Signal& a_ext,
 
 }  // namespace
 
-Signal synthesize_cluster(Netlist& net, const Graph& g, const Cluster& c,
+Signal synthesize_cluster(Netlist& net, const Graph& g,
+                          const cluster::Partition& p, int ci,
                           const InfoAnalysis& ia,
                           const std::vector<Signal>& signals, AdderArch arch,
                           bool booth, ClusterSynthStats* stats) {
+  const Cluster& c = p.clusters[static_cast<std::size_t>(ci)];
   const int W = g.node(c.root).width;
   obs::Span span("synth.cluster",
                  obs::TraceArgs()
@@ -109,7 +111,7 @@ Signal synthesize_cluster(Netlist& net, const Graph& g, const Cluster& c,
                      .add("members", static_cast<std::int64_t>(c.nodes.size())));
   obs::stat_add("synth.clusters");
   CsaTree tree(net, W);
-  const auto flat = cluster::flatten_cluster(g, c);
+  const auto flat = cluster::flatten_cluster(g, p, ci);
 
   // Shifts a W-wide row left by `s` columns (zero fill, overflow drops).
   auto shifted_row = [&](const Signal& row, int s) {

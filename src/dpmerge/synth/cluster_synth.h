@@ -17,8 +17,8 @@ struct ClusterSynthStats {
   bool used_cpa = false;
 };
 
-/// Synthesises one cluster as a sum of addends: every term of the flattened
-/// form contributes rows to a single CSA tree at the root's width W
+/// Synthesises cluster `ci` of `p` as a sum of addends: every term of the
+/// flattened form contributes rows to a single CSA tree at the root's width W
 /// (products contribute their partial-product rows directly — no
 /// intermediate carry-propagate adder), and one final CPA produces the
 /// cluster output.
@@ -32,8 +32,8 @@ struct ClusterSynthStats {
 /// multiplier, the optimisation the paper's reference chain ([4], [5])
 /// applies inside CSA trees.
 netlist::Signal synthesize_cluster(
-    netlist::Netlist& net, const dfg::Graph& g, const cluster::Cluster& c,
-    const analysis::InfoAnalysis& ia,
+    netlist::Netlist& net, const dfg::Graph& g, const cluster::Partition& p,
+    int ci, const analysis::InfoAnalysis& ia,
     const std::vector<netlist::Signal>& node_signals, AdderArch arch,
     bool booth = false, ClusterSynthStats* stats = nullptr);
 

@@ -103,9 +103,8 @@ Netlist synthesize_partition(const Graph& g, const Partition& p,
         // members are absorbed into the root's CSA tree.
         const int ci = p.index_of(id);
         assert(ci >= 0);
-        const auto& c = p.clusters[static_cast<std::size_t>(ci)];
-        if (c.root == id) {
-          s = synthesize_cluster(net, g, c, ia, sig, opt.adder,
+        if (p.clusters[static_cast<std::size_t>(ci)].root == id) {
+          s = synthesize_cluster(net, g, p, ci, ia, sig, opt.adder,
                                  opt.booth_multipliers);
         }
         break;

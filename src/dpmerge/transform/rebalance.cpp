@@ -111,7 +111,7 @@ Graph rebalance_clusters(const Graph& g, RebalanceStats* stats) {
     if (c.root != id) continue;  // interior nodes dissolve into the tree
 
     const int W = n.width;
-    const auto flat = cluster::flatten_cluster(g, c);
+    const auto flat = cluster::flatten_cluster(g, cr.partition, ci);
 
     std::priority_queue<Item, std::vector<Item>, ItemOrder> heap;
     for (const Term& t : flat.terms) {

@@ -151,7 +151,7 @@ TEST(Flatten, SumOfAddendsWithSigns) {
   b.output("r", 8, Operand{t});
   const auto res = cluster_maximal(g);
   ASSERT_EQ(res.partition.num_clusters(), 1);
-  const auto flat = flatten_cluster(g, res.partition.clusters[0]);
+  const auto flat = flatten_cluster(g, res.partition, 0);
   // r = -(a - c) + d = -a + c + d: three terms, exactly one negated.
   ASSERT_EQ(flat.terms.size(), 3u);
   int negs = 0;
@@ -174,7 +174,7 @@ TEST(Flatten, ProductTermsCarryTwoFactors) {
   b.output("r", 9, Operand{t});
   const auto res = cluster_maximal(g);
   ASSERT_EQ(res.partition.num_clusters(), 1);
-  const auto flat = flatten_cluster(g, res.partition.clusters[0]);
+  const auto flat = flatten_cluster(g, res.partition, 0);
   ASSERT_EQ(flat.terms.size(), 2u);
   std::multiset<std::size_t> sizes;
   for (const auto& t2 : flat.terms) sizes.insert(t2.factors.size());
@@ -195,7 +195,7 @@ TEST(Flatten, ConstMultipleBecomesCoefficient) {
   ASSERT_EQ(res.partition.num_clusters(), 1);
   const auto& c = res.partition.clusters[0];
   const auto addends =
-      cluster_addends(g, c, flatten_cluster(g, c), res.info);
+      cluster_addends(g, c, flatten_cluster(g, res.partition, 0), res.info);
   bool found = false;
   for (const auto& ad : addends) {
     if (ad.coefficient == 5) found = true;

@@ -92,7 +92,7 @@ TEST(Shl, MergesIntoClusters) {
   const auto res = cluster::cluster_maximal(g);
   EXPECT_EQ(res.partition.num_clusters(), 1);
   const auto flat =
-      cluster::flatten_cluster(g, res.partition.clusters[0]);
+      cluster::flatten_cluster(g, res.partition, 0);
   int shifted_terms = 0;
   for (const auto& term : flat.terms) {
     if (term.shift > 0) ++shifted_terms;

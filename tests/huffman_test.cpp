@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/support/rng.h"
+#include "huffman_oracle.h"
 
 namespace dpmerge::analysis {
 namespace {
@@ -141,6 +146,48 @@ TEST(Huffman, BoundCoversExactRange) {
     EXPECT_GE(bhi, hi);
     EXPECT_LE(blo, lo);
   }
+}
+
+// The bucketed bound runs exactly the heap's combination sequence: random
+// lists with width-0 entries, both signs, negative coefficients, |c| up to
+// 64 and heavy key duplication (few distinct widths) must match the heap
+// oracle bit for bit.
+TEST(Huffman, BucketedMatchesHeapOracle) {
+  Rng rng(4242);
+  for (int t = 0; t < 2500; ++t) {
+    std::vector<Addend> a;
+    const int n = static_cast<int>(rng.uniform(0, 24));
+    const int max_w = static_cast<int>(rng.uniform(0, t % 3 == 0 ? 3 : 20));
+    for (int k = 0; k < n; ++k) {
+      const int w = static_cast<int>(rng.uniform(0, max_w));
+      std::int64_t c = rng.uniform(rng.chance(0.5) ? 1 : 0, 64);
+      if (rng.chance(0.35)) c = -c;
+      a.push_back(Addend{{w, rng.chance(0.5) ? S : U}, c});
+    }
+    EXPECT_EQ(huffman_rebalanced_bound(a), oracle::heap_huffman_bound(a))
+        << "case " << t;
+  }
+}
+
+TEST(Huffman, HugeCoefficientIsNotExpanded) {
+  // 2^40 copies of <5, u>: forty rounds of pairwise halving.
+  const std::vector<Addend> a{{{5, U}, std::int64_t{1} << 40}};
+  EXPECT_EQ(huffman_rebalanced_bound(a), (InfoContent{45, U}));
+}
+
+TEST(Huffman, MinInt64CoefficientThrows) {
+  const std::vector<Addend> a{
+      {{4, U}, std::numeric_limits<std::int64_t>::min()}};
+  EXPECT_THROW(huffman_rebalanced_bound(a), std::invalid_argument);
+  EXPECT_THROW(expand_addends(a), std::invalid_argument);
+}
+
+TEST(Huffman, CopyTotalOverflowThrows) {
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
+  const std::vector<Addend> a{{{4, U}, big}, {{3, S}, -1}};
+  EXPECT_THROW(huffman_rebalanced_bound(a), std::invalid_argument);
+  // Exactly 2^63-1 copies in total is still representable.
+  EXPECT_NO_THROW(huffman_rebalanced_bound({{{4, U}, big}}));
 }
 
 }  // namespace

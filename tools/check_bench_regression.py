@@ -7,8 +7,9 @@ Usage: check_bench_regression.py [--threshold PCT] [--metrics M,M] \
 Each pair is compared cell-by-cell on the (design, flow) key. A cell fails
 when one of the gated metrics (default: delay, area) exceeds the baseline
 by more than the threshold (default 10%). The scale bench is gated on
---metrics cpa_count instead: wall-clock and RSS vary with the runner, but
-the cluster structure of a deterministic flow must not drift. wall_ms and
+--metrics cpa_count,delay,area at --threshold 0 instead: wall-clock and RSS
+vary with the runner, but the cluster structure and full-flow QoR of a
+deterministic flow must not drift. wall_ms and
 rss_mb are therefore *informational*: listing them in --metrics reports
 excesses as notes without failing the run, unless --gate-informational
 promotes them to real failures (for a dedicated-hardware runner where
