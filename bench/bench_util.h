@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -24,7 +26,8 @@ namespace dpmerge::bench {
 /// use, so every flow-running binary speaks one artifact dialect. On top of
 /// those, benches add:
 ///   --bench-json <path>     BENCH_*.json trajectory artifact
-///   --threads <n>           pool width for parallel_for_cells (0 = auto)
+///   --threads <n>           pool width for parallel_for_cells, 0..256
+///                           (0 = auto); anything else exits 2
 ///   --check=<policy>        run flows with pass-boundary checks enabled
 ///                           (off|errors|paranoid, default off)
 ///   --help                  print usage and exit
@@ -60,7 +63,15 @@ inline BenchArgs parse_bench_args(int& argc, char** argv,
     if (arg == "--bench-json") {
       a.bench_json = value();
     } else if (arg == "--threads") {
-      a.threads = std::atoi(value());
+      const char* v = value();
+      const char* end = v + std::strlen(v);
+      int n = -1;
+      const auto [p, ec] = std::from_chars(v, end, n);
+      if (ec != std::errc() || p != end || n < 0 || n > 256) {
+        std::fprintf(stderr, "bad --threads '%s' (expected 0..256)\n", v);
+        std::exit(2);
+      }
+      a.threads = n;
     } else if (arg.rfind("--check=", 0) == 0) {
       const auto p = check::parse_policy(arg.substr(8));
       if (!p) {

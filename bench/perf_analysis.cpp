@@ -15,7 +15,6 @@
 #include "dpmerge/designs/kernels.h"
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/netlist/packed_sim.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
@@ -119,11 +118,9 @@ const LargestKernel& largest_kernel() {
   return k;
 }
 
-// 64 stimulus vectors through the netlist: scalar (64 topological passes,
-// arg 0) vs word-parallel (one packed pass, arg 1).
+// 64 stimulus vectors through the netlist in one word-parallel pass.
 void BM_PackedSim(benchmark::State& state) {
   const auto& k = largest_kernel();
-  const bool packed = state.range(0) != 0;
   Rng rng(11);
   std::vector<std::vector<BitVector>> stimuli(netlist::PackedSimulator::kLanes);
   for (auto& lane : stimuli) {
@@ -131,38 +128,28 @@ void BM_PackedSim(benchmark::State& state) {
       lane.push_back(rng.bits(bus.signal.width()));
     }
   }
-  netlist::Simulator scalar(k.net);
   netlist::PackedSimulator vec(k.net);
   for (auto _ : state) {
-    if (packed) {
-      benchmark::DoNotOptimize(vec.run_batch(stimuli));
-    } else {
-      for (const auto& lane : stimuli) {
-        benchmark::DoNotOptimize(scalar.run(lane));
-      }
-    }
+    benchmark::DoNotOptimize(vec.run_batch(stimuli));
   }
   state.SetItemsProcessed(state.iterations() *
                           netlist::PackedSimulator::kLanes);
-  state.SetLabel(k.name + (packed ? "/packed" : "/scalar"));
+  state.SetLabel(k.name + "/packed");
 }
-BENCHMARK(BM_PackedSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PackedSim)->Unit(benchmark::kMicrosecond);
 
-// Full Monte-Carlo equivalence check, 256 trials: the scalar oracle
-// (arg 0) vs the lane-batched production path (arg 1).
+// Full Monte-Carlo equivalence check, 256 trials, lane-batched.
 void BM_VerifyNetlist(benchmark::State& state) {
   const auto& k = largest_kernel();
-  const bool packed = state.range(0) != 0;
   for (auto _ : state) {
     Rng rng(42);  // per-iteration reseed: identical stimulus sequence
-    const bool ok =
-        packed ? synth::verify_netlist(k.net, k.graph, 256, rng)
-               : synth::verify_netlist_scalar(k.net, k.graph, 256, rng);
-    if (!ok) state.SkipWithError("verification mismatch");
+    if (!synth::verify_netlist(k.net, k.graph, 256, rng)) {
+      state.SkipWithError("verification mismatch");
+    }
   }
-  state.SetLabel(k.name + (packed ? "/packed" : "/scalar"));
+  state.SetLabel(k.name + "/packed");
 }
-BENCHMARK(BM_VerifyNetlist)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerifyNetlist)->Unit(benchmark::kMillisecond);
 
 // The timing-update kernel of the optimizer's sizing loop: apply a
 // pseudo-random drive change, then re-time — full Sta::analyze (arg 0) vs

@@ -1,12 +1,9 @@
 // Scaling-curve bench (DESIGN.md §11): how the flow front-end behaves as
 // designs grow from 1k to 100k+ operator nodes. For every (size x design
 // family) point it times graph construction + freeze + validate, the
-// new-merge front-end (normalize + iterative maximal clustering) serial and
-// parallel, and — up to --full-max nodes — the complete new-merge flow
-// including synthesis and STA. The parallel clustering result is checked
-// cell-by-cell against the serial partition: any divergence is a hard
-// failure, the bench's enforcement of the bit-identical determinism
-// contract.
+// serial new-merge front-end (normalize + iterative maximal clustering),
+// and — up to --full-max nodes — the complete new-merge flow including
+// synthesis and STA.
 //
 // Extra flags on top of the shared bench contract:
 //   --sizes a,b,c     target operator counts (default 1000,3000,10000,100000)
@@ -75,13 +72,11 @@ int main(int argc, char** argv) {
   }
 
   bench::ObsSession obs_session("scale", args);
-  support::ThreadPool::set_shared_threads(args.threads);
-  const int pool_width = support::ThreadPool::shared().size();
 
   netlist::Sta sta(netlist::CellLibrary::tsmc025());
   std::vector<BenchCell> cells;
-  bench::Table t({"design", "nodes", "build(ms)", "serial(ms)",
-                  "parallel(ms)", "speedup", "clusters", "rss(MB)"});
+  bench::Table t({"design", "nodes", "build(ms)", "front-end(ms)",
+                  "clusters", "rss(MB)"});
 
   for (const int target : sizes) {
     auto suite = designs::scale_suite(target);
@@ -104,40 +99,19 @@ int main(int argc, char** argv) {
       cells.push_back(BenchCell{d.name, "build", 0.0, 0.0, 0, build_ms,
                                 bench::peak_rss_mb()});
 
-      // New-merge front-end, serial.
-      double serial_ms = 0.0, parallel_ms = 0.0;
-      dfg::Graph gs = g;
-      const auto t_s = Clock::now();
-      const auto crs = synth::prepare_new_merge(gs, nullptr, 1);
-      serial_ms = ms_since(t_s);
+      // New-merge front-end.
+      dfg::Graph work = g;
+      const auto t_fe = Clock::now();
+      const auto cr = synth::prepare_new_merge(work);
+      const double front_end_ms = ms_since(t_fe);
       cells.push_back(BenchCell{d.name, "cluster-serial", 0.0, 0.0,
-                                crs.partition.num_clusters(), serial_ms,
+                                cr.partition.num_clusters(), front_end_ms,
                                 bench::peak_rss_mb()});
-
-      // Parallel: must reproduce the serial partition exactly.
-      if (pool_width > 1) {
-        dfg::Graph gp = g;
-        const auto t_p = Clock::now();
-        const auto crp = synth::prepare_new_merge(gp, nullptr, 0);
-        parallel_ms = ms_since(t_p);
-        if (crp.partition.cluster_of != crs.partition.cluster_of ||
-            crp.partition.num_clusters() != crs.partition.num_clusters()) {
-          std::fprintf(stderr,
-                       "%s: parallel clustering diverged from serial\n",
-                       d.name.c_str());
-          return 1;
-        }
-        cells.push_back(BenchCell{d.name, "cluster-parallel", 0.0, 0.0,
-                                  crp.partition.num_clusters(), parallel_ms,
-                                  bench::peak_rss_mb()});
-      }
 
       // Full flow (clustering + synthesis + STA) at tractable sizes.
       if (g.node_count() <= full_max) {
-        synth::SynthOptions sopt;
-        sopt.threads = 1;
         const auto t_f = Clock::now();
-        auto res = synth::run_flow(g, synth::Flow::NewMerge, sopt);
+        auto res = synth::run_flow(g, synth::Flow::NewMerge);
         const double full_ms = ms_since(t_f);
         res.report.design = d.name;
         const auto timing = sta.analyze(res.net);
@@ -153,25 +127,16 @@ int main(int argc, char** argv) {
       }
 
       t.add_row({d.name, std::to_string(g.node_count()), fmt(build_ms),
-                 fmt(serial_ms),
-                 pool_width > 1 ? fmt(parallel_ms) : std::string("-"),
-                 pool_width > 1 && parallel_ms > 0.0
-                     ? fmt(serial_ms / parallel_ms) + "x"
-                     : std::string("-"),
-                 std::to_string(crs.partition.num_clusters()),
+                 fmt(front_end_ms), std::to_string(cr.partition.num_clusters()),
                  fmt(bench::peak_rss_mb(), 1)});
     }
   }
 
-  std::printf("Scaling curve: new-merge front-end, serial vs parallel"
-              " (%d worker thread(s))\n\n",
-              pool_width);
+  std::printf("Scaling curve: new-merge front-end\n\n");
   t.print();
   std::printf(
-      "\nReading: the front-end stays near-linear in nodes; the parallel\n"
-      "columns track how much of each iteration's analysis/break/refine\n"
-      "work the level decomposition exposes. Partitions are verified\n"
-      "identical between the serial and parallel runs.\n");
+      "\nReading: the front-end stays near-linear in nodes; it is one\n"
+      "serial sweep per analysis and per break check.\n");
 
   if (!args.bench_json.empty()) {
     bench::write_bench_json_file(args.bench_json, "scale", cells,

@@ -5,8 +5,6 @@
 #include <span>
 
 #include "dpmerge/obs/obs.h"
-#include "dpmerge/support/access_audit.h"
-#include "dpmerge/support/thread_pool.h"
 
 namespace dpmerge::analysis {
 
@@ -113,7 +111,7 @@ InfoContent const_info(const BitVector& v) {
 
 InfoAnalysis compute_info_content(const Graph& g,
                                   const InfoRefinements& refinements,
-                                  int threads) {
+                                  int /*threads*/) {
   obs::Span span("analysis.info_content");
   obs::stat_add("analysis.info_content.runs");
   const dfg::Csr& c = g.freeze();
@@ -131,10 +129,7 @@ InfoAnalysis compute_info_content(const Graph& g,
     return intrinsic;
   };
 
-  // Visits one node: a pure function of its predecessors' already-computed
-  // at_output_port values, writing only its own node/edge slots — which is
-  // what makes the level-parallel schedule bit-identical to the serial one.
-  auto visit = [&](NodeId id) {
+  for (NodeId id : c.topo) {
     const Node& n = g.node(id);
     const auto idx = static_cast<std::size_t>(id.value);
     const std::span<const std::int32_t> ins = c.in(id);
@@ -142,8 +137,6 @@ InfoAnalysis compute_info_content(const Graph& g,
     auto operand_ic = [&](int port) {
       const EdgeId eid{ins[static_cast<std::size_t>(port)]};
       const Edge& e = g.edge(eid);
-      support::audit::audit_read(support::audit::Domain::IcNode, e.src.value);
-      support::audit::audit_write(support::audit::Domain::IcEdge, eid.value);
       const InfoContent src_ic =
           ia.at_output_port[static_cast<std::size_t>(e.src.value)];
       const int src_w = g.node(e.src).width;
@@ -195,25 +188,8 @@ InfoAnalysis compute_info_content(const Graph& g,
         break;
     }
     intrinsic = refined(id, intrinsic);
-    support::audit::audit_write(support::audit::Domain::IcNode, id.value);
     ia.intrinsic[idx] = intrinsic;
     ia.at_output_port[idx] = ic_clip(intrinsic, n.width);
-  };
-
-  if (threads == 1) {
-    for (NodeId id : c.topo) visit(id);
-    return ia;
-  }
-  auto& pool = support::ThreadPool::shared();
-  support::audit::JobLabel job_label("ic.level_sweep");
-  for (int l = 0; l < c.num_levels(); ++l) {
-    const std::span<const NodeId> lv = c.level_span(l);
-    pool.parallel_for_chunks(
-        static_cast<int>(lv.size()), /*grain=*/256,
-        [&](int b, int e) {
-          for (int i = b; i < e; ++i) visit(lv[static_cast<std::size_t>(i)]);
-        },
-        threads);
   }
   return ia;
 }

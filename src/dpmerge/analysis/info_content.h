@@ -88,11 +88,8 @@ struct InfoAnalysis {
 using InfoRefinements = std::vector<std::optional<InfoContent>>;
 
 /// Single forward (inputs-to-outputs) sweep over the graph's frozen CSR
-/// view, O(V + E). With `threads > 1` (or 0 = auto) the sweep runs
-/// level-parallel on the shared ThreadPool: nodes of one dataflow level are
-/// mutually independent and every î value is a pure function of the
-/// predecessors' values, so the result is bit-identical to the serial sweep
-/// (DESIGN.md §11).
+/// view, O(V + E). `threads` is accepted and ignored; output and work are
+/// width-independent.
 InfoAnalysis compute_info_content(const dfg::Graph& g,
                                   const InfoRefinements& refinements = {},
                                   int threads = 1);

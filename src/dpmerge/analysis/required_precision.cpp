@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 
 #include "dpmerge/obs/obs.h"
-#include "dpmerge/support/access_audit.h"
-#include "dpmerge/support/thread_pool.h"
 
 namespace dpmerge::analysis {
 
@@ -15,7 +12,7 @@ using dfg::Node;
 using dfg::NodeId;
 using dfg::OpKind;
 
-RequiredPrecision compute_required_precision(const Graph& g, int threads) {
+RequiredPrecision compute_required_precision(const Graph& g, int /*threads*/) {
   obs::Span span("analysis.required_precision");
   obs::stat_add("analysis.required_precision.runs");
   const dfg::Csr& c = g.freeze();
@@ -23,24 +20,21 @@ RequiredPrecision compute_required_precision(const Graph& g, int threads) {
   rp.at_output_port.assign(static_cast<std::size_t>(g.node_count()), 0);
   rp.at_input_port.assign(static_cast<std::size_t>(g.node_count()), 0);
 
-  // One node's r values depend only on its consumers' at_input_port (all at
-  // a strictly smaller reverse level), so the reverse-level-parallel
-  // schedule writes exactly what the serial reverse-topo sweep writes.
-  auto visit = [&](NodeId id) {
+  // Reverse topological: consumers before producers.
+  for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) {
+    const NodeId id = *it;
     const Node& n = g.node(id);
     const auto idx = static_cast<std::size_t>(n.id.value);
-    support::audit::audit_write(support::audit::Domain::RpNode, n.id.value);
     if (n.kind == OpKind::Output) {
       // Base case of Definition 4.1: r(input port of an output node) = w(N).
       rp.at_input_port[idx] = n.width;
       rp.at_output_port[idx] = n.width;  // no output port; convenience value
-      return;
+      continue;
     }
     // Output port: max over out-edges of min{w(e), r(p_d)}.
     int r_out = 0;
     for (std::int32_t eid : c.out(id)) {
       const dfg::Edge& e = g.edge(dfg::EdgeId{eid});
-      support::audit::audit_read(support::audit::Domain::RpNode, e.dst.value);
       r_out = std::max(r_out,
                        std::min(e.width, rp.at_input_port[static_cast<std::size_t>(
                                              e.dst.value)]));
@@ -62,23 +56,6 @@ RequiredPrecision compute_required_precision(const Graph& g, int threads) {
     } else {
       rp.at_input_port[idx] = std::min(r_out, n.width);
     }
-  };
-
-  if (threads == 1) {
-    // Reverse topological: consumers before producers.
-    for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) visit(*it);
-    return rp;
-  }
-  auto& pool = support::ThreadPool::shared();
-  support::audit::JobLabel job_label("rp.rlevel_sweep");
-  for (int l = 0; l < c.num_rlevels(); ++l) {
-    const std::span<const NodeId> lv = c.rlevel_span(l);
-    pool.parallel_for_chunks(
-        static_cast<int>(lv.size()), /*grain=*/256,
-        [&](int b, int e) {
-          for (int i = b; i < e; ++i) visit(lv[static_cast<std::size_t>(i)]);
-        },
-        threads);
   }
   return rp;
 }

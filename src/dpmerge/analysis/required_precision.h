@@ -38,11 +38,8 @@ struct RequiredPrecision {
 };
 
 /// Computes required precision for all ports by a single reverse-topological
-/// sweep (O(V + E)).
-/// Single reverse (outputs-to-inputs) sweep over the graph's frozen CSR
-/// view, O(V + E). With `threads > 1` (or 0 = auto) it runs parallel over
-/// reverse dataflow levels; each node's r values are a pure function of its
-/// consumers', so the schedule cannot change a single result (DESIGN.md §11).
+/// sweep over the graph's frozen CSR view, O(V + E). `threads` is accepted
+/// and ignored; output and work are width-independent.
 RequiredPrecision compute_required_precision(const dfg::Graph& g,
                                              int threads = 1);
 

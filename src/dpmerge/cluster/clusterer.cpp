@@ -6,8 +6,6 @@
 #include "dpmerge/cluster/flatten.h"
 #include "dpmerge/obs/obs.h"
 #include "dpmerge/obs/provenance.h"
-#include "dpmerge/support/access_audit.h"
-#include "dpmerge/support/thread_pool.h"
 
 namespace dpmerge::cluster {
 
@@ -55,10 +53,8 @@ std::string node_label(const Node& n) {
   return std::string(dfg::to_string(n.kind)) + "#" + std::to_string(n.id.value);
 }
 
-/// The fixed reject-reason vocabulary of the break analysis. Per-chunk
-/// counters are indexed by position here so the parallel path can merge
-/// them into the same `cluster.reject.<reason>` stat keys the serial sweep
-/// emits.
+/// The fixed reject-reason vocabulary of the break analysis; the
+/// `cluster.reject.<reason>` stat keys are indexed by position here.
 constexpr const char* kBreakReasons[] = {
     "no_consumer",
     "safety1_non_arith",
@@ -68,32 +64,21 @@ constexpr const char* kBreakReasons[] = {
 constexpr int kNumBreakReasons =
     static_cast<int>(sizeof(kBreakReasons) / sizeof(kBreakReasons[0]));
 
-/// Accept/reject tallies for a contiguous node-id range of the break sweep.
-struct BreakStats {
-  std::int64_t accept = 0;
-  std::int64_t reject = 0;
-  std::int64_t by_reason[kNumBreakReasons] = {};
-};
-
 /// Break verdict for one arithmetic node (Section 6 conditions, with the
 /// corrections and the per-edge exactness generalisation documented in
-/// DESIGN.md §2/§5). Every candidate merge evaluated lands in `decisions`
-/// (when non-null): one per-edge decision with the analysis evidence the
-/// rule acted on, and one node-level verdict. Pure apart from the optional
-/// trace emission, so it can run from any thread; callers flush `decisions`
-/// to the DecisionLog on the thread that owns it.
-bool evaluate_break(const Graph& g, const InfoAnalysis& ia,
-                    const RequiredPrecision& rp, const Node& n,
-                    std::vector<obs::prov::Decision>* decisions,
-                    BreakStats& stats) {
+/// DESIGN.md §2/§5). Every candidate merge evaluated lands in `plog` (when
+/// non-null): one per-edge decision with the analysis evidence the rule
+/// acted on, and one node-level verdict. Returns the index of the reject
+/// reason in kBreakReasons, or -1 when the node merges into its consumer.
+int evaluate_break(const Graph& g, const InfoAnalysis& ia,
+                   const RequiredPrecision& rp, const Node& n,
+                   obs::prov::DecisionLog* plog) {
   bool b = n.out.empty();
-  int reason = b ? 0 : -1;  // index into kBreakReasons
-  support::audit::audit_read(support::audit::Domain::IcNode, n.id.value);
+  int reason = b ? 0 : -1;
   for (EdgeId eid : n.out) {
     if (b) break;
     const Edge& e = g.edge(eid);
     const Node& dst = g.node(e.dst);
-    support::audit::audit_read(support::audit::Domain::RpNode, e.dst.value);
     int edge_reason = -1;
     int r_in = -1, exact = -1;
     // Safety Condition 1 (+ primary outputs end clusters).
@@ -119,7 +104,7 @@ bool evaluate_break(const Graph& g, const InfoAnalysis& ia,
       b = true;
       reason = edge_reason;
     }
-    if (decisions) {
+    if (plog) {
       obs::prov::Decision d;
       d.node = n.id.value;
       d.dst_node = e.dst.value;
@@ -135,7 +120,7 @@ bool evaluate_break(const Graph& g, const InfoAnalysis& ia,
       d.node_width = n.width;
       d.edge_width = e.width;
       d.width_savings = std::max(0, n.width - ia.out(n.id).width);
-      decisions->push_back(std::move(d));
+      plog->add(std::move(d));
     }
     if (obs::tracing()) {
       obs::instant("cluster.decision",
@@ -148,7 +133,7 @@ bool evaluate_break(const Graph& g, const InfoAnalysis& ia,
                        .str());
     }
   }
-  if (decisions) {
+  if (plog) {
     obs::prov::Decision d;
     d.node = n.id.value;
     d.node_op = node_label(n);
@@ -158,89 +143,44 @@ bool evaluate_break(const Graph& g, const InfoAnalysis& ia,
     d.info_width = ia.out(n.id).width;
     d.node_width = n.width;
     d.width_savings = std::max(0, n.width - ia.out(n.id).width);
-    decisions->push_back(std::move(d));
+    plog->add(std::move(d));
   }
-  if (b) {
-    ++stats.reject;
-    if (reason >= 0) ++stats.by_reason[reason];
-  } else {
-    ++stats.accept;
-  }
-  return b;
+  return reason;
 }
 
-/// Break-node analysis over the whole graph. With `threads != 1` the sweep
-/// runs chunk-parallel over contiguous node-id ranges; because every chunk
-/// buffers its Decisions and stat tallies locally and the merge below
-/// flushes them in ascending chunk (= node-id) order, the DecisionLog and
-/// the stat counters are byte-identical to the serial sweep's.
+/// Break-node analysis over the whole graph, in node-id order. Decisions go
+/// to the current DecisionLog as they are made; the accept/reject tallies
+/// are flushed to the `cluster.decisions.*` / `cluster.reject.*` stats once
+/// at the end, creating only the keys that were hit.
 std::vector<bool> compute_breaks(const Graph& g, const InfoAnalysis& ia,
-                                 const RequiredPrecision& rp,
-                                 int threads = 1) {
-  const int n_nodes = g.node_count();
+                                 const RequiredPrecision& rp) {
   obs::prov::DecisionLog* plog = obs::prov::current_log();
-  // Shared verdict array: one byte per node (vector<bool> packs bits and is
-  // not safe for concurrent writes to distinct elements).
-  std::vector<char> verdict(static_cast<std::size_t>(n_nodes), 0);
-
-  constexpr int kGrain = 1024;
-  const int num_chunks = n_nodes > 0 ? (n_nodes + kGrain - 1) / kGrain : 0;
-  struct ChunkOut {
-    std::vector<obs::prov::Decision> decisions;
-    BreakStats stats;
-  };
-  std::vector<ChunkOut> chunks(static_cast<std::size_t>(num_chunks));
-
-  auto run_chunk = [&](int ci) {
-    ChunkOut& co = chunks[static_cast<std::size_t>(ci)];
-    support::audit::audit_write(support::audit::Domain::DecisionBuf, ci);
-    support::audit::audit_write(support::audit::Domain::StatBuf, ci);
-    const int lo = ci * kGrain;
-    const int hi = std::min(lo + kGrain, n_nodes);
-    for (int i = lo; i < hi; ++i) {
-      const Node& n = g.node(NodeId{i});
-      if (!dfg::is_arith_operator(n.kind)) continue;
-      support::audit::audit_write(support::audit::Domain::BreakVerdict, i);
-      verdict[static_cast<std::size_t>(i)] =
-          evaluate_break(g, ia, rp, n, plog ? &co.decisions : nullptr,
-                         co.stats)
-              ? 1
-              : 0;
+  std::vector<bool> breaks(static_cast<std::size_t>(g.node_count()), false);
+  std::int64_t accept = 0;
+  std::int64_t by_reason[kNumBreakReasons] = {};
+  for (const Node& n : g.nodes()) {
+    if (!dfg::is_arith_operator(n.kind)) continue;
+    const int reason = evaluate_break(g, ia, rp, n, plog);
+    if (reason < 0) {
+      ++accept;
+      continue;
     }
-  };
-  support::audit::JobLabel job_label("cluster.break_sweep");
-  if (threads == 1 || num_chunks <= 1) {
-    for (int ci = 0; ci < num_chunks; ++ci) run_chunk(ci);
-  } else {
-    support::ThreadPool::shared().parallel_for(num_chunks, run_chunk,
-                                               threads);
-  }
-
-  // Canonical merge, ascending node-id order: DecisionLog::add stamps
-  // sequence ids at add time, so this reproduces the serial log exactly.
-  BreakStats total;
-  for (ChunkOut& co : chunks) {
-    if (plog) {
-      for (auto& d : co.decisions) plog->add(std::move(d));
-    }
-    total.accept += co.stats.accept;
-    total.reject += co.stats.reject;
-    for (int k = 0; k < kNumBreakReasons; ++k) {
-      total.by_reason[k] += co.stats.by_reason[k];
-    }
+    breaks[static_cast<std::size_t>(n.id.value)] = true;
+    ++by_reason[reason];
   }
   if (obs::StatSink* sink = obs::current_sink()) {
-    // Only touch keys the serial sweep would have created.
-    if (total.accept) sink->add("cluster.decisions.accept", total.accept);
-    if (total.reject) sink->add("cluster.decisions.reject", total.reject);
+    std::int64_t reject = 0;
+    for (std::int64_t k : by_reason) reject += k;
+    if (accept) sink->add("cluster.decisions.accept", accept);
+    if (reject) sink->add("cluster.decisions.reject", reject);
     for (int k = 0; k < kNumBreakReasons; ++k) {
-      if (total.by_reason[k]) {
+      if (by_reason[k]) {
         sink->add(std::string("cluster.reject.") + kBreakReasons[k],
-                  total.by_reason[k]);
+                  by_reason[k]);
       }
     }
   }
-  return std::vector<bool>(verdict.begin(), verdict.end());
+  return breaks;
 }
 
 }  // namespace
@@ -265,14 +205,13 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     res.iterations = iter + 1;
     {
       obs::Span stage_span("cluster.analyses");
-      res.info =
-          analysis::compute_info_content(g, res.refinements, opt.threads);
-      res.rp = analysis::compute_required_precision(g, opt.threads);
+      res.info = analysis::compute_info_content(g, res.refinements);
+      res.rp = analysis::compute_required_precision(g);
     }
     std::vector<bool> breaks;
     {
       obs::Span stage_span("cluster.breaks");
-      breaks = compute_breaks(g, res.info, res.rp, opt.threads);
+      breaks = compute_breaks(g, res.info, res.rp);
     }
     {
       obs::Span stage_span("cluster.partition");
@@ -286,36 +225,13 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
 
     // Section 5.2 / Section 6 refinement: recompute each cluster output's
     // information content under the optimal (Huffman) operation ordering;
-    // any tightening may dissolve a break in the next round. The bound of
-    // each cluster is independent of every other's (flatten + Huffman over
-    // const analyses), so they are computed cluster-parallel and applied
-    // serially in cluster order — bit-identical to the serial loop.
+    // any tightening may dissolve a break in the next round.
     obs::Span bounds_span("cluster.bounds");
     const auto& clusters = res.partition.clusters;
-    std::vector<InfoContent> bounds(clusters.size());
-    auto eval_bound = [&](int i) {
-      const auto& cl = clusters[static_cast<std::size_t>(i)];
-      if (support::audit::audit_enabled()) {
-        support::audit::audit_write(support::audit::Domain::ClusterBound, i);
-        for (NodeId m : cl.nodes) {
-          support::audit::audit_read(support::audit::Domain::IcNode, m.value);
-        }
-      }
-      bounds[static_cast<std::size_t>(i)] =
-          rebalanced_cluster_bound(g, res.partition, i, res.info);
-    };
-    support::audit::JobLabel job_label("cluster.huffman_bounds");
-    if (opt.threads == 1) {
-      for (int i = 0; i < static_cast<int>(clusters.size()); ++i) {
-        eval_bound(i);
-      }
-    } else {
-      support::ThreadPool::shared().parallel_for(
-          static_cast<int>(clusters.size()), eval_bound, opt.threads);
-    }
     int refined = 0;
     for (std::size_t i = 0; i < clusters.size(); ++i) {
-      const InfoContent& h = bounds[i];
+      const InfoContent h = rebalanced_cluster_bound(
+          g, res.partition, static_cast<int>(i), res.info);
       const InfoContent cur = res.info.intr(clusters[i].root);
       if (h.width < cur.width) {
         auto& slot =

@@ -14,12 +14,6 @@ namespace dpmerge::cluster {
 struct ClusterOptions {
   bool iterate_rebalancing = true;
   int max_iterations = 16;
-  /// Parallel width for the per-iteration stages (analyses, break-node
-  /// evaluation, cluster rebalancing): 1 = serial, 0 = one thread per core,
-  /// n = at most n threads. Results are bit-identical to serial at any
-  /// setting — partitions, netlists, DecisionLogs and stat counters all
-  /// match byte for byte (DESIGN.md §11).
-  int threads = 1;
 };
 
 /// What one iteration of the maximal-merging loop produced: the partition

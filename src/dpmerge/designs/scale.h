@@ -21,8 +21,8 @@ namespace dpmerge::designs {
 /// add/sub-heavy operator mix plus some multiplies and constant shifts.
 /// Operand choice is driven by a deterministic Rng seeded with `seed`.
 /// Total operator count is layers * layer_width; the critical path is
-/// ~`layers` deep, stressing the level decomposition of the parallel
-/// analyses rather than wide embarrassing parallelism.
+/// ~`layers` deep: a deep, narrow graph rather than many independent
+/// clusters.
 dfg::Graph layered_network(int layers, int layer_width, int width,
                            std::uint64_t seed = 0x5ca1eULL);
 
@@ -33,8 +33,8 @@ dfg::Graph fir(int taps, int width);
 
 /// Bank of `rows` independent DCT-II-style rows, each an 8-point dot
 /// product with integer cosine coefficients. Rows share the 8 inputs but
-/// nothing else, so the graph is a forest of `rows` independent kernels —
-/// the shape partition-parallel clustering shards best. ~24*rows nodes.
+/// nothing else, so the graph is a forest of `rows` independent kernels.
+/// ~24*rows nodes.
 dfg::Graph dct_bank(int rows, int width);
 
 /// n x n integer matrix-matrix product C = A * B: n^2 dot products of

@@ -1,10 +1,7 @@
 // Builds the frozen CSR view of a Graph (see Csr in graph.h): flat fanin /
-// fanout adjacency, the Kahn-LIFO topological order, and forward / reverse
-// dataflow levels with their level buckets. Everything here is a pure
-// function of the graph structure, so the cache keys off the structural
+// fanout adjacency and the Kahn-LIFO topological order. Everything here is a
+// pure function of the graph structure, so the cache keys off the structural
 // version counter alone.
-
-#include <algorithm>
 
 #include "dpmerge/dfg/graph.h"
 
@@ -77,56 +74,6 @@ void build_csr(const Graph& g, Csr& c) {
       }
     }
   }
-
-  // Forward levels (sources at 0) in topo order, then reverse levels (sinks
-  // at 0) in reverse topo order.
-  c.level.assign(static_cast<std::size_t>(n), 0);
-  std::int32_t max_level = -1;
-  for (const NodeId v : c.topo) {
-    std::int32_t lv = 0;
-    for (std::int32_t eid : c.in(v)) {
-      const NodeId s = g.edge(EdgeId{eid}).src;
-      lv = std::max(lv, c.level[static_cast<std::size_t>(s.value)] + 1);
-    }
-    c.level[static_cast<std::size_t>(v.value)] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  c.rlevel.assign(static_cast<std::size_t>(n), 0);
-  std::int32_t max_rlevel = -1;
-  for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) {
-    const NodeId v = *it;
-    std::int32_t lv = 0;
-    for (std::int32_t eid : c.out(v)) {
-      const NodeId d = g.edge(EdgeId{eid}).dst;
-      lv = std::max(lv, c.rlevel[static_cast<std::size_t>(d.value)] + 1);
-    }
-    c.rlevel[static_cast<std::size_t>(v.value)] = lv;
-    max_rlevel = std::max(max_rlevel, lv);
-  }
-
-  // Bucket nodes by level (counting sort => ascending node id per level).
-  auto bucket = [n](const std::vector<std::int32_t>& level,
-                    std::int32_t levels, std::vector<std::int32_t>& begin,
-                    std::vector<NodeId>& nodes) {
-    begin.assign(static_cast<std::size_t>(levels) + 1, 0);
-    for (int v = 0; v < n; ++v) {
-      ++begin[static_cast<std::size_t>(level[static_cast<std::size_t>(v)]) +
-              1];
-    }
-    for (std::int32_t l = 0; l < levels; ++l) {
-      begin[static_cast<std::size_t>(l) + 1] +=
-          begin[static_cast<std::size_t>(l)];
-    }
-    nodes.resize(static_cast<std::size_t>(n));
-    std::vector<std::int32_t> cursor(begin.begin(), begin.end() - 1);
-    for (int v = 0; v < n; ++v) {
-      auto& at = cursor[static_cast<std::size_t>(
-          level[static_cast<std::size_t>(v)])];
-      nodes[static_cast<std::size_t>(at++)] = NodeId{v};
-    }
-  };
-  bucket(c.level, max_level + 1, c.level_begin, c.level_nodes);
-  bucket(c.rlevel, max_rlevel + 1, c.rlevel_begin, c.rlevel_nodes);
 }
 
 }  // namespace

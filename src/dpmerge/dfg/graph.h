@@ -90,15 +90,14 @@ struct Edge {
 };
 
 /// Frozen compressed-sparse-row view of a Graph's *structure*: flat fanin /
-/// fanout edge-id arrays plus the traversal products every hot pass needs
-/// (topological order, forward/reverse dataflow levels). Built once by
-/// `Graph::freeze()` and cached until the next structural mutation; width /
-/// sign / shift updates do NOT invalidate it (read those through the Graph).
+/// fanout edge-id arrays plus the topological order every hot pass needs.
+/// Built once by `Graph::freeze()` and cached until the next structural
+/// mutation; width / sign / shift updates do NOT invalidate it (read those
+/// through the Graph).
 ///
 /// The point is cache behaviour at 100k+-node scale: a sweep touches two
 /// flat int32 arrays instead of chasing a per-node `std::vector<EdgeId>`
-/// allocation, and the level buckets give parallel sweeps their natural
-/// grain (all nodes of one level are mutually independent — DESIGN.md §11).
+/// allocation (DESIGN.md §11).
 struct Csr {
   int num_nodes = 0;
   int num_edges = 0;
@@ -116,19 +115,6 @@ struct Csr {
   /// that order, so the frozen view must not invent a different one).
   std::vector<NodeId> topo;
 
-  /// Forward dataflow levels: sources are level 0, otherwise
-  /// 1 + max(level of predecessors). `level_nodes` groups nodes by level
-  /// (ascending node id within a level); level l spans
-  /// level_nodes[level_begin[l]..level_begin[l+1]).
-  std::vector<std::int32_t> level;
-  std::vector<std::int32_t> level_begin;
-  std::vector<NodeId> level_nodes;
-
-  /// Reverse levels from the sinks (sinks are rlevel 0), same layout.
-  std::vector<std::int32_t> rlevel;
-  std::vector<std::int32_t> rlevel_begin;
-  std::vector<NodeId> rlevel_nodes;
-
   std::span<const std::int32_t> out(NodeId v) const {
     return {out_edges.data() + out_begin[static_cast<std::size_t>(v.value)],
             out_edges.data() +
@@ -137,17 +123,6 @@ struct Csr {
   std::span<const std::int32_t> in(NodeId v) const {
     return {in_edges.data() + in_begin[static_cast<std::size_t>(v.value)],
             in_edges.data() + in_begin[static_cast<std::size_t>(v.value) + 1]};
-  }
-  int num_levels() const { return static_cast<int>(level_begin.size()) - 1; }
-  int num_rlevels() const { return static_cast<int>(rlevel_begin.size()) - 1; }
-  std::span<const NodeId> level_span(int l) const {
-    return {level_nodes.data() + level_begin[static_cast<std::size_t>(l)],
-            level_nodes.data() + level_begin[static_cast<std::size_t>(l) + 1]};
-  }
-  std::span<const NodeId> rlevel_span(int l) const {
-    return {rlevel_nodes.data() + rlevel_begin[static_cast<std::size_t>(l)],
-            rlevel_nodes.data() +
-                rlevel_begin[static_cast<std::size_t>(l) + 1]};
   }
 };
 

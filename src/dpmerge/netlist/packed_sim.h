@@ -12,8 +12,8 @@ namespace dpmerge::netlist {
 /// sweep evaluates 64 independent stimulus vectors. This is the classic
 /// word-parallel (a.k.a. "bit-parallel" or "compiled 2-value") logic
 /// simulation technique; it makes Monte-Carlo equivalence checking
-/// (`synth::verify_netlist`) roughly a lane-count faster than the scalar
-/// `Simulator`, which remains as the reference oracle.
+/// (`synth::verify_netlist`) roughly a lane-count faster than one scalar
+/// pass per stimulus (the scalar oracle lives in tests/sim_oracle.h).
 class PackedSimulator {
  public:
   static constexpr int kLanes = 64;

@@ -75,10 +75,8 @@ struct Decision {
 /// (earlier iterations' verdicts were superseded by re-partitioning).
 ///
 /// DPMERGE_THREAD_CONFINED: a log belongs to the thread whose DecisionScope
-/// installed it. Parallel sweeps never record into it directly — they fill
-/// per-chunk Decision buffers and the owning thread replays them in index
-/// order (clusterer.cpp's ChunkOut pattern, audited as Domain::DecisionBuf),
-/// which is also what keeps decision ids schedule-independent.
+/// installed it; the clusterer records into it from its serial sweeps, in
+/// node-id order.
 class DPMERGE_THREAD_CONFINED DecisionLog {
  public:
   /// Stamps `d.id` and the current iteration counter, stores it, returns

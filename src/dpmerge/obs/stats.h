@@ -21,9 +21,7 @@ namespace dpmerge::obs {
 
 /// An ordered bag of named int64 counters. Not thread-safe by itself — a
 /// sink is DPMERGE_THREAD_CONFINED: it belongs to the scope (and thread)
-/// that installed it, and parallel sweeps must buffer per-task tallies and
-/// merge them on the owning thread (the break sweep's ChunkOut pattern,
-/// DESIGN.md §12 — checked at runtime by support::audit::AccessAudit).
+/// that installed it (DESIGN.md §12).
 /// Names sort lexicographically, so any export is deterministic.
 class DPMERGE_THREAD_CONFINED StatSink {
  public:
@@ -117,9 +115,9 @@ inline void stat_max(std::string_view name, std::int64_t v) {
 
 /// Monotonic counter; add() is one relaxed atomic RMW, safe from any thread.
 ///
-/// Memory ordering (DESIGN.md §12): relaxed is sufficient — and audited —
-/// because increments are commutative and no other memory location is
-/// published through a counter value. Reads while writers are live may lag
+/// Memory ordering (DESIGN.md §12): relaxed is sufficient because
+/// increments are commutative and no other memory location is published
+/// through a counter value. Reads while writers are live may lag
 /// in-flight increments (each RMW itself is atomic and never lost); every
 /// exporter in the library reads only after its worker threads have
 /// quiesced (ThreadPool jobs complete before parallel_for returns, which

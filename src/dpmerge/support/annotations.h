@@ -79,7 +79,6 @@
 /// Documentation-only marker for types that are safe because they are
 /// *thread-confined*, not because they lock: StatSink, DecisionLog and
 /// their TLS accessors (obs::current_sink / obs::prov::current_log) belong
-/// to exactly one thread at a time — the thread that installed the scope.
-/// The parallel clusterer obeys this by buffering per-chunk and merging on
-/// the owning thread (DESIGN.md §11/§12); AccessAudit checks it at runtime.
+/// to exactly one thread at a time — the thread that installed the scope
+/// (DESIGN.md §12).
 #define DPMERGE_THREAD_CONFINED

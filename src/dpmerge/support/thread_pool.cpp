@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
-
-#include "dpmerge/support/access_audit.h"
-#include "dpmerge/support/rng.h"
 
 namespace dpmerge::support {
 
@@ -36,13 +32,6 @@ bool& t_in_pool_work() {
 std::atomic<int>& shared_threads_config() {
   static std::atomic<int> threads{0};
   return threads;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -84,49 +73,25 @@ ThreadPool::~ThreadPool() {
 // its own writes. job_mu_ holds the descriptor constant until close_job,
 // which first waits for running_ == 0 under mu_ — no worker can still be
 // inside drain() when the descriptor is torn down.
-void ThreadPool::run_one(int pos) DPMERGE_NO_THREAD_SAFETY_ANALYSIS {
-  const int slot =
-      perm_.empty() ? pos : perm_[static_cast<std::size_t>(pos)];
-  if (job_max_spin_ > 0) {
-    // Seeded per-task jitter: perturbs the relative timing of tasks so
-    // different stress seeds explore different interleavings.
-    const std::uint64_t r = splitmix64(
-        job_jitter_seed_ ^ (static_cast<std::uint64_t>(slot) << 17));
-    const int spins =
-        static_cast<int>(r % static_cast<std::uint64_t>(job_max_spin_));
-    for (int s = 0; s < spins; ++s) {
-      if ((s & 63) == 63) std::this_thread::yield();
-    }
-  }
-  const bool audited = job_audited_;
-  if (audited) audit::AccessAudit::instance().begin_task(slot);
+void ThreadPool::run_one(int i) DPMERGE_NO_THREAD_SAFETY_ANALYSIS {
   const PoolTelemetryHooks* tel = pool_telemetry();
   const std::int64_t t0_us = tel != nullptr ? steady_now_us() : 0;
   try {
-    if (chunked_) {
-      const int lo = slot * job_grain_;
-      const int hi = std::min(lo + job_grain_, job_limit_);
-      (*chunk_fn_)(lo, hi);
-    } else {
-      (*fn_)(slot);
-    }
+    (*fn_)(i);
   } catch (...) {
     record_job_error(std::current_exception());
   }
   if (tel != nullptr) {
-    tel->task(job_id_, slot, t0_us, steady_now_us() - t0_us);
+    tel->task(job_id_, i, t0_us, steady_now_us() - t0_us);
   }
-  if (audited) audit::AccessAudit::instance().end_task();
 }
 
 void ThreadPool::drain() DPMERGE_NO_THREAD_SAFETY_ANALYSIS {
-  // Position dispenser over [0, job_n_): each position maps to one task
-  // (an index, or a chunk id), permuted by run_one under stress. Stops
-  // dispensing once a task has thrown; already-dispensed tasks finish.
-  for (int pos = next_.fetch_add(1); pos < job_n_;
-       pos = next_.fetch_add(1)) {
+  // Index dispenser over [0, job_n_). Stops dispensing once a task has
+  // thrown; already-dispensed tasks finish.
+  for (int i = next_.fetch_add(1); i < job_n_; i = next_.fetch_add(1)) {
     if (job_abort_.load(std::memory_order_relaxed)) break;
-    run_one(pos);
+    run_one(i);
   }
 }
 
@@ -163,43 +128,17 @@ void ThreadPool::record_job_error(std::exception_ptr e) {
   job_abort_.store(true, std::memory_order_relaxed);
 }
 
-bool ThreadPool::open_job(int count, bool chunked, int limit, int grain,
-                          const std::function<void(int)>* fn,
-                          const std::function<void(int, int)>* chunk_fn,
+bool ThreadPool::open_job(int count, const std::function<void(int)>* fn,
                           int max_threads) {
-  const bool audited =
-      audit::audit_enabled() && !audit::AccessAudit::in_task();
-  if (audited) {
-    audit::AccessAudit::instance().begin_job(audit::JobLabel::current());
-  }
-  std::vector<int> perm;
-  std::uint64_t jitter_seed = 0;
-  int max_spin = 0;
-  if (stress_.enabled) {
-    perm.resize(static_cast<std::size_t>(count));
-    std::iota(perm.begin(), perm.end(), 0);
-    Rng rng(splitmix64(stress_.seed) ^ job_counter_);
-    std::shuffle(perm.begin(), perm.end(), rng.engine());
-    jitter_seed = splitmix64(stress_.seed ^ (job_counter_ * 0x2545F4914F6CDD1DULL));
-    max_spin = stress_.max_spin;
-  }
   const std::uint64_t job_id = ++job_counter_;
 
   int width = 0;
   {
     MutexLock lk(mu_);
     job_open_ = true;
-    chunked_ = chunked;
     job_n_ = count;
-    job_limit_ = limit;
-    job_grain_ = grain;
     fn_ = fn;
-    chunk_fn_ = chunk_fn;
-    job_audited_ = audited;
     job_id_ = job_id;
-    perm_ = std::move(perm);
-    job_jitter_seed_ = jitter_seed;
-    job_max_spin_ = max_spin;
     job_error_ = nullptr;
     job_abort_.store(false, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
@@ -222,7 +161,6 @@ bool ThreadPool::open_job(int count, bool chunked, int limit, int grain,
 
 void ThreadPool::close_job() {
   std::exception_ptr err;
-  bool audited = false;
   {
     MutexLock lk(mu_);
     done_cv_.wait(mu_, [this] {
@@ -230,76 +168,26 @@ void ThreadPool::close_job() {
       return running_ == 0;
     });
     job_open_ = false;
-    audited = job_audited_;
-    job_audited_ = false;
     err = job_error_;
     job_error_ = nullptr;
-    perm_.clear();
   }
-  if (audited) audit::AccessAudit::instance().end_job();
   if (err) std::rethrow_exception(err);
 }
 
 void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn,
                               int max_threads) {
   if (n <= 0) return;
-  if (t_in_pool_work()) {
-    // Nested call from inside pool work: run inline on this worker. Audit
-    // hooks (if live) attribute the accesses to the enclosing task, which
-    // is where this work really executes.
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const bool serial = workers_.empty() || n == 1 || max_threads == 1;
-  if (serial && !audit::audit_enabled() &&
-      !stress_on_.load(std::memory_order_relaxed)) {
+  // A nested call from inside pool work runs inline on that worker.
+  if (t_in_pool_work() || workers_.empty() || n == 1 || max_threads == 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
   MutexLock job_lock(job_mu_);
-  const bool workers_join =
-      open_job(n, /*chunked=*/false, n, 1, &fn, nullptr,
-               serial ? 1 : max_threads);
-  if (workers_join) cv_.notify_all();
+  if (open_job(n, &fn, max_threads)) cv_.notify_all();
   t_in_pool_work() = true;
   drain();
   t_in_pool_work() = false;
   close_job();
-}
-
-void ThreadPool::parallel_for_chunks(int n, int grain,
-                                     const std::function<void(int, int)>& fn,
-                                     int max_threads) {
-  if (n <= 0) return;
-  grain = std::max(grain, 1);
-  if (t_in_pool_work()) {
-    fn(0, n);
-    return;
-  }
-  const bool serial = workers_.empty() || n <= grain || max_threads == 1;
-  if (serial && !audit::audit_enabled() &&
-      !stress_on_.load(std::memory_order_relaxed)) {
-    fn(0, n);
-    return;
-  }
-  const int chunks = (n + grain - 1) / grain;
-  MutexLock job_lock(job_mu_);
-  const bool workers_join =
-      open_job(chunks, /*chunked=*/true, n, grain, nullptr, &fn,
-               serial ? 1 : max_threads);
-  if (workers_join) cv_.notify_all();
-  t_in_pool_work() = true;
-  drain();
-  t_in_pool_work() = false;
-  close_job();
-}
-
-void ThreadPool::set_stress(const StressOptions& opts) {
-  // job_mu_ serialises against in-flight jobs: the new configuration is
-  // visible from the next job on, never mid-job.
-  MutexLock job_lock(job_mu_);
-  stress_ = opts;
-  stress_on_.store(opts.enabled, std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::shared() {

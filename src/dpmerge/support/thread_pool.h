@@ -20,14 +20,14 @@ namespace dpmerge::support {
 /// program lifetime. Hooks run on pool threads, outside every pool lock, and
 /// must not call back into the pool.
 ///
-/// The serial fast path (no workers, n == 1, or max_threads == 1 with no
-/// audit/stress) never opens a job descriptor and therefore emits no
-/// telemetry — by design: that path is the zero-synchronisation degradation
-/// the single-core contract promises, and a serial loop has nothing to say
-/// about queue depth or worker utilization.
+/// The serial fast path (no workers, n == 1, or max_threads == 1) never
+/// opens a job descriptor and therefore emits no telemetry — by design:
+/// that path is the zero-synchronisation degradation the single-core
+/// contract promises, and a serial loop has nothing to say about queue
+/// depth or worker utilization.
 struct PoolTelemetryHooks {
   /// One call per dispatched job, after the descriptor is published:
-  /// `tasks` = number of positions, `width` = admitted parallel width
+  /// `tasks` = number of indices, `width` = admitted parallel width
   /// (workers + the participating caller).
   void (*job)(std::uint64_t job_id, int tasks, int width);
   /// One call per completed task: `t0_us`/`dur_us` are steady-clock
@@ -42,20 +42,17 @@ void set_pool_telemetry(const PoolTelemetryHooks* hooks);
 const PoolTelemetryHooks* pool_telemetry();
 
 /// A persistent worker pool with a deterministic `parallel_for`. One shared
-/// instance (`ThreadPool::shared()`) serves the whole process: the table and
-/// scale benches spread their (design x flow) cells on it, and the parallel
-/// clusterer spreads its per-iteration stages on it.
+/// instance (`ThreadPool::shared()`) serves the whole process: the
+/// table1/table2/ablation benches spread their (design x flow) cells on it.
+/// The library's own passes are serial and submit no pool work.
 ///
 /// Determinism contract (DESIGN.md §11): `parallel_for(n, fn)` guarantees
 /// only that `fn(i)` runs exactly once for every i in [0, n) before the call
 /// returns — never which thread runs it or in what order. A caller that
 /// wants schedule-independent results must make each `fn(i)` a pure function
 /// of `i` that writes only into its own pre-sized result slot; any
-/// randomness must come from an Rng seeded per index. Every use in this
-/// library follows that rule, which is what makes the parallel clusterer
-/// bit-identical to the serial one — and `audit::AccessAudit` plus the
-/// seeded stress scheduler (`set_stress`) check it instead of trusting it
-/// (DESIGN.md §12).
+/// randomness must come from an Rng seeded per index. Every bench cell
+/// runner follows that rule.
 ///
 /// Exceptions: if a task throws, the job stops dispensing further indices,
 /// every participating thread finishes its current task, and `parallel_for`
@@ -93,37 +90,12 @@ class ThreadPool {
   void parallel_for(int n, const std::function<void(int)>& fn,
                     int max_threads = 0) DPMERGE_EXCLUDES(job_mu_, mu_);
 
-  /// Chunked variant: runs `fn(begin, end)` over [0, n) split into chunks of
-  /// at most `grain` indices. Lower dispatch overhead for cheap bodies.
-  void parallel_for_chunks(int n, int grain,
-                           const std::function<void(int, int)>& fn,
-                           int max_threads = 0) DPMERGE_EXCLUDES(job_mu_, mu_);
-
-  /// Caps the width of future `parallel_for`/`parallel_for_chunks` calls
-  /// that pass `max_threads == 0` (0 restores the pool's full width).
+  /// Caps the width of future `parallel_for` calls that pass
+  /// `max_threads == 0` (0 restores the pool's full width).
   /// Deferred-safe: the cap is read exactly once per job, at job open,
   /// under the pool mutex — a store racing an in-flight job changes only
   /// *future* jobs, never the one running.
   void set_default_cap(int cap) { default_cap_.store(cap); }
-
-  /// Seeded stress scheduler (DESIGN.md §12): while enabled, every job
-  /// dispatches its tasks in a seed-derived random order and inserts a
-  /// small seed-derived busy/yield jitter before each task, so repeated
-  /// runs with different seeds explore different interleavings. Applies to
-  /// the serial inline fallback too (tasks run in the permuted order), so
-  /// single-core runs still exercise order-independence. A workload that
-  /// honours the determinism contract produces byte-identical results under
-  /// every seed — which the stress tests and `dpmerge-lint --concurrency`
-  /// assert. Serialises against in-flight jobs; takes effect from the next
-  /// job.
-  struct StressOptions {
-    bool enabled = false;
-    std::uint64_t seed = 0;
-    /// Upper bound on the per-task jitter spin (0 disables jitter but
-    /// keeps the dispatch-order permutation).
-    int max_spin = 256;
-  };
-  void set_stress(const StressOptions& opts) DPMERGE_EXCLUDES(job_mu_, mu_);
 
   /// The process-wide pool, created on first use with the
   /// `set_shared_threads` width (0 = hardware concurrency at creation time).
@@ -145,7 +117,7 @@ class ThreadPool {
  private:
   void worker_loop();
   void drain();
-  void run_one(int pos);
+  void run_one(int i);
   void record_job_error(std::exception_ptr e) DPMERGE_EXCLUDES(mu_);
 
   std::vector<std::thread> workers_;
@@ -168,37 +140,20 @@ class ThreadPool {
   // in thread_pool.cpp).
   Mutex job_mu_;  // serialises concurrent parallel_for callers
   bool job_open_ DPMERGE_GUARDED_BY(mu_) = false;
-  bool chunked_ DPMERGE_GUARDED_BY(mu_) = false;
-  int job_n_ DPMERGE_GUARDED_BY(mu_) = 0;      // index count (or chunk count)
-  int job_grain_ DPMERGE_GUARDED_BY(mu_) = 1;
-  int job_limit_ DPMERGE_GUARDED_BY(mu_) = 0;  // exclusive end of raw range
+  int job_n_ DPMERGE_GUARDED_BY(mu_) = 0;  // index count
   const std::function<void(int)>* fn_ DPMERGE_GUARDED_BY(mu_) = nullptr;
-  const std::function<void(int, int)>* chunk_fn_ DPMERGE_GUARDED_BY(mu_) =
-      nullptr;
-  bool job_audited_ DPMERGE_GUARDED_BY(mu_) = false;
   std::uint64_t job_id_ DPMERGE_GUARDED_BY(mu_) = 0;  // from job_counter_
-  std::vector<int> perm_ DPMERGE_GUARDED_BY(mu_);  // stress dispatch order
-  std::uint64_t job_jitter_seed_ DPMERGE_GUARDED_BY(mu_) = 0;
-  int job_max_spin_ DPMERGE_GUARDED_BY(mu_) = 0;
   std::exception_ptr job_error_ DPMERGE_GUARDED_BY(mu_);
   /// Raised by the first failing task; checked (relaxed) by the dispensers
   /// to stop handing out further work. Lock-free on purpose: timeliness
   /// only — correctness of the abort path rests on mu_ (job_error_).
   std::atomic<bool> job_abort_{false};
-  std::atomic<int> next_{0};  // position dispenser for the current job
-
-  // Stress configuration (applies from the next job). `stress_on_` mirrors
-  // stress_.enabled so the serial fast path can test it without job_mu_.
-  StressOptions stress_ DPMERGE_GUARDED_BY(job_mu_);
+  std::atomic<int> next_{0};  // index dispenser for the current job
   std::uint64_t job_counter_ DPMERGE_GUARDED_BY(job_mu_) = 0;
-  std::atomic<bool> stress_on_{false};
 
-  // Opens the job descriptor (audit job, stress permutation, dispatch
-  // state) and admits workers; returns whether any worker may join (false
-  // degrades to an instrumented serial drain by the caller alone).
-  bool open_job(int count, bool chunked, int limit, int grain,
-                const std::function<void(int)>* fn,
-                const std::function<void(int, int)>* chunk_fn,
+  // Opens the job descriptor and admits workers; returns whether any worker
+  // may join (false degrades to a serial drain by the caller alone).
+  bool open_job(int count, const std::function<void(int)>* fn,
                 int max_threads) DPMERGE_REQUIRES(job_mu_)
       DPMERGE_EXCLUDES(mu_);
   void close_job() DPMERGE_REQUIRES(job_mu_) DPMERGE_EXCLUDES(mu_);

@@ -116,21 +116,18 @@ Netlist synthesize_partition(const Graph& g, const Partition& p,
 }
 
 cluster::ClusterResult prepare_new_merge(Graph& g, obs::FlowScope* fs,
-                                         int threads) {
+                                         int /*threads*/) {
   auto stage = [&](const char* name) {
     if (fs) fs->begin_stage(name, g.node_count(), g.edge_count());
   };
   auto done = [&] {
     if (fs) fs->end_stage(g.node_count(), g.edge_count());
   };
-  cluster::ClusterOptions copt;
-  copt.threads = threads;
-
   stage("normalize");
   transform::normalize_widths(g);
   done();
   stage("cluster");
-  auto cr = cluster::cluster_maximal(g, copt);
+  auto cr = cluster::cluster_maximal(g);
   done();
   // Feed the rebalanced cluster-output bounds (Section 5.2) back into the
   // width transformations: a tighter bound can shrink the cluster root (and
@@ -141,7 +138,7 @@ cluster::ClusterResult prepare_new_merge(Graph& g, obs::FlowScope* fs,
     done();
     if (!stats.changed()) break;
     stage("cluster");
-    auto next = cluster::cluster_maximal(g, copt);
+    auto next = cluster::cluster_maximal(g);
     done();
     // Carry earlier refinements forward (they remain valid claims).
     for (std::size_t i = 0; i < cr.refinements.size(); ++i) {
@@ -218,7 +215,7 @@ FlowResult run_flow(const Graph& g, Flow flow, const SynthOptions& opt) {
         fs.end_stage(res.graph.node_count(), res.graph.edge_count());
         break;
       case Flow::NewMerge: {
-        auto cr = prepare_new_merge(res.graph, &fs, opt.threads);
+        auto cr = prepare_new_merge(res.graph, &fs);
         res.partition = std::move(cr.partition);
         res.cluster_iterations = cr.iterations;
         res.report.cluster_iterations = cr.iterations;

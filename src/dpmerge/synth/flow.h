@@ -25,9 +25,7 @@ struct SynthOptions {
   /// Radix-4 Booth recoding for multiplier partial products (about half the
   /// CSA rows per product).
   bool booth_multipliers = false;
-  /// Parallel width for the clustering stages (ClusterOptions::threads):
-  /// 1 = serial, 0 = one thread per core, n = at most n. Any setting yields
-  /// bit-identical netlists and DecisionLogs (DESIGN.md §11).
+  /// Accepted and ignored; output and work are width-independent.
   int threads = 1;
 };
 
@@ -57,8 +55,8 @@ FlowResult run_flow(const dfg::Graph& g, Flow flow,
 /// maximal clustering, with the Huffman refinements fed back into further
 /// width pruning until a fixpoint (mutates `g`). Returns the final
 /// clustering. When `fs` is given, the normalisation and clustering rounds
-/// are reported as "normalize"/"cluster" stages. `threads` is forwarded to
-/// ClusterOptions::threads (bit-identical results at any width).
+/// are reported as "normalize"/"cluster" stages. `threads` is accepted and
+/// ignored; output and work are width-independent.
 cluster::ClusterResult prepare_new_merge(dfg::Graph& g,
                                          obs::FlowScope* fs = nullptr,
                                          int threads = 1);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dpmerge/netlist/packed_sim.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/obs/obs.h"
 
 namespace dpmerge::synth {
@@ -15,7 +14,6 @@ namespace dpmerge::synth {
 using dfg::Graph;
 using netlist::Netlist;
 using netlist::PackedSimulator;
-using netlist::Simulator;
 
 namespace {
 
@@ -27,7 +25,7 @@ struct Bindings {
   /// For net input bus i: index into `g_inputs` supplying its stimulus.
   std::vector<std::size_t> in_of_bus;
   /// For DFG output j: net output bus index, or -1 if the netlist has no
-  /// bus of that name (reported as a mismatch, like the scalar oracle).
+  /// bus of that name (reported as a mismatch).
   std::vector<int> bus_of_out;
 };
 
@@ -138,40 +136,6 @@ bool verify_netlist(const Netlist& net, const Graph& g, int trials, Rng& rng,
     if (!check_batch(stims)) return false;
     stims.clear();
     if (done == trials) break;
-  }
-  return true;
-}
-
-bool verify_netlist_scalar(const Netlist& net, const Graph& g, int trials,
-                           Rng& rng, std::string* why) {
-  obs::Span span("verify.netlist_scalar");
-  dfg::Evaluator ev(g);
-  Simulator sim(net);
-  const Bindings bind = resolve(net, g);
-
-  auto check = [&](const std::vector<BitVector>& stim) -> bool {
-    std::vector<BitVector> bus_stim;
-    bus_stim.reserve(bind.in_of_bus.size());
-    for (std::size_t pos : bind.in_of_bus) bus_stim.push_back(stim[pos]);
-    const auto expect = ev.run_outputs(stim);
-    const auto got = sim.run(bus_stim);
-    for (std::size_t j = 0; j < bind.g_outputs.size(); ++j) {
-      const int bus = bind.bus_of_out[j];
-      const BitVector* v =
-          bus >= 0 ? &got[static_cast<std::size_t>(bus)] : nullptr;
-      if (!v || *v != expect[j]) {
-        fill_mismatch(g, bind, j, expect[j], v, why);
-        return false;
-      }
-    }
-    return true;
-  };
-
-  for (const auto& stim : corner_stimuli(g, bind)) {
-    if (!check(stim)) return false;
-  }
-  for (int t = 0; t < trials; ++t) {
-    if (!check(ev.random_inputs(rng))) return false;
   }
   return true;
 }

@@ -15,15 +15,8 @@ namespace dpmerge::synth {
 ///
 /// Stimuli are simulated through the word-parallel `PackedSimulator` in
 /// batches of up to 64 lanes; name->bus bindings are resolved once up
-/// front. The random stimulus sequence (and hence the verdict) is
-/// identical to `verify_netlist_scalar`.
+/// front.
 bool verify_netlist(const netlist::Netlist& net, const dfg::Graph& g,
                     int trials, Rng& rng, std::string* why = nullptr);
-
-/// Scalar reference implementation (one `Simulator::run` per trial). Kept
-/// as the oracle the packed path is property-tested against; use
-/// `verify_netlist` everywhere else.
-bool verify_netlist_scalar(const netlist::Netlist& net, const dfg::Graph& g,
-                           int trials, Rng& rng, std::string* why = nullptr);
 
 }  // namespace dpmerge::synth

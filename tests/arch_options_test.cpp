@@ -7,11 +7,11 @@
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/random_graph.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/netlist/simplify.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
+#include "sim_oracle.h"
 
 namespace dpmerge::synth {
 namespace {

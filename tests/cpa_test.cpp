@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/support/rng.h"
+#include "sim_oracle.h"
 
 namespace dpmerge::synth {
 namespace {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/support/rng.h"
+#include "sim_oracle.h"
 
 namespace dpmerge::synth {
 namespace {

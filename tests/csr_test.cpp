@@ -78,30 +78,6 @@ TEST(CsrTest, TopoIdenticalToGraphTopoOrder) {
   }
 }
 
-TEST(CsrTest, LevelsRespectEdges) {
-  const Graph g = sample_graph(3, 150);
-  const Csr& c = g.freeze();
-  for (const Edge& e : g.edges()) {
-    EXPECT_LT(c.level[static_cast<std::size_t>(e.src.value)],
-              c.level[static_cast<std::size_t>(e.dst.value)]);
-    EXPECT_GT(c.rlevel[static_cast<std::size_t>(e.src.value)],
-              c.rlevel[static_cast<std::size_t>(e.dst.value)]);
-  }
-  // Level buckets cover every node once, ascending node id within a level.
-  std::size_t covered = 0;
-  for (int l = 0; l < c.num_levels(); ++l) {
-    const auto lv = c.level_span(l);
-    covered += lv.size();
-    for (std::size_t i = 0; i + 1 < lv.size(); ++i) {
-      EXPECT_LT(lv[i].value, lv[i + 1].value);
-    }
-    for (NodeId v : lv) {
-      EXPECT_EQ(c.level[static_cast<std::size_t>(v.value)], l);
-    }
-  }
-  EXPECT_EQ(covered, static_cast<std::size_t>(g.node_count()));
-}
-
 TEST(CsrTest, CacheInvalidationSemantics) {
   Graph g;
   Builder b(g);

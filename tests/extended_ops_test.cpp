@@ -11,11 +11,11 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
 #include "dpmerge/transform/width_prune.h"
+#include "sim_oracle.h"
 
 namespace dpmerge {
 namespace {

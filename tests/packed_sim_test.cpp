@@ -8,10 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "dpmerge/dfg/random_graph.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/support/rng.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
+#include "sim_oracle.h"
 
 namespace dpmerge {
 namespace {

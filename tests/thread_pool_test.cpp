@@ -5,10 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -53,20 +51,6 @@ TEST(ThreadPoolTest, MaxThreadsOneRunsOnCaller) {
       },
       /*max_threads=*/1);
   EXPECT_FALSE(off_thread.load());
-}
-
-TEST(ThreadPoolTest, ChunksPartitionTheRange) {
-  ThreadPool pool(3);
-  constexpr int kN = 1003;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for_chunks(kN, /*grain=*/64, [&](int b, int e) {
-    ASSERT_LE(b, e);
-    for (int i = b; i < e; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, SlotWritesMatchSerial) {
@@ -139,16 +123,6 @@ TEST(ThreadPoolTest, TaskExceptionPropagatesToCaller) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ChunkExceptionPropagatesToCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for_chunks(
-                   4096, /*grain=*/64,
-                   [&](int b, int) {
-                     if (b >= 1024) throw std::runtime_error("chunk");
-                   }),
-               std::runtime_error);
-}
-
 TEST(ThreadPoolTest, SerialInlineExceptionPropagates) {
   // The serial fallback (max_threads=1) must honour the same contract.
   ThreadPool pool(4);
@@ -183,50 +157,6 @@ TEST(ThreadPoolTest, DistinctPoolsRunConcurrently) {
   t2.join();
   for (const auto& h : a) EXPECT_EQ(h.load(), 1);
   for (const auto& h : b) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, StressSchedulerCoversAndMatchesSerial) {
-  // Under the seeded stress scheduler every index still runs exactly once,
-  // and slot-writing workloads stay byte-identical to serial across seeds.
-  ThreadPool pool(4);
-  constexpr int kN = 2048;
-  std::vector<std::int64_t> ser(kN);
-  auto f = [](int i) {
-    return static_cast<std::int64_t>(i) * 31 % 509 - (i >> 2);
-  };
-  for (int i = 0; i < kN; ++i) ser[static_cast<std::size_t>(i)] = f(i);
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    ThreadPool::StressOptions stress;
-    stress.enabled = true;
-    stress.seed = seed;
-    stress.max_spin = 64;
-    pool.set_stress(stress);
-    std::vector<std::int64_t> par(kN);
-    pool.parallel_for(kN,
-                      [&](int i) { par[static_cast<std::size_t>(i)] = f(i); });
-    EXPECT_EQ(par, ser) << "seed " << seed;
-  }
-  pool.set_stress({});
-}
-
-TEST(ThreadPoolTest, StressSchedulerPermutesSerialFallback) {
-  // With stress on, even the single-caller path dispatches in the permuted
-  // order, so order-dependent workloads are exposed on one core.
-  ThreadPool pool(1);
-  ThreadPool::StressOptions stress;
-  stress.enabled = true;
-  stress.seed = 7;
-  stress.max_spin = 0;
-  pool.set_stress(stress);
-  std::vector<int> order;
-  pool.parallel_for(32, [&](int i) { order.push_back(i); });
-  std::vector<int> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<int> iota(32);
-  for (int i = 0; i < 32; ++i) iota[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(sorted, iota);   // every index exactly once...
-  EXPECT_NE(order, iota);    // ...in a genuinely shuffled order
-  pool.set_stress({});
 }
 
 TEST(ThreadPoolTest, SetSharedThreadsInsidePoolWorkThrows) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "dpmerge/designs/testcases.h"
-#include "dpmerge/netlist/sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/support/rng.h"
 #include "dpmerge/synth/flow.h"

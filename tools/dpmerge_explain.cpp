@@ -20,10 +20,6 @@
 //   --verilog <prefix>       write <prefix><design>.<flow>.v per run (works
 //                            without obs — CI uses it to prove an obs-off
 //                            build emits byte-identical netlists)
-//   --threads <n>            parallel width for the clustering stages
-//                            (1 = serial default, 0 = one thread per core);
-//                            ledgers and netlists are bit-identical at any
-//                            setting (DESIGN.md §11)
 //   -q                       suppress the human-readable reports
 //
 // Plus the shared observability flags (obs/session.h): --stats-json,
@@ -39,7 +35,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -53,7 +48,6 @@
 #include "dpmerge/obs/json.h"
 #include "dpmerge/obs/session.h"
 #include "dpmerge/obs/stats.h"
-#include "dpmerge/support/thread_pool.h"
 #include "dpmerge/synth/explain.h"
 
 namespace {
@@ -80,7 +74,6 @@ int main(int argc, char** argv) {
   std::string json_path, dot_prefix, verilog_prefix;
   obs::ObsArgs oargs;
   oargs.seed = 0;  // kept from the tool's pre-obs contract
-  int threads = 1;
   bool quiet = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -107,21 +100,13 @@ int main(int argc, char** argv) {
       dot_prefix = argv[++i];
     } else if (arg == "--verilog" && i + 1 < argc) {
       verilog_prefix = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      char* end = nullptr;
-      const char* val = argv[++i];
-      threads = static_cast<int>(std::strtol(val, &end, 10));
-      if (end == val || *end != '\0' || threads < 0) {
-        std::fprintf(stderr, "dpmerge-explain: bad --threads '%s'\n", val);
-        return 2;
-      }
     } else if (arg == "-q") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: dpmerge-explain [--flow=new|old|none|all] [--json <path|->] "
           "[--dot <prefix>] [--verilog <prefix>] "
-          "[--threads <n>] [-q] [obs flags] <file>...\n%s",
+          "[-q] [obs flags] <file>...\n%s",
           obs::obs_usage());
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -146,9 +131,7 @@ int main(int argc, char** argv) {
     quiet = true;  // ledgers would be all-untagged noise
   }
 
-  support::ThreadPool::set_shared_threads(threads);
-  synth::SynthOptions sopt;
-  sopt.threads = threads;
+  const synth::SynthOptions sopt;
 
   // Artifact lifecycle; a flow failure here is a reported finding (exit 1),
   // not a crash, so check-failure dumps stay off.
