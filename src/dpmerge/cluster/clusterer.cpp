@@ -122,16 +122,6 @@ int evaluate_break(const Graph& g, const InfoAnalysis& ia,
       d.width_savings = std::max(0, n.width - ia.out(n.id).width);
       plog->add(std::move(d));
     }
-    if (obs::tracing()) {
-      obs::instant("cluster.decision",
-                   obs::TraceArgs()
-                       .add("src", node_label(n))
-                       .add("dst", node_label(dst))
-                       .add("r_in", rp.r_in(e.dst))
-                       .add("exact_bits", exact)
-                       .add("verdict", b ? "reject" : "accept")
-                       .str());
-    }
   }
   if (plog) {
     obs::prov::Decision d;
@@ -346,22 +336,6 @@ Partition cluster_leakage(const Graph& g) {
           d.width_savings = std::max(0, nat_n - n.width);
           plog->add(std::move(d));
         }
-      }
-      if (obs::tracing()) {
-        // The width-only score the old algorithm acts on, next to the RP
-        // the new analysis would have used — the per-edge gap between the
-        // two criteria, visible in the trace.
-        obs::instant("cluster.leakage_decision",
-                     obs::TraceArgs()
-                         .add("src", std::string(dfg::to_string(n.kind)) +
-                                         "#" + std::to_string(n.id.value))
-                         .add("dst", std::string(dfg::to_string(dst.kind)) +
-                                         "#" + std::to_string(e.dst.value))
-                         .add("natural_width", nat_n)
-                         .add("edge_width", e.width)
-                         .add("r_in", r_d)
-                         .add("verdict", b ? "reject" : "accept")
-                         .str());
       }
     }
     // Leakage at the node: the operator's natural width exceeds its declared

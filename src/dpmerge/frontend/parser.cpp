@@ -354,10 +354,23 @@ class Parser {
     return lhs;
   }
 
+  /// Enters one level of `(` / unary `-` nesting at the current token. A
+  /// failed parse is abandoned, so only successful levels leave again.
+  void enter_nesting() {
+    if (++depth_ > kMaxNestingDepth) {
+      throw ParseError(cur_.line, cur_.col, cur_.text,
+                       "expression nested deeper than " +
+                           std::to_string(kMaxNestingDepth) + " levels",
+                       "frontend.limit");
+    }
+  }
+
   Value parse_unary() {
     if (cur_.kind == Tok::Minus) {
+      enter_nesting();
       shift();
       const Value v = parse_unary();
+      --depth_;
       const int w = v.width + 1;
       const NodeId id = g_.add_node(OpKind::Neg, w);
       g_.add_edge(v.node, id, 0, w, v.sign);
@@ -368,9 +381,11 @@ class Parser {
 
   Value parse_primary() {
     if (cur_.kind == Tok::LParen) {
+      enter_nesting();
       shift();
       const Value v = parse_cmp();
       expect(Tok::RParen, "')'");
+      --depth_;
       return v;
     }
     if (cur_.kind == Tok::Int) {
@@ -394,20 +409,22 @@ class Parser {
   Token cur_;
   Graph g_;
   std::map<std::string, Value> scope_;
+  int depth_ = 0;  ///< open `(` / unary `-` levels
 };
 
 }  // namespace
 
 ParseError::ParseError(int line, int column, std::string token,
-                       const std::string& msg)
+                       const std::string& msg, std::string rule)
     : std::invalid_argument("line " + std::to_string(line) + ":" +
                             std::to_string(column) + ": " + msg),
       line_(line),
       column_(column),
-      token_(std::move(token)) {}
+      token_(std::move(token)),
+      rule_(std::move(rule)) {}
 
 check::Diagnostic ParseError::diagnostic() const {
-  return check::Diagnostic{check::Severity::Error, "frontend.parse", what(),
+  return check::Diagnostic{check::Severity::Error, rule_, what(),
                            check::Locus{"line", line_, column_, token_}};
 }
 

@@ -14,23 +14,34 @@ namespace dpmerge::frontend {
 /// tooling (dpmerge-lint, editors) point at the offending token directly.
 class ParseError : public std::invalid_argument {
  public:
-  ParseError(int line, int column, std::string token, const std::string& msg);
+  ParseError(int line, int column, std::string token, const std::string& msg,
+             std::string rule = "frontend.parse");
 
   int line() const { return line_; }
   int column() const { return column_; }
   /// Text of the token the parser was looking at; may be empty (e.g. at
   /// end-of-input).
   const std::string& token() const { return token_; }
+  /// "frontend.parse" for malformed source, "frontend.limit" for source
+  /// past one of the documented size limits (kMaxNestingDepth).
+  const std::string& rule() const { return rule_; }
 
-  /// The failure as a structured finding: rule "frontend.parse", locus
-  /// kind "line" with id = line, aux = column, name = token.
+  /// The failure as a structured finding: rule(), locus kind "line" with
+  /// id = line, aux = column, name = token.
   check::Diagnostic diagnostic() const;
 
  private:
   int line_;
   int column_;
   std::string token_;
+  std::string rule_;
 };
+
+/// Deepest nesting of `(` and unary `-` one expression may have. The parser
+/// is recursive descent, so each level costs stack frames; past this depth
+/// compile() throws a located "frontend.limit" ParseError instead of
+/// overflowing the stack. Far above what any datapath expression needs.
+inline constexpr int kMaxNestingDepth = 256;
 
 /// A miniature RTL-expression language that compiles to DFGs — the form the
 /// paper's datapath testcases originally take. One statement per line, `#`
@@ -70,11 +81,13 @@ struct CompileResult {
 
 /// Throws ParseError (an std::invalid_argument, so existing catch sites
 /// keep working) with a line/column message on errors (syntax, unknown or
-/// duplicate identifiers, zero widths, shift by negative amounts).
+/// duplicate identifiers, zero widths, shift by negative amounts, nesting
+/// past kMaxNestingDepth).
 CompileResult compile(const std::string& source);
 
 /// Non-throwing variant: on failure returns std::nullopt and appends the
-/// failure to `report` as a "frontend.parse" Error diagnostic.
+/// failure to `report` as a "frontend.parse" or "frontend.limit" Error
+/// diagnostic.
 std::optional<CompileResult> compile_or_diagnose(const std::string& source,
                                                  check::CheckReport& report);
 

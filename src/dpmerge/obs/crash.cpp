@@ -10,6 +10,7 @@
 #include <cstring>
 #include <ctime>
 #include <exception>
+#include <memory>
 
 #include "dpmerge/obs/flight_recorder.h"
 #include "dpmerge/obs/json.h"
@@ -123,7 +124,43 @@ void signal_handler(int sig) {
   std::abort();
 }
 
+/// The calling thread's alternate signal stack, released as the thread
+/// exits. A thread that already has one keeps it: sanitizer runtimes
+/// install their own and unmap it themselves at thread exit.
+class AltStack {
+ public:
+  AltStack() {
+    stack_t cur;
+    if (::sigaltstack(nullptr, &cur) == 0 &&
+        (cur.ss_flags & SS_DISABLE) == 0) {
+      return;
+    }
+    // Left uninitialised: the pages are only touched when a handler runs.
+    mem_.reset(new char[kBytes]);
+    stack_t ss;
+    std::memset(&ss, 0, sizeof ss);
+    ss.ss_sp = mem_.get();
+    ss.ss_size = kBytes;
+    if (::sigaltstack(&ss, nullptr) != 0) mem_.reset();
+  }
+  ~AltStack() {
+    if (!mem_) return;
+    stack_t ss;
+    std::memset(&ss, 0, sizeof ss);
+    ss.ss_flags = SS_DISABLE;
+    ::sigaltstack(&ss, nullptr);
+  }
+  AltStack(const AltStack&) = delete;
+  AltStack& operator=(const AltStack&) = delete;
+
+ private:
+  static constexpr std::size_t kBytes = std::size_t{256} << 10;
+  std::unique_ptr<char[]> mem_;
+};
+
 }  // namespace
+
+void install_crash_altstack() { thread_local const AltStack stack; }
 
 void install_crash_handlers(const CrashOptions& opts) {
   std::string dir = opts.dir;
@@ -134,10 +171,13 @@ void install_crash_handlers(const CrashOptions& opts) {
   std::snprintf(g_dir, sizeof g_dir, "%s", dir.c_str());
   g_dump_on_check_failure.store(opts.dump_on_check_failure,
                                 std::memory_order_relaxed);
+  install_crash_altstack();
   if (g_installed.exchange(true)) return;
   struct sigaction sa;
   std::memset(&sa, 0, sizeof sa);
   sa.sa_handler = signal_handler;
+  // On the alternate stack, so a stack overflow still gets its dump.
+  sa.sa_flags = SA_ONSTACK;
   sigemptyset(&sa.sa_mask);
   for (const int sig : kSignals) ::sigaction(sig, &sa, nullptr);
   g_prev_terminate = std::set_terminate(terminate_handler);

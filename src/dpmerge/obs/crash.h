@@ -39,6 +39,12 @@ struct CrashOptions {
 void install_crash_handlers(const CrashOptions& opts = {});
 bool crash_handlers_installed();
 
+/// Gives the calling thread an alternate signal stack (once per thread).
+/// The handlers run on it, so a stack overflow still writes its dump. The
+/// installing thread gets one from install_crash_handlers, and every thread
+/// that records into the flight recorder gets one on its first event.
+void install_crash_altstack();
+
 /// Run provenance stamped into every dump ("run": {"tool", "seed"}).
 /// ArtifactSession sets this from the CLI; safe to call any time.
 void set_run_context(std::string_view tool, std::uint64_t seed);

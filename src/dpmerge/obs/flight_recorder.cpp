@@ -4,6 +4,7 @@
 #include <cstring>
 #include <ostream>
 
+#include "dpmerge/obs/crash.h"
 #include "dpmerge/obs/json.h"
 #include "dpmerge/obs/stats.h"
 #include "dpmerge/obs/trace.h"
@@ -33,17 +34,21 @@ std::string_view to_string(FrKind k) {
 /// registered into the fixed slot table, and never freed or moved — the
 /// crash handler may walk the table at any instant from any thread.
 struct FlightRecorder::Slot {
-  explicit Slot(std::uint16_t id, std::uint32_t cap)
-      : tid(id), mask(cap - 1), ring(cap) {
+  static constexpr std::uint32_t kMask = kDefaultCapacity - 1;
+  static_assert((kDefaultCapacity & kMask) == 0, "capacity is a power of two");
+
+  explicit Slot(std::uint16_t id) : tid(id), ring(kDefaultCapacity) {
     context[0] = '\0';
   }
 
   std::uint16_t tid;
-  std::uint32_t mask;  ///< capacity - 1 (capacity is a power of two)
   std::vector<FrEvent> ring;
   /// Next write position; events live at [head - min(head, cap), head).
   /// Written only by the owning thread; read by drain()/the crash handler.
   std::atomic<std::uint64_t> head{0};
+  /// Capture-mode copy of every event, owner-appended; read by
+  /// drain_capture() after the writers quiesce, never by the crash handler.
+  std::vector<FrEvent> captured;
 
   /// Crash-context fields: owner-written, reader-tolerant (a torn read
   /// yields at worst a garbled label, never an invalid pointer — span_stack
@@ -55,12 +60,6 @@ struct FlightRecorder::Slot {
 };
 
 namespace {
-
-std::uint32_t round_up_pow2(std::uint32_t v) {
-  std::uint32_t p = 1;
-  while (p < v && p < (1u << 24)) p <<= 1;
-  return p;
-}
 
 std::atomic<std::uint16_t> g_next_tid{1};
 
@@ -87,14 +86,21 @@ void pool_job_telemetry(std::uint64_t job, int tasks, int width) {
   wgauge.set(static_cast<double>(width));
 }
 
-void pool_task_telemetry(std::uint64_t job, int pos, std::int64_t t0_us,
-                         std::int64_t dur_us) {
+void pool_task_begin_telemetry(std::uint64_t job, int pos,
+                               std::int64_t t0_us) {
   FlightRecorder& fr = FlightRecorder::instance();
   if (fr.enabled()) {
-    const auto upos = static_cast<std::uint32_t>(pos);
     fr.record(FrKind::TaskBegin, "pool.task", t0_us,
-              static_cast<std::int64_t>(job), upos);
-    fr.record(FrKind::TaskEnd, "pool.task", t0_us + dur_us, dur_us, upos);
+              static_cast<std::int64_t>(job), static_cast<std::uint32_t>(pos));
+  }
+}
+
+void pool_task_end_telemetry(std::uint64_t /*job*/, int pos,
+                             std::int64_t t0_us, std::int64_t dur_us) {
+  FlightRecorder& fr = FlightRecorder::instance();
+  if (fr.enabled()) {
+    fr.record(FrKind::TaskEnd, "pool.task", t0_us + dur_us, dur_us,
+              static_cast<std::uint32_t>(pos));
   }
   Registry& reg = Registry::instance();
   static Histogram& lat = reg.histogram("pool.task_us");
@@ -119,8 +125,8 @@ void pool_task_telemetry(std::uint64_t job, int pos, std::int64_t t0_us,
 
 FlightRecorder::FlightRecorder() {
 #ifndef DPMERGE_OBS_DISABLED
-  static const support::PoolTelemetryHooks hooks{pool_job_telemetry,
-                                                 pool_task_telemetry};
+  static const support::PoolTelemetryHooks hooks{
+      pool_job_telemetry, pool_task_begin_telemetry, pool_task_end_telemetry};
   support::set_pool_telemetry(&hooks);
 #endif
 }
@@ -130,18 +136,13 @@ FlightRecorder& FlightRecorder::instance() {
   return fr;
 }
 
-void FlightRecorder::set_capacity(std::uint32_t events) {
-  capacity_.store(round_up_pow2(std::max(events, 64u)),
-                  std::memory_order_relaxed);
-}
-
 FlightRecorder::Slot* FlightRecorder::local_slot() {
   thread_local Slot* slot = [this]() -> Slot* {
     const int idx = nslots_.fetch_add(1, std::memory_order_relaxed);
     if (idx >= kMaxThreads) return nullptr;  // table full: thread records nothing
-    auto* s = new Slot(g_next_tid.fetch_add(1, std::memory_order_relaxed),
-                       capacity_.load(std::memory_order_relaxed));
+    auto* s = new Slot(g_next_tid.fetch_add(1, std::memory_order_relaxed));
     slots_[idx].store(s, std::memory_order_release);
+    install_crash_altstack();
     return s;
   }();
   return slot;
@@ -154,7 +155,7 @@ void FlightRecorder::record(FrKind kind, const char* name, std::int64_t ts_us,
   Slot* s = local_slot();
   if (s == nullptr) return;
   const std::uint64_t h = s->head.load(std::memory_order_relaxed);
-  FrEvent& e = s->ring[static_cast<std::size_t>(h) & s->mask];
+  FrEvent& e = s->ring[static_cast<std::size_t>(h) & Slot::kMask];
   e.ts_us = ts_us;
   e.value = value;
   e.kind = kind;
@@ -162,7 +163,11 @@ void FlightRecorder::record(FrKind kind, const char* name, std::int64_t ts_us,
   e.aux = aux;
   e.name = name;  // last: a racing reader skips entries with a null name
   s->head.store(h + 1, std::memory_order_release);
-  events_recorded_.fetch_add(1, std::memory_order_relaxed);
+  if (capture_.load(std::memory_order_relaxed)) append_capture(s, e);
+}
+
+void FlightRecorder::append_capture(Slot* s, const FrEvent& e) {
+  s->captured.push_back(e);
 }
 
 void FlightRecorder::push_span(const char* name) {
@@ -210,6 +215,18 @@ const char* FlightRecorder::intern(std::string_view s) {
   return arena_.emplace(s).first->c_str();
 }
 
+namespace {
+
+void sort_by_time(std::vector<FrEvent>& events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FrEvent& a, const FrEvent& b) {
+                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
+                     return a.tid < b.tid;
+                   });
+}
+
+}  // namespace
+
 std::vector<FrEvent> FlightRecorder::drain() const {
   std::vector<FrEvent> out;
   const int n = std::min(nslots_.load(std::memory_order_acquire),
@@ -218,18 +235,27 @@ std::vector<FrEvent> FlightRecorder::drain() const {
     const Slot* s = slots_[i].load(std::memory_order_acquire);
     if (s == nullptr) continue;
     const std::uint64_t head = s->head.load(std::memory_order_acquire);
-    const std::uint64_t cap = s->mask + std::uint64_t{1};
-    const std::uint64_t count = std::min(head, cap);
+    const std::uint64_t count = std::min<std::uint64_t>(head, kDefaultCapacity);
     for (std::uint64_t k = head - count; k < head; ++k) {
-      const FrEvent& e = s->ring[static_cast<std::size_t>(k) & s->mask];
+      const FrEvent& e = s->ring[static_cast<std::size_t>(k) & Slot::kMask];
       if (e.name != nullptr) out.push_back(e);
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FrEvent& a, const FrEvent& b) {
-                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     return a.tid < b.tid;
-                   });
+  sort_by_time(out);
+  return out;
+}
+
+std::vector<FrEvent> FlightRecorder::drain_capture() const {
+  std::vector<FrEvent> out;
+  const int n = std::min(nslots_.load(std::memory_order_acquire),
+                         static_cast<int>(kMaxThreads));
+  for (int i = 0; i < n; ++i) {
+    const Slot* s = slots_[i].load(std::memory_order_acquire);
+    if (s != nullptr) {
+      out.insert(out.end(), s->captured.begin(), s->captured.end());
+    }
+  }
+  sort_by_time(out);
   return out;
 }
 
@@ -254,7 +280,7 @@ std::vector<FrThreadState> FlightRecorder::thread_states() const {
     const std::uint64_t head = s->head.load(std::memory_order_acquire);
     if (head > 0) {
       const FrEvent& last =
-          s->ring[static_cast<std::size_t>(head - 1) & s->mask];
+          s->ring[static_cast<std::size_t>(head - 1) & Slot::kMask];
       st.last_event_ts_us = last.ts_us;
     }
     out.push_back(std::move(st));
@@ -270,9 +296,9 @@ void FlightRecorder::clear() {
     if (s == nullptr) continue;
     for (FrEvent& e : s->ring) e.name = nullptr;
     s->head.store(0, std::memory_order_release);
+    s->captured.clear();
     s->span_depth.store(0, std::memory_order_release);
   }
-  events_recorded_.store(0, std::memory_order_relaxed);
 }
 
 namespace {
@@ -325,6 +351,48 @@ void write_events_jsonl(std::ostream& os, const std::vector<FrEvent>& events) {
     line += "\n";
     os << line;
   }
+}
+
+void write_chrome_trace(std::ostream& os, const std::vector<FrEvent>& events) {
+  os << "{\"traceEvents\":[";
+  bool first = true;
+  std::string line;
+  for (const FrEvent& e : events) {
+    std::int64_t ts = e.ts_us;
+    const char* ph = nullptr;
+    switch (e.kind) {
+      case FrKind::SpanEnd:
+      case FrKind::TaskEnd:
+        ts -= e.value;
+        ph = "\"X\"";
+        break;
+      case FrKind::Mark:
+        ph = "\"i\",\"s\":\"t\"";
+        break;
+      case FrKind::Counter:
+        ph = "\"C\"";
+        break;
+      case FrKind::SpanBegin:
+      case FrKind::TaskBegin:
+        continue;
+    }
+    line.clear();
+    line += first ? "\n" : ",\n";
+    first = false;
+    line += "{\"name\":";
+    json_append_quoted(line, e.name);
+    line += ",\"cat\":\"dpmerge\",\"ph\":";
+    line += ph;
+    line += ",\"ts\":" + std::to_string(ts);
+    if (e.kind == FrKind::SpanEnd || e.kind == FrKind::TaskEnd) {
+      line += ",\"dur\":" + std::to_string(e.value);
+    } else {
+      line += ",\"args\":{\"value\":" + std::to_string(e.value) + "}";
+    }
+    line += ",\"pid\":1,\"tid\":" + std::to_string(e.tid) + "}";
+    os << line;
+  }
+  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 }  // namespace dpmerge::obs

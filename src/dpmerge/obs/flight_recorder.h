@@ -13,29 +13,35 @@
 
 namespace dpmerge::obs {
 
-/// dpmerge::obs v2 — the flight recorder (DESIGN.md §14).
+/// dpmerge::obs v2 — the flight recorder (DESIGN.md §14), the one event
+/// sink of the obs subsystem.
 ///
 /// A fixed-capacity, per-thread ring buffer of compact binary events that is
-/// *always on* (unlike the Tracer, which records only between start()/stop()
-/// for an explicit --trace artifact). The ring keeps the most recent
-/// ~`capacity` events per thread, so when a run hangs, crashes or shows a
-/// tail-latency outlier there is evidence to drain — the crash handler
-/// (crash.h) serialises it into dpmerge-crash-<pid>.json, the profiler
-/// (profiler.h) aggregates it into a self/total call tree, and `--events`
-/// exports it as JSONL.
+/// *always on*. The ring keeps the most recent kDefaultCapacity events per
+/// thread, so when a run hangs, crashes or shows a tail-latency outlier
+/// there is evidence to drain — the crash handler (crash.h) serialises it
+/// into dpmerge-crash-<pid>.json.
+///
+/// Capture mode (set_capture) additionally appends every recorded event to
+/// an unbounded per-thread vector. The artifact flags turn it on for the
+/// whole run and render the one capture three ways: the Chrome trace
+/// (`--trace`), the self/total call tree (`--profile`, profiler.h) and the
+/// JSONL event log (`--events`). The ring is never resized for them.
 ///
 /// Hot-path contract: recording is lock-free after a thread's first event —
 /// one relaxed enabled() load, one steady-clock read (done by the caller),
-/// and a store into the calling thread's own slot. Thread slots live in a
-/// fixed-size table (never freed, never moved), so the crash handler can
-/// walk them without taking any lock. Under DPMERGE_OBS=OFF every recording
-/// entry point compiles away to nothing (the drain/export machinery stays,
+/// a store into the calling thread's own slot, and, while capturing, one
+/// append to that thread's own vector. Thread slots live in a fixed-size
+/// table (never freed, never moved), so the crash handler can walk them
+/// without taking any lock. Under DPMERGE_OBS=OFF every recording entry
+/// point compiles away to nothing (the drain/export machinery stays,
 /// returning empty data).
 enum class FrKind : std::uint8_t {
   SpanBegin = 0,   ///< value unused
   SpanEnd = 1,     ///< value = duration in us
   Counter = 2,     ///< value = delta (e.g. stage RSS delta in KiB)
-  TaskBegin = 3,   ///< value = pool job id, aux = task position
+  TaskBegin = 3,   ///< value = pool job id, aux = task position; recorded
+                   ///< when the task starts
   TaskEnd = 4,     ///< value = duration in us, aux = task position
   Mark = 5,        ///< point event (check failures, context switches)
 };
@@ -82,16 +88,18 @@ class FlightRecorder {
     enabled_.store(on && compiled_in_(), std::memory_order_relaxed);
   }
 
-  /// Per-thread ring capacity for threads that have not recorded yet
-  /// (existing rings keep their size). Power-of-two rounded up.
-  void set_capacity(std::uint32_t events);
-  std::uint32_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
+  /// Capture mode: while on, every record() also appends its event to the
+  /// calling thread's unbounded capture vector, read back by
+  /// drain_capture(). Off by default; a no-op when obs is compiled out.
+  void set_capture(bool on) {
+    capture_.store(on && compiled_in_(), std::memory_order_relaxed);
   }
+  bool capturing() const { return capture_.load(std::memory_order_relaxed); }
 
 #ifndef DPMERGE_OBS_DISABLED
-  /// Appends one event to the calling thread's ring. `name` must have
-  /// program lifetime (literal or intern()ed). Call only while enabled().
+  /// Appends one event to the calling thread's ring (and, while capturing,
+  /// to its capture). `name` must have program lifetime (literal or
+  /// intern()ed). Call only while enabled().
   void record(FrKind kind, const char* name, std::int64_t ts_us,
               std::int64_t value = 0, std::uint32_t aux = 0);
 
@@ -127,15 +135,17 @@ class FlightRecorder {
   /// event, which drain() filters by dropping events with a null name.
   std::vector<FrEvent> drain() const;
 
+  /// Merges every thread's capture into one time-ordered vector. Call only
+  /// after worker threads quiesce: unlike the ring, a capture vector may
+  /// reallocate under a concurrent writer.
+  std::vector<FrEvent> drain_capture() const;
+
   /// Every registered thread's crash-time state (context + open spans).
   std::vector<FrThreadState> thread_states() const;
 
-  /// Drops all buffered events and span stacks (rings stay registered).
+  /// Drops all buffered and captured events and span stacks (rings stay
+  /// registered).
   void clear();
-
-  std::int64_t events_recorded() const {
-    return events_recorded_.load(std::memory_order_relaxed);
-  }
 
   /// Crash-path export: formats drained events + thread states as JSON
   /// fields (no surrounding braces) directly, without taking mu_. Only the
@@ -148,6 +158,9 @@ class FlightRecorder {
 
   FlightRecorder();
   Slot* local_slot();
+  /// record()'s capture branch, out of line so the DPMERGE_OBS=OFF symbol
+  /// check can prove the capture path is compiled out with record().
+  void append_capture(Slot* s, const FrEvent& e);
 
   static constexpr bool compiled_in_() {
 #ifdef DPMERGE_OBS_DISABLED
@@ -158,8 +171,7 @@ class FlightRecorder {
   }
 
   std::atomic<bool> enabled_{compiled_in_()};
-  std::atomic<std::uint32_t> capacity_{kDefaultCapacity};
-  std::atomic<std::int64_t> events_recorded_{0};
+  std::atomic<bool> capture_{false};
 
   /// Fixed slot table: registration appends (lock-free via nslots_), slots
   /// are never removed or reallocated — the crash handler walks
@@ -188,5 +200,12 @@ inline void fr_set_thread_context(std::string_view) {}
 /// Writes one JSON object per drained event (JSONL): the structured event
 /// log export (`--events` on the bench harnesses).
 void write_events_jsonl(std::ostream& os, const std::vector<FrEvent>& events);
+
+/// Writes drained events as Chrome trace_event JSON (`--trace`), the format
+/// chrome://tracing and https://ui.perfetto.dev load directly: SpanEnd and
+/// TaskEnd become complete "X" events starting at `ts - dur`, Mark an
+/// instant "i" and Counter a "C" sample; begin events are implied by their
+/// ends and skipped.
+void write_chrome_trace(std::ostream& os, const std::vector<FrEvent>& events);
 
 }  // namespace dpmerge::obs

@@ -240,9 +240,6 @@ void FlowScope::end_stage(std::int64_t out_nodes, std::int64_t out_edges) {
     const std::int64_t delta = v - (it == stage_base_.end() ? 0 : it->second);
     if (delta != 0) s.stats[k] += delta;
   }
-  if (tracing()) {
-    Tracer::instance().record("flow." + s.name, stage_t0_, t1 - stage_t0_);
-  }
 #ifndef DPMERGE_OBS_DISABLED
   if (stage_fr_name_ != nullptr) {
     FlightRecorder& fr = FlightRecorder::instance();

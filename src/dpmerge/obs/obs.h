@@ -1,11 +1,10 @@
 #pragma once
 
-/// dpmerge::obs — tracing, counters, flow reports, flight recorder, crash
+/// dpmerge::obs — spans, counters, flow reports, flight recorder, crash
 /// diagnostics and profiling.
 ///
 /// Umbrella header. The subsystem's layers:
-///   - trace.h: Span (RAII scoped timer) + Tracer (per-thread buffers,
-///     Chrome trace_event JSON export for chrome://tracing / Perfetto).
+///   - trace.h: Span (RAII scoped timer) and now_us, the one time source.
 ///   - stats.h: StatSink/StatScope (thread-local scoped counters) and the
 ///     process-global Registry (counters / gauges / histograms, JSON and
 ///     Prometheus export).
@@ -14,8 +13,10 @@
 ///   - provenance.h: DecisionLog/DecisionScope and the per-decision
 ///     delay/area Ledger — merge-decision provenance and critical-path
 ///     attribution (DESIGN.md, "Provenance & attribution").
-///   - flight_recorder.h: always-on per-thread event rings feeding crash
-///     dumps, the profiler, and the --events JSONL export (DESIGN.md §14).
+///   - flight_recorder.h: the one event sink — always-on per-thread rings
+///     feeding crash dumps, plus a capture mode whose one drain renders the
+///     --trace Chrome trace, the --profile call tree and the --events JSONL
+///     log (DESIGN.md §14).
 ///   - crash.h: SIGSEGV/SIGABRT/std::terminate/check-failure handlers
 ///     writing dpmerge-crash-<pid>.json (docs/CRASHDUMP.md).
 ///   - profiler.h: self/total call tree with p50/p99 and per-stage memory

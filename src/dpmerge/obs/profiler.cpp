@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "dpmerge/obs/json.h"
@@ -85,6 +86,10 @@ void record_occurrence(BuildNode* node, std::int64_t dur_us) {
   node->durations.push_back(dur_us);
 }
 
+bool is_job_mark(const FrEvent& e) {
+  return e.kind == FrKind::Mark && std::string_view(e.name) == "pool.job";
+}
+
 bool is_rss_counter(std::string_view name) {
   constexpr std::string_view kSuffix = "rss_delta_kb";
   return name.size() >= kSuffix.size() &&
@@ -98,52 +103,67 @@ Profile build_profile(const std::vector<FrEvent>& events) {
   BuildNode root;
   root.name = "(root)";
 
-  // Per-thread open-span stacks over the build tree. The drained events are
-  // time-ordered globally; nesting only ever relates events of one thread,
-  // so per-tid stacks reconstruct it exactly.
-  std::map<std::uint16_t, std::vector<BuildNode*>> stacks;
-  const auto top = [&](std::uint16_t tid) -> BuildNode* {
-    auto& st = stacks[tid];
-    return st.empty() ? &root : st.back();
-  };
-
+  // Nesting only relates events of one thread, so each thread's events are
+  // replayed in order against its own open-span stack. The one cross-thread
+  // link is a pool task: it nests under the node its submitting thread had
+  // open at the job's `pool.job` mark (both carry the job id). Submitting
+  // threads replay first, so every job's node is known before its tasks;
+  // pool workers never submit (a nested parallel_for runs inline).
+  std::map<std::uint16_t, std::vector<const FrEvent*>> by_tid;
+  std::set<std::uint16_t> submitters;
   for (const FrEvent& e : events) {
-    ++p.events;
-    switch (e.kind) {
-      case FrKind::SpanBegin:
-        stacks[e.tid].push_back(top(e.tid)->child(e.name));
-        break;
-      case FrKind::SpanEnd: {
-        auto& st = stacks[e.tid];
-        if (!st.empty() && st.back()->name == e.name) {
-          record_occurrence(st.back(), e.value);
-          st.pop_back();
-        } else {
-          // The begin was evicted from the ring (or lost to a torn read):
-          // the end still carries its duration, so attribute it as an
-          // occurrence under the current position and count the anomaly.
-          record_occurrence(top(e.tid)->child(e.name), e.value);
-          ++p.dropped;
+    by_tid[e.tid].push_back(&e);
+    if (is_job_mark(e)) submitters.insert(e.tid);
+  }
+  std::vector<std::uint16_t> order(submitters.begin(), submitters.end());
+  for (const auto& [tid, evs] : by_tid) {
+    if (submitters.count(tid) == 0) order.push_back(tid);
+  }
+
+  std::map<std::int64_t, BuildNode*> job_nodes;
+  for (const std::uint16_t tid : order) {
+    std::vector<BuildNode*> st;
+    const auto top = [&]() -> BuildNode* {
+      return st.empty() ? &root : st.back();
+    };
+    for (const FrEvent* e : by_tid[tid]) {
+      ++p.events;
+      switch (e->kind) {
+        case FrKind::SpanBegin:
+          st.push_back(top()->child(e->name));
+          break;
+        case FrKind::TaskBegin: {
+          const auto it = job_nodes.find(e->value);
+          st.push_back((it != job_nodes.end() ? it->second : top())
+                           ->child(e->name));
+          break;
         }
-        break;
+        case FrKind::SpanEnd:
+        case FrKind::TaskEnd:
+          if (!st.empty() && st.back()->name == e->name) {
+            record_occurrence(st.back(), e->value);
+            st.pop_back();
+          } else {
+            // The begin is missing (evicted from a ring, or lost to a torn
+            // read): the end still carries its duration, so attribute it
+            // as an occurrence under the current position and count the
+            // anomaly.
+            record_occurrence(top()->child(e->name), e->value);
+            ++p.dropped;
+          }
+          break;
+        case FrKind::Counter:
+          if (is_rss_counter(e->name)) {
+            top()->rss_delta_kb += e->value;
+          } else {
+            top()->counters[e->name] += e->value;
+          }
+          break;
+        case FrKind::Mark:
+          top()->counters[e->name] += 1;
+          if (is_job_mark(*e)) job_nodes[e->value] = top();
+          break;
       }
-      case FrKind::TaskEnd:
-        // Pool tasks appear as leaf occurrences where the worker stood.
-        record_occurrence(top(e.tid)->child(e.name), e.value);
-        break;
-      case FrKind::Counter: {
-        BuildNode* n = top(e.tid);
-        if (is_rss_counter(e.name)) {
-          n->rss_delta_kb += e.value;
-        } else {
-          n->counters[e.name] += e.value;
-        }
-        break;
-      }
-      case FrKind::TaskBegin:
-      case FrKind::Mark:
-        top(e.tid)->counters[e.name] += 1;
-        break;
     }
   }
 

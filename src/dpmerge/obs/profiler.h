@@ -11,14 +11,16 @@
 
 namespace dpmerge::obs {
 
-/// Hierarchical profiler (DESIGN.md §14): aggregates drained flight-recorder
-/// events into a self/total call tree. Span nesting is reconstructed per
-/// thread (a span's parent is the span open on the same thread when it
-/// began), then identical stack paths merge across threads — so a
-/// `synth.csa.reduce` that ran on four workers under `flow.synth` is one
-/// node with count 4. Pool tasks (`pool.task` end events) appear as leaf
-/// occurrences under whatever the worker had open; counter events attach to
-/// the node open on their thread when they fired, which is how per-stage
+/// Hierarchical profiler (DESIGN.md §14): aggregates a drained
+/// flight-recorder capture into a self/total call tree. Span nesting is
+/// reconstructed per thread (a span's parent is the span open on the same
+/// thread when it began), then identical stack paths merge across threads —
+/// so a `synth.csa.reduce` that ran on four workers under `flow.synth` is
+/// one node with count 4. A pool task (`pool.task`) nests under the node
+/// its submitting thread had open at the job's `pool.job` mark, and the
+/// spans the task ran nest under it, so a task's time is counted once, on
+/// the path that asked for it. Counter events attach to the node open on
+/// their thread when they fired, which is how per-stage
 /// `stage.rss_delta_kb` memory deltas land on their stage.
 
 /// One aggregated call-tree node.
@@ -39,15 +41,16 @@ struct ProfileNode {
 struct Profile {
   ProfileNode root;           ///< name "(root)"; totals sum the top level
   std::int64_t events = 0;    ///< flight-recorder events consumed
-  std::int64_t dropped = 0;   ///< span ends with no matching open (ring
-                              ///< eviction, or ends racing the drain)
+  std::int64_t dropped = 0;   ///< span/task ends with no matching open
+                              ///< (ring eviction, or ends racing the drain)
   double peak_rss_mb = 0.0;   ///< process high-water mark at build time
 };
 
-/// Builds the tree from time-ordered drained events (FlightRecorder::drain).
-/// Tolerant of ring eviction: an end without a begin is attributed at the
-/// current stack position by its own recorded duration; a begin without an
-/// end contributes nothing (its time is unknowable).
+/// Builds the tree from time-ordered drained events
+/// (FlightRecorder::drain_capture, or a crash-dump ring drain). Tolerant of
+/// ring eviction: an end without a begin is attributed at the current stack
+/// position by its own recorded duration; a begin without an end
+/// contributes nothing (its time is unknowable).
 Profile build_profile(const std::vector<FrEvent>& events);
 
 struct ProfileJsonOptions {

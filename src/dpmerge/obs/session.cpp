@@ -9,7 +9,6 @@
 #include "dpmerge/obs/flight_recorder.h"
 #include "dpmerge/obs/profiler.h"
 #include "dpmerge/obs/stats.h"
-#include "dpmerge/obs/trace.h"
 
 namespace dpmerge::obs {
 
@@ -93,28 +92,23 @@ const char* obs_usage() {
       "  --stats-deterministic  zero wall-clock/memory fields in artifacts\n";
 }
 
+bool ArtifactSession::captures() const {
+  return !args_.trace.empty() || !args_.profile.empty() ||
+         !args_.events.empty();
+}
+
 ArtifactSession::ArtifactSession(std::string name, ObsArgs args,
                                  CrashOptions crash)
     : name_(std::move(name)), args_(std::move(args)) {
   // Bring the recorder up before any work runs: the first instance() call
   // installs the thread-pool telemetry hooks.
   FlightRecorder& fr = FlightRecorder::instance();
-  if (!args_.profile.empty() || !args_.events.empty()) {
-    fr.set_capacity(kProfileRingEvents);
-  }
   install_crash_handlers(crash);
   set_run_context(name_, args_.seed);
-  if (!args_.trace.empty()) Tracer::instance().start();
+  if (captures()) fr.set_capture(true);
 }
 
 ArtifactSession::~ArtifactSession() {
-  if (!args_.trace.empty()) {
-    Tracer::instance().stop();
-    if (!Tracer::instance().write_file(args_.trace)) {
-      std::fprintf(stderr, "failed to write trace to '%s'\n",
-                   args_.trace.c_str());
-    }
-  }
   if (!args_.stats_json.empty()) {
     if (std::ofstream os = open_artifact(args_.stats_json, "stats")) {
       StatsJsonOptions opt;
@@ -122,9 +116,16 @@ ArtifactSession::~ArtifactSession() {
       write_stats_json(os, name_, args_.seed, reports, opt);
     }
   }
-  // The remaining artifacts all read the flight recorder; drain once.
-  if (!args_.profile.empty() || !args_.events.empty()) {
-    const std::vector<FrEvent> events = FlightRecorder::instance().drain();
+  // The trace, the profile and the event log render one capture.
+  if (captures()) {
+    FlightRecorder& fr = FlightRecorder::instance();
+    fr.set_capture(false);
+    const std::vector<FrEvent> events = fr.drain_capture();
+    if (!args_.trace.empty()) {
+      if (std::ofstream os = open_artifact(args_.trace, "trace")) {
+        write_chrome_trace(os, events);
+      }
+    }
     if (!args_.profile.empty()) {
       if (std::ofstream os = open_artifact(args_.profile, "profile")) {
         ProfileJsonOptions opt;

@@ -9,12 +9,6 @@
 
 namespace dpmerge::obs {
 
-/// Per-thread ring capacity while --profile or --events is requested:
-/// 131072 events (4 MiB a thread) hold a complete 100k-node `bench/scale`
-/// run, where the default 8192-event ring evicts the early spans and leaves
-/// their time as the parent's self time.
-inline constexpr std::uint32_t kProfileRingEvents = 1u << 17;
-
 /// Shared observability CLI contract — one parser for the benches,
 /// dpmerge-lint and dpmerge-explain, so every binary that runs flows
 /// accepts the same artifact flags (in both `--flag value` and
@@ -22,12 +16,12 @@ inline constexpr std::uint32_t kProfileRingEvents = 1u << 17;
 ///   --stats-json <path>     per-(design x flow) FlowReports as JSON
 ///   --trace <path>          Chrome trace_event JSON of the run
 ///   --profile <path>        hierarchical profile JSON (dpmerge-profile
-///                           renders/diffs it); raises the per-thread
-///                           flight-recorder ring to kProfileRingEvents
+///                           renders/diffs it)
 ///   --metrics <path>        Prometheus/OpenMetrics text exposition of the
 ///                           stats registry
-///   --events <path>         JSONL structured event log (drained flight
-///                           recorder); raises the ring like --profile
+///   --events <path>         JSONL structured event log
+/// --trace, --profile and --events render one flight-recorder capture of
+/// the whole run (FlightRecorder::set_capture), drained once at exit.
 ///   --seed <n>              stimulus seed, recorded in artifacts (default 1)
 ///   --stats-deterministic   zero wall-clock/memory fields in artifacts so
 ///                           repeated runs are byte-identical
@@ -54,10 +48,11 @@ const char* obs_usage();
 /// Owns a run's observability lifecycle: the constructor brings the flight
 /// recorder up (installing the thread-pool telemetry hooks), installs the
 /// crash handlers (dumps land in $DPMERGE_CRASH_DIR or the cwd), stamps
-/// run provenance (tool name + seed) into future crash dumps, and starts
-/// the tracer when `--trace` asked for it. The destructor writes every
-/// requested artifact. The harness fills `reports` (in deterministic cell
-/// order) before the session is destroyed.
+/// run provenance (tool name + seed) into future crash dumps, and turns the
+/// recorder's capture on when `--trace`, `--profile` or `--events` asked
+/// for it. The destructor writes every requested artifact. The harness
+/// fills `reports` (in deterministic cell order) before the session is
+/// destroyed.
 ///
 /// Under DPMERGE_OBS=OFF all artifacts are still written and valid — just
 /// empty of events/spans (the no-obs CI job asserts exactly this).
@@ -75,6 +70,8 @@ class ArtifactSession {
   std::vector<FlowReport> reports;
 
  private:
+  bool captures() const;
+
   std::string name_;
   ObsArgs args_;
 };

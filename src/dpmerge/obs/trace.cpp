@@ -1,11 +1,6 @@
 #include "dpmerge/obs/trace.h"
 
 #include <chrono>
-#include <fstream>
-#include <ostream>
-#include <sstream>
-
-#include "dpmerge/obs/json.h"
 
 namespace dpmerge::obs {
 
@@ -13,111 +8,6 @@ std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-TraceArgs& TraceArgs::add(std::string_view key, std::int64_t v) {
-  if (!body_.empty()) body_ += ",";
-  json_append_quoted(body_, key);
-  body_ += ":";
-  body_ += std::to_string(v);
-  return *this;
-}
-
-TraceArgs& TraceArgs::add(std::string_view key, double v) {
-  if (!body_.empty()) body_ += ",";
-  json_append_quoted(body_, key);
-  body_ += ":";
-  body_ += json_number(v);
-  return *this;
-}
-
-TraceArgs& TraceArgs::add(std::string_view key, std::string_view v) {
-  if (!body_.empty()) body_ += ",";
-  json_append_quoted(body_, key);
-  body_ += ":";
-  json_append_quoted(body_, v);
-  return *this;
-}
-
-Tracer& Tracer::instance() {
-  static Tracer t;
-  return t;
-}
-
-void Tracer::start() {
-#ifndef DPMERGE_OBS_DISABLED
-  enabled_.store(true, std::memory_order_relaxed);
-#endif
-}
-
-Tracer::ThreadBuf& Tracer::local_buf() {
-  // The shared_ptr keeps a thread's buffer alive in `bufs_` (for export)
-  // after the thread exits.
-  thread_local std::shared_ptr<ThreadBuf> buf = [this] {
-    auto b = std::make_shared<ThreadBuf>();
-    support::MutexLock lock(mu_);
-    b->tid = next_tid_++;
-    bufs_.push_back(b);
-    return b;
-  }();
-  return *buf;
-}
-
-void Tracer::record(std::string name, std::int64_t ts_us, std::int64_t dur_us,
-                    std::string args) {
-  ThreadBuf& b = local_buf();
-  b.events.push_back(
-      TraceEvent{std::move(name), ts_us, dur_us, b.tid, std::move(args)});
-}
-
-void Tracer::clear() {
-  support::MutexLock lock(mu_);
-  for (auto& b : bufs_) b->events.clear();
-}
-
-std::size_t Tracer::event_count() const {
-  support::MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& b : bufs_) n += b->events.size();
-  return n;
-}
-
-void Tracer::write_json(std::ostream& os) const {
-  support::MutexLock lock(mu_);
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  std::string line;
-  for (const auto& b : bufs_) {
-    for (const TraceEvent& e : b->events) {
-      line.clear();
-      line += first ? "\n" : ",\n";
-      first = false;
-      line += "{\"name\":";
-      json_append_quoted(line, e.name);
-      line += ",\"cat\":\"dpmerge\",\"ph\":";
-      line += e.dur_us < 0 ? "\"i\",\"s\":\"t\"" : "\"X\"";
-      line += ",\"ts\":" + std::to_string(e.ts_us);
-      if (e.dur_us >= 0) line += ",\"dur\":" + std::to_string(e.dur_us);
-      line += ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
-      if (!e.args.empty()) line += ",\"args\":" + e.args;
-      line += "}";
-      os << line;
-    }
-  }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-std::string Tracer::json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-bool Tracer::write_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_json(os);
-  return static_cast<bool>(os);
 }
 
 }  // namespace dpmerge::obs

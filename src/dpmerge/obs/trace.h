@@ -1,23 +1,15 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "dpmerge/obs/flight_recorder.h"
-#include "dpmerge/support/annotations.h"
-#include "dpmerge/support/mutex.h"
 
 namespace dpmerge::obs {
 
 /// Whether observability instrumentation was compiled in. The CMake option
 /// `DPMERGE_OBS=OFF` defines DPMERGE_OBS_DISABLED globally, turning spans,
-/// stat hooks and tracer activation into no-ops (the export machinery stays
-/// so `--trace`/`--stats-json` still emit valid, empty-ish artifacts).
+/// stat hooks and flight-recorder events into no-ops (the export machinery
+/// stays so `--trace`/`--stats-json` still emit valid, empty-ish artifacts).
 constexpr bool compiled_in() {
 #ifdef DPMERGE_OBS_DISABLED
   return false;
@@ -31,128 +23,30 @@ constexpr bool compiled_in() {
 /// optimizer's runtime accounting, bench harnesses) shares.
 std::int64_t now_us();
 
-/// One recorded event. `dur_us < 0` marks an instant event (Chrome phase
-/// "i"); otherwise a complete span (phase "X").
-struct TraceEvent {
-  std::string name;
-  std::int64_t ts_us = 0;
-  std::int64_t dur_us = -1;
-  std::uint32_t tid = 0;
-  std::string args;  ///< pre-rendered JSON object body ("{...}"), or empty
-};
-
-/// Builder for a trace event's `args` JSON object.
-class TraceArgs {
- public:
-  TraceArgs& add(std::string_view key, std::int64_t v);
-  TraceArgs& add(std::string_view key, int v) {
-    return add(key, static_cast<std::int64_t>(v));
-  }
-  TraceArgs& add(std::string_view key, double v);
-  TraceArgs& add(std::string_view key, std::string_view v);
-  std::string str() const { return "{" + body_ + "}"; }
-
- private:
-  std::string body_;
-};
-
-/// Process-wide span/event collector. Collection is off until `start()`;
-/// every recording site first checks `enabled()` (one relaxed atomic load),
-/// so an idle tracer costs a branch per span. Events go to per-thread
-/// buffers (no lock on the record path after a thread's first event) and
-/// are merged at export time into Chrome trace_event JSON — the format
-/// chrome://tracing and https://ui.perfetto.dev load directly.
-class Tracer {
- public:
-  static Tracer& instance();
-
-  void start();
-  void stop() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Drops all buffered events (buffers of live threads stay registered).
-  void clear() DPMERGE_EXCLUDES(mu_);
-
-  std::size_t event_count() const DPMERGE_EXCLUDES(mu_);
-
-  /// Records a complete ("X", dur_us >= 0) or instant ("i") event into the
-  /// calling thread's buffer. Call only while `enabled()`.
-  void record(std::string name, std::int64_t ts_us, std::int64_t dur_us,
-              std::string args = {});
-
-  /// Merges every thread's buffer and writes `{"traceEvents": [...]}`.
-  /// Call after worker threads have quiesced (joined pool, etc.).
-  void write_json(std::ostream& os) const DPMERGE_EXCLUDES(mu_);
-  std::string json() const DPMERGE_EXCLUDES(mu_);
-  bool write_file(const std::string& path) const DPMERGE_EXCLUDES(mu_);
-
- private:
-  /// Per-thread event buffer. `events` is DPMERGE_THREAD_CONFINED to the
-  /// owning thread while it records; exporters read it under `mu_` only
-  /// after workers have quiesced (the ThreadPool job-completion handshake
-  /// is the release/acquire edge that publishes the events).
-  struct ThreadBuf {
-    std::uint32_t tid = 0;
-    std::vector<TraceEvent> events;
-  };
-
-  Tracer() = default;
-  ThreadBuf& local_buf() DPMERGE_EXCLUDES(mu_);
-
-  std::atomic<bool> enabled_{false};
-  /// Guards buffer registration (`bufs_`, `next_tid_`) and export/clear
-  /// iteration. The record hot path is lock-free after a thread's first
-  /// event: it appends to its own ThreadBuf through a cached pointer.
-  mutable support::Mutex mu_;
-  std::vector<std::shared_ptr<ThreadBuf>> bufs_ DPMERGE_GUARDED_BY(mu_);
-  std::uint32_t next_tid_ DPMERGE_GUARDED_BY(mu_) = 1;
-};
-
-/// True when span/event recording is live right now. Guard any non-trivial
-/// args construction with this; in a DPMERGE_OBS=OFF build the condition is
-/// compile-time false and the whole block folds away.
-inline bool tracing() {
-  return compiled_in() && Tracer::instance().enabled();
-}
-
 #ifndef DPMERGE_OBS_DISABLED
 
-/// RAII scoped timer: records one complete event into the tracer (when a
-/// --trace capture is live) and span begin/end events into the always-on
-/// flight recorder. With both sinks idle the constructor is two relaxed
-/// atomic loads and no clock is read; with only the flight recorder live
-/// (the steady state) it is one clock read plus a lock-free ring write.
+/// RAII scoped timer: records span begin/end events into the flight
+/// recorder (and so into its capture when an artifact flag asked for one).
+/// With the recorder disabled the constructor is one relaxed atomic load and
+/// no clock is read; live (the steady state) it is one clock read plus a
+/// lock-free ring write.
 class Span {
  public:
   explicit Span(const char* name) {
-    const bool traced = Tracer::instance().enabled();
     FlightRecorder& fr = FlightRecorder::instance();
-    const bool recorded = fr.enabled();
-    if (traced || recorded) {
+    if (fr.enabled()) {
       name_ = name;
-      traced_ = traced;
-      recorded_ = recorded;
       t0_ = now_us();
-      if (recorded) {
-        fr.record(FrKind::SpanBegin, name, t0_);
-        fr.push_span(name);
-      }
+      fr.record(FrKind::SpanBegin, name, t0_);
+      fr.push_span(name);
     }
-  }
-  Span(const char* name, const TraceArgs& args) : Span(name) {
-    if (traced_) args_ = args.str();
   }
   ~Span() {
     if (name_) {
       const std::int64_t t1 = now_us();
-      if (recorded_) {
-        FlightRecorder& fr = FlightRecorder::instance();
-        fr.record(FrKind::SpanEnd, name_, t1, t1 - t0_);
-        fr.pop_span();
-      }
-      if (traced_) {
-        Tracer::instance().record(name_, t0_, t1 - t0_, std::move(args_));
-      }
+      FlightRecorder& fr = FlightRecorder::instance();
+      fr.record(FrKind::SpanEnd, name_, t1, t1 - t0_);
+      fr.pop_span();
     }
   }
   Span(const Span&) = delete;
@@ -161,27 +55,16 @@ class Span {
  private:
   const char* name_ = nullptr;
   std::int64_t t0_ = 0;
-  bool traced_ = false;
-  bool recorded_ = false;
-  std::string args_;
 };
-
-inline void instant(const char* name, std::string args = {}) {
-  Tracer& tr = Tracer::instance();
-  if (tr.enabled()) tr.record(name, now_us(), -1, std::move(args));
-}
 
 #else  // DPMERGE_OBS_DISABLED
 
 class Span {
  public:
   explicit Span(const char*) {}
-  Span(const char*, const TraceArgs&) {}
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 };
-
-inline void instant(const char*, std::string = {}) {}
 
 #endif  // DPMERGE_OBS_DISABLED
 

@@ -91,29 +91,22 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
       ista.update_drive_change(best_gate);
       check();
       const double delta_ns = before_ns - ista.longest_path_ns();
+      const std::int64_t delta_ps = std::llround(delta_ns * 1e3);
+      const char* move = "opt.upsize.accept";
       if (delta_ns > 1e-9) {
         ++res.moves;
         applied = true;
-        obs::stat_add("opt.upsize.accept");
-        obs::stat_add("opt.slack_recovered_ps",
-                      static_cast<std::int64_t>(std::llround(delta_ns * 1e3)));
+        obs::stat_add("opt.slack_recovered_ps", delta_ps);
       } else {
         // Revert: the larger input cap hurt upstream more.
         net.set_drive(best_gate, drive);
         ista.update_drive_change(best_gate);
         check();
         locked_upsize.insert(best_gate.value);
-        obs::stat_add("opt.upsize.reject");
+        move = "opt.upsize.reject";
       }
-      if (obs::tracing()) {
-        obs::instant("opt.move",
-                     obs::TraceArgs()
-                         .add("kind", "upsize")
-                         .add("gate", best_gate.value)
-                         .add("delta_ps", static_cast<std::int64_t>(std::llround(delta_ns * 1e3)))
-                         .add("verdict", applied ? "accept" : "reject")
-                         .str());
-      }
+      obs::stat_add(move);
+      obs::fr_mark(move, delta_ps);
     }
 
     if (!applied) {
@@ -166,26 +159,16 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         ista.rebuild();
         check();
         const double delta_ns = before_ns - ista.longest_path_ns();
+        const std::int64_t delta_ps = std::llround(delta_ns * 1e3);
+        const char* move = "opt.buffer.reject";
         if (rewired > 0 && delta_ns > 1e-9) {
           ++res.moves;
           applied = true;
-          obs::stat_add("opt.buffer.accept");
-          obs::stat_add(
-              "opt.slack_recovered_ps",
-              static_cast<std::int64_t>(std::llround(delta_ns * 1e3)));
-        } else {
-          obs::stat_add("opt.buffer.reject");
+          obs::stat_add("opt.slack_recovered_ps", delta_ps);
+          move = "opt.buffer.accept";
         }
-        if (obs::tracing()) {
-          obs::instant("opt.move",
-                       obs::TraceArgs()
-                           .add("kind", "buffer")
-                           .add("net", worst.value)
-                           .add("rewired", rewired)
-                           .add("delta_ps", static_cast<std::int64_t>(std::llround(delta_ns * 1e3)))
-                           .add("verdict", applied ? "accept" : "reject")
-                           .str());
-        }
+        obs::stat_add(move);
+        obs::fr_mark(move, delta_ps);
         // Otherwise keep the (harmless) buffer and whatever timing
         // resulted; mark and move on.
       }

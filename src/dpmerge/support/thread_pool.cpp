@@ -29,6 +29,13 @@ bool& t_in_pool_work() {
   return in;
 }
 
+/// Job ids are unique across every pool in the process, so telemetry can
+/// link a task to the job that submitted it without naming the pool.
+std::uint64_t next_job_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 std::atomic<int>& shared_threads_config() {
   static std::atomic<int> threads{0};
   return threads;
@@ -76,13 +83,14 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_one(int i) DPMERGE_NO_THREAD_SAFETY_ANALYSIS {
   const PoolTelemetryHooks* tel = pool_telemetry();
   const std::int64_t t0_us = tel != nullptr ? steady_now_us() : 0;
+  if (tel != nullptr) tel->task_begin(job_id_, i, t0_us);
   try {
     (*fn_)(i);
   } catch (...) {
     record_job_error(std::current_exception());
   }
   if (tel != nullptr) {
-    tel->task(job_id_, i, t0_us, steady_now_us() - t0_us);
+    tel->task_end(job_id_, i, t0_us, steady_now_us() - t0_us);
   }
 }
 
@@ -130,9 +138,17 @@ void ThreadPool::record_job_error(std::exception_ptr e) {
 
 bool ThreadPool::open_job(int count, const std::function<void(int)>* fn,
                           int max_threads) {
-  const std::uint64_t job_id = ++job_counter_;
-
-  int width = 0;
+  const std::uint64_t job_id = next_job_id();
+  const int def = default_cap_.load();
+  const int cap = max_threads > 0 ? max_threads : (def > 0 ? def : size());
+  const int participants = std::min(
+      {static_cast<int>(workers_.size()), std::max(cap - 1, 0), count - 1});
+  // Telemetry before the job is published, so its record precedes every
+  // task's, and outside mu_: the hook may take its own locks (registry)
+  // and must never nest under a pool mutex.
+  if (const PoolTelemetryHooks* tel = pool_telemetry()) {
+    tel->job(job_id, count, participants + 1);
+  }
   {
     MutexLock lk(mu_);
     job_open_ = true;
@@ -143,20 +159,10 @@ bool ThreadPool::open_job(int count, const std::function<void(int)>* fn,
     job_abort_.store(false, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
     participants_ = 0;
-    const int def = default_cap_.load();
-    const int cap = max_threads > 0 ? max_threads : (def > 0 ? def : size());
-    max_participants_ = std::min({static_cast<int>(workers_.size()),
-                                  std::max(cap - 1, 0), count - 1});
+    max_participants_ = participants;
     ++epoch_;
-    width = max_participants_ + 1;
   }
-  // Telemetry outside mu_: the hook may take its own locks (registry) and
-  // must never nest under a pool mutex. job_mu_ is still held, so the
-  // descriptor (and job_id_) stays valid for the callee.
-  if (const PoolTelemetryHooks* tel = pool_telemetry()) {
-    tel->job(job_id, count, width);
-  }
-  return width > 1;
+  return participants > 0;
 }
 
 void ThreadPool::close_job() {

@@ -26,14 +26,17 @@ namespace dpmerge::support {
 /// contract promises, and a serial loop has nothing to say about queue
 /// depth or worker utilization.
 struct PoolTelemetryHooks {
-  /// One call per dispatched job, after the descriptor is published:
-  /// `tasks` = number of indices, `width` = admitted parallel width
-  /// (workers + the participating caller).
+  /// One call per dispatched job, on the submitting thread before any of
+  /// its tasks can start: `job_id` is unique in the process, `tasks` =
+  /// number of indices, `width` = admitted parallel width (workers + the
+  /// participating caller).
   void (*job)(std::uint64_t job_id, int tasks, int width);
-  /// One call per completed task: `t0_us`/`dur_us` are steady-clock
-  /// microseconds (same epoch as obs::now_us).
-  void (*task)(std::uint64_t job_id, int pos, std::int64_t t0_us,
-               std::int64_t dur_us);
+  /// One call as each task starts and one as it completes, on the thread
+  /// running it: `t0_us`/`dur_us` are steady-clock microseconds (same epoch
+  /// as obs::now_us).
+  void (*task_begin)(std::uint64_t job_id, int pos, std::int64_t t0_us);
+  void (*task_end)(std::uint64_t job_id, int pos, std::int64_t t0_us,
+                   std::int64_t dur_us);
 };
 
 /// Installs (or, with nullptr, removes) the process-wide telemetry sink.
@@ -142,14 +145,13 @@ class ThreadPool {
   bool job_open_ DPMERGE_GUARDED_BY(mu_) = false;
   int job_n_ DPMERGE_GUARDED_BY(mu_) = 0;  // index count
   const std::function<void(int)>* fn_ DPMERGE_GUARDED_BY(mu_) = nullptr;
-  std::uint64_t job_id_ DPMERGE_GUARDED_BY(mu_) = 0;  // from job_counter_
+  std::uint64_t job_id_ DPMERGE_GUARDED_BY(mu_) = 0;  // process-unique
   std::exception_ptr job_error_ DPMERGE_GUARDED_BY(mu_);
   /// Raised by the first failing task; checked (relaxed) by the dispensers
   /// to stop handing out further work. Lock-free on purpose: timeliness
   /// only — correctness of the abort path rests on mu_ (job_error_).
   std::atomic<bool> job_abort_{false};
   std::atomic<int> next_{0};  // index dispenser for the current job
-  std::uint64_t job_counter_ DPMERGE_GUARDED_BY(job_mu_) = 0;
 
   // Opens the job descriptor and admits workers; returns whether any worker
   // may join (false degrades to a serial drain by the caller alone).

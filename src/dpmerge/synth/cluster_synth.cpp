@@ -104,11 +104,7 @@ Signal synthesize_cluster(Netlist& net, const Graph& g,
                           bool booth, ClusterSynthStats* stats) {
   const Cluster& c = p.clusters[static_cast<std::size_t>(ci)];
   const int W = g.node(c.root).width;
-  obs::Span span("synth.cluster",
-                 obs::TraceArgs()
-                     .add("root", static_cast<std::int64_t>(c.root.value))
-                     .add("width", W)
-                     .add("members", static_cast<std::int64_t>(c.nodes.size())));
+  obs::Span span("synth.cluster");
   obs::stat_add("synth.clusters");
   CsaTree tree(net, W);
   const auto flat = cluster::flatten_cluster(g, p, ci);

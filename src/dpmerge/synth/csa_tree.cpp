@@ -42,8 +42,7 @@ void CsaTree::add_constant(const BitVector& v) {
 }
 
 Signal CsaTree::reduce_and_sum(AdderArch arch) {
-  obs::Span span("synth.csa.reduce",
-                 obs::TraceArgs().add("width", width_).add("rows", rows_));
+  obs::Span span("synth.csa.reduce");
   stages_ = 0;
   // Dadda-style schedule: reduce to successive target heights 2, 3, 4, 6,
   // 9, 13, ... using full adders, with a half adder only when one bit over

@@ -26,6 +26,7 @@ std::string PruneStats::to_string() const {
 }
 
 PruneStats prune_required_precision(Graph& g) {
+  obs::Span span("transform.prune_rp");
   PruneStats stats;
   const auto rp = analysis::compute_required_precision(g);
   for (const Node& n : g.nodes()) {
@@ -53,6 +54,7 @@ PruneStats prune_required_precision(Graph& g) {
 
 PruneStats prune_info_content(Graph& g,
                               const analysis::InfoRefinements* refinements) {
+  obs::Span span("transform.prune_ic");
   PruneStats stats;
   auto refine = [refinements](NodeId id, InfoContent ic) {
     if (!refinements) return ic;

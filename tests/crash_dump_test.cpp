@@ -1,7 +1,7 @@
 // Crash diagnostics (obs/crash.h): fault-injection tests that fork a child,
-// kill it mid-sweep (SIGSEGV in a pool task, an uncaught exception reaching
-// std::terminate, a CheckPolicy fatal path), and assert the child's
-// dpmerge-crash-<pid>.json names the active stage and sweep.
+// kill it mid-sweep (SIGSEGV in a pool task, a stack overflow, an uncaught
+// exception reaching std::terminate, a CheckPolicy fatal path), and assert
+// the child's dpmerge-crash-<pid>.json names the active stage and sweep.
 
 #include "dpmerge/obs/crash.h"
 
@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -118,6 +119,41 @@ TEST(CrashDumpTest, SegvInPoolTaskDumpNamesStageAndSweep) {
     if (e.text("name") == "sweep.begin") found_mark = true;
   }
   EXPECT_TRUE(found_mark);
+}
+
+/// Never reached in practice; volatile so the compiler cannot prove
+/// overflow_stack endless.
+volatile int g_depth_limit = std::numeric_limits<int>::max();
+
+/// Recurses until the stack runs out; the volatile frame keeps every level
+/// on the stack.
+int overflow_stack(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth >= g_depth_limit) return frame[0];
+  return overflow_stack(depth + 1) + frame[0];
+}
+
+TEST(CrashDumpTest, StackOverflowDumpsFromTheAltStack) {
+  int status = 0;
+  obs::JsonValue doc;
+  run_crashing_child(
+      [](const std::string& dir) {
+        obs::CrashOptions o;
+        o.dir = dir;
+        obs::install_crash_handlers(o);
+        obs::set_run_context("crash-test", 3);
+        obs::set_current_stage("parse");
+        overflow_stack(0);
+      },
+      &status, &doc);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  EXPECT_EQ(doc.text("reason"), "signal");
+  EXPECT_EQ(doc.text("detail"), "SIGSEGV");
+  EXPECT_EQ(doc.text("stage"), "parse");
 }
 
 TEST(CrashDumpTest, UncaughtExceptionDumpCarriesWhat) {

@@ -1,6 +1,7 @@
 // Flight recorder (obs/flight_recorder.h): the always-on per-thread event
-// rings — record/drain ordering, interning, capacity eviction, span-stack
-// crash state, and the thread-pool telemetry hooks feeding it.
+// rings — record/drain ordering, interning, capacity eviction, the
+// unbounded capture, span-stack crash state, and the thread-pool telemetry
+// hooks feeding it.
 
 #include "dpmerge/obs/flight_recorder.h"
 
@@ -90,30 +91,57 @@ TEST(FlightRecorderTest, CapacityBoundsRingAndKeepsMostRecent) {
   if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
-  const std::uint32_t old_cap = fr.capacity();
-  fr.set_capacity(60);  // rounds up to 64; applies to new threads only
-  EXPECT_EQ(fr.capacity(), 64u);
+  constexpr std::int64_t kCap = obs::FlightRecorder::kDefaultCapacity;
+  constexpr std::int64_t kTotal = kCap + 1000;
 
   std::uint16_t tid = 0;
   std::thread t([&fr, &tid] {
-    for (int i = 0; i < 200; ++i) {
+    for (std::int64_t i = 0; i < kTotal; ++i) {
       fr.record(obs::FrKind::Mark, "fr.test.flood", obs::now_us(), i);
     }
     tid = fr.local_tid();
   });
   t.join();
-  fr.set_capacity(old_cap);
 
   ASSERT_NE(tid, 0);
   std::vector<std::int64_t> values;
   for (const obs::FrEvent& e : fr.drain()) {
     if (e.tid == tid) values.push_back(e.value);
   }
-  // The ring keeps the newest 64 of the 200 events: 136..199.
-  ASSERT_EQ(values.size(), 64u);
-  EXPECT_EQ(*std::min_element(values.begin(), values.end()), 136);
-  EXPECT_EQ(*std::max_element(values.begin(), values.end()), 199);
+  // The fixed ring keeps the newest kDefaultCapacity events: 1000..kTotal-1.
+  ASSERT_EQ(values.size(), static_cast<std::size_t>(kCap));
+  EXPECT_EQ(*std::min_element(values.begin(), values.end()), kTotal - kCap);
+  EXPECT_EQ(*std::max_element(values.begin(), values.end()), kTotal - 1);
   fr.clear();
+}
+
+TEST(FlightRecorderTest, CaptureKeepsEveryEventPastTheRing) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  obs::FlightRecorder& fr = obs::FlightRecorder::instance();
+  fr.clear();
+  constexpr std::int64_t kTotal = obs::FlightRecorder::kDefaultCapacity + 1000;
+  fr.record(obs::FrKind::Mark, "fr.test.before_capture", obs::now_us());
+  fr.set_capture(true);
+  EXPECT_TRUE(fr.capturing());
+  for (std::int64_t i = 0; i < kTotal; ++i) {
+    fr.record(obs::FrKind::Mark, "fr.test.captured", obs::now_us(), i);
+  }
+  fr.set_capture(false);
+  fr.record(obs::FrKind::Mark, "fr.test.after_capture", obs::now_us());
+
+  const auto captured = fr.drain_capture();
+  ASSERT_EQ(captured.size(), static_cast<std::size_t>(kTotal));
+  for (std::int64_t i = 0; i < kTotal; ++i) {
+    EXPECT_STREQ(captured[static_cast<std::size_t>(i)].name,
+                 "fr.test.captured");
+    EXPECT_EQ(captured[static_cast<std::size_t>(i)].value, i);
+  }
+  // The ring still holds only its fixed capacity, newest last.
+  const auto ring = fr.drain();
+  EXPECT_EQ(ring.size(), obs::FlightRecorder::kDefaultCapacity);
+  EXPECT_STREQ(ring.back().name, "fr.test.after_capture");
+  fr.clear();
+  EXPECT_TRUE(fr.drain_capture().empty());
 }
 
 TEST(FlightRecorderTest, SpanStackAndContextShowInThreadStates) {
@@ -165,15 +193,22 @@ TEST(FlightRecorderTest, PoolTelemetryFlowsIntoRecorderAndRegistry) {
   EXPECT_EQ(reg.counter("pool.jobs").value() - jobs_before, 1);
   EXPECT_EQ(reg.histogram("pool.task_us").count() - lat_before, 16);
 
-  const auto ends = drained_named("pool.task");
+  const auto jobs = drained_named("pool.job");
+  ASSERT_EQ(jobs.size(), 1u);
+  const auto tasks = drained_named("pool.task");
   std::vector<std::uint32_t> positions;
-  for (const obs::FrEvent& e : ends) {
+  for (const obs::FrEvent& e : tasks) {
     if (e.kind == obs::FrKind::TaskEnd) positions.push_back(e.aux);
+    if (e.kind == obs::FrKind::TaskBegin) {
+      // Begins carry the job id and are stamped when the task starts, no
+      // earlier than the job's mark on the submitting thread.
+      EXPECT_EQ(e.value, jobs[0].value);
+      EXPECT_GE(e.ts_us, jobs[0].ts_us);
+    }
   }
   std::sort(positions.begin(), positions.end());
   ASSERT_EQ(positions.size(), 16u);
   for (std::uint32_t i = 0; i < 16; ++i) EXPECT_EQ(positions[i], i);
-  ASSERT_EQ(drained_named("pool.job").size(), 1u);
   fr.clear();
 }
 

@@ -145,6 +145,37 @@ TEST(Frontend, ErrorsHaveLocations) {
   expect_error("bogus a : s8\noutput y : s8 = a\n", "unknown statement");
 }
 
+TEST(Frontend, NestingPastTheLimitIsALocatedLimitError) {
+  const auto nested = [](int depth, const char* open, const char* close) {
+    std::string src = "input a : s8\noutput y : s8 = ";
+    for (int i = 0; i < depth; ++i) src += open;
+    src += "a";
+    for (int i = 0; i < depth; ++i) src += close;
+    return src + "\n";
+  };
+  EXPECT_NO_THROW(compile(nested(kMaxNestingDepth, "(", ")")));
+  EXPECT_NO_THROW(compile(nested(kMaxNestingDepth, "-", "")));
+
+  // One level too deep: the error points at the offending token.
+  try {
+    compile(nested(kMaxNestingDepth + 1, "(", ")"));
+    FAIL() << "expected a nesting-limit error";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.rule(), "frontend.limit");
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), 17 + kMaxNestingDepth);
+    EXPECT_EQ(e.diagnostic().rule, "frontend.limit");
+  }
+  // Hostile depths stop at the limit instead of exhausting the stack.
+  for (const char* op : {"(", "-", "-("}) {
+    const std::string close = op[std::string(op).size() - 1] == '(' ? ")" : "";
+    check::CheckReport rep;
+    EXPECT_FALSE(compile_or_diagnose(nested(20000, op, close.c_str()), rep));
+    EXPECT_EQ(rep.count_rule("frontend.limit"), 1) << op;
+    EXPECT_EQ(rep.count_rule("frontend.parse"), 0) << op;
+  }
+}
+
 TEST(Frontend, CompiledDesignSynthesizesCorrectly) {
   const auto res = compile(R"(
 design mac4

@@ -1,12 +1,16 @@
-// Tests for dpmerge::obs: JSON validation, the span tracer's Chrome
-// trace_event export, stat sinks/scopes and the process-global registry,
-// FlowReport contents for a real flow, and the determinism contract of the
-// --stats-json artifacts (same workload => byte-identical JSON, regardless
-// of thread schedule, when wall-clock fields are zeroed).
+// Tests for dpmerge::obs: JSON validation, the flight-recorder capture and
+// its Chrome trace_event and profile renderings, stat sinks/scopes and the
+// process-global registry, FlowReport contents for a real flow, and the
+// determinism contract of the --stats-json artifacts (same workload =>
+// byte-identical JSON, regardless of thread schedule, when wall-clock fields
+// are zeroed).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -18,19 +22,47 @@
 namespace dpmerge {
 namespace {
 
-// Every test that touches the (process-global) tracer serialises through
-// this fixture: stop + clear so no events leak between tests.
+// Every test that touches the (process-global) recorder capture serialises
+// through this fixture: capture off + clear so no events leak between tests.
 class TracerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::Tracer::instance().stop();
-    obs::Tracer::instance().clear();
+  void SetUp() override { reset(); }
+  void TearDown() override { reset(); }
+  static void reset() {
+    obs::FlightRecorder::instance().set_capture(false);
+    obs::FlightRecorder::instance().clear();
   }
-  void TearDown() override {
-    obs::Tracer::instance().stop();
-    obs::Tracer::instance().clear();
+  /// Stops the capture and drains it, as ArtifactSession does at exit.
+  static std::vector<obs::FrEvent> stop_and_drain() {
+    obs::FlightRecorder::instance().set_capture(false);
+    return obs::FlightRecorder::instance().drain_capture();
+  }
+  static std::string chrome(const std::vector<obs::FrEvent>& events) {
+    std::ostringstream os;
+    obs::write_chrome_trace(os, events);
+    return os.str();
   }
 };
+
+/// Per-name "X" event counts of a Chrome trace document.
+std::map<std::string, std::int64_t> complete_counts(const std::string& json) {
+  std::map<std::string, std::int64_t> out;
+  obs::JsonValue doc;
+  if (!obs::json_parse(json, &doc)) return out;
+  for (const obs::JsonValue& e : doc.find("traceEvents")->array) {
+    if (e.text("ph") == "X") ++out[std::string(e.text("name"))];
+  }
+  return out;
+}
+
+/// Per-name occurrence counts summed over every path of a profile tree.
+void profile_counts(const obs::ProfileNode& n,
+                    std::map<std::string, std::int64_t>& out) {
+  for (const obs::ProfileNode& c : n.children) {
+    out[c.name] += c.count;
+    profile_counts(c, out);
+  }
+}
 
 TEST(JsonValidTest, AcceptsWellFormedValues) {
   for (const char* ok :
@@ -66,54 +98,116 @@ TEST(JsonNumberTest, NonFiniteBecomesZero) {
 TEST_F(TracerTest, IdleTracerRecordsNothing) {
   {
     obs::Span span("idle.span");
-    obs::instant("idle.instant");
+    obs::fr_mark("idle.mark");
   }
-  EXPECT_EQ(obs::Tracer::instance().event_count(), 0u);
+  // The span reached the always-on ring, but nothing was captured.
+  EXPECT_FALSE(obs::FlightRecorder::instance().capturing());
+  EXPECT_TRUE(obs::FlightRecorder::instance().drain_capture().empty());
+  std::string err;
+  EXPECT_TRUE(obs::json_valid(chrome({}), &err)) << err;
 }
 
 TEST_F(TracerTest, ExportIsValidChromeTraceJson) {
   if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
-  obs::Tracer::instance().start();
+  obs::FlightRecorder::instance().set_capture(true);
   {
     obs::Span outer("outer");
-    {
-      obs::Span inner("inner \"quoted\"\n",
-                      obs::TraceArgs()
-                          .add("count", std::int64_t{3})
-                          .add("ratio", 0.5)
-                          .add("label", "a\\b\t"));
-    }
-    obs::instant("marker", obs::TraceArgs().add("k", "v").str());
+    { obs::Span inner("inner \"quoted\"\n"); }
+    obs::fr_mark("marker", 7);
+    obs::fr_counter("counter", -3);
   }
-  obs::Tracer::instance().stop();
-  EXPECT_EQ(obs::Tracer::instance().event_count(), 3u);
+  const auto events = stop_and_drain();
+  EXPECT_EQ(events.size(), 6u);  // 2 begins, 2 ends, a mark and a counter
 
-  const std::string json = obs::Tracer::instance().json();
+  const std::string json = chrome(events);
+  obs::JsonValue doc;
   std::string err;
-  ASSERT_TRUE(obs::json_valid(json, &err)) << err;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);   // complete spans
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);   // instant
-  EXPECT_NE(json.find("\"cat\":\"dpmerge\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"count\":3"), std::string::npos);
+  ASSERT_TRUE(obs::json_parse(json, &doc, &err)) << err;
+  const obs::JsonValue* trace = doc.find("traceEvents");
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->array.size(), 4u);  // begins are implied by their ends
+  std::map<std::string, const obs::JsonValue*> by_name;
+  for (const obs::JsonValue& e : trace->array) {
+    EXPECT_EQ(e.text("cat"), "dpmerge");
+    by_name[std::string(e.text("name"))] = &e;
+  }
+  const obs::JsonValue* outer = by_name["outer"];
+  const obs::JsonValue* inner = by_name["inner \"quoted\"\n"];
+  ASSERT_TRUE(outer && inner && by_name["marker"] && by_name["counter"]);
+  EXPECT_EQ(outer->text("ph"), "X");
+  EXPECT_EQ(inner->text("ph"), "X");
+  // "X" starts at end - dur, so the inner span lies inside the outer one.
+  EXPECT_LE(outer->num("ts"), inner->num("ts"));
+  EXPECT_LE(inner->num("ts") + inner->num("dur"),
+            outer->num("ts") + outer->num("dur"));
+  EXPECT_EQ(by_name["marker"]->text("ph"), "i");
+  EXPECT_EQ(by_name["marker"]->find("args")->num("value"), 7);
+  EXPECT_EQ(by_name["counter"]->text("ph"), "C");
+  EXPECT_EQ(by_name["counter"]->find("args")->num("value"), -3);
 }
 
 TEST_F(TracerTest, PerThreadBuffersMergeAtExport) {
   if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
-  obs::Tracer::instance().start();
+  obs::FlightRecorder::instance().set_capture(true);
   constexpr int kThreads = 4, kEach = 50;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([] {
-      for (int i = 0; i < kEach; ++i) obs::instant("thread.event");
+      for (int i = 0; i < kEach; ++i) obs::fr_mark("thread.event", i);
     });
   }
   for (auto& th : pool) th.join();
-  obs::Tracer::instance().stop();
-  EXPECT_EQ(obs::Tracer::instance().event_count(),
-            static_cast<std::size_t>(kThreads * kEach));
+  const auto events = stop_and_drain();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kEach));
+  std::set<std::uint16_t> tids;
+  for (const obs::FrEvent& e : events) tids.insert(e.tid);
+  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
+                             [](const obs::FrEvent& a, const obs::FrEvent& b) {
+                               return a.ts_us < b.ts_us;
+                             }));
   std::string err;
-  EXPECT_TRUE(obs::json_valid(obs::Tracer::instance().json(), &err)) << err;
+  EXPECT_TRUE(obs::json_valid(chrome(events), &err)) << err;
+}
+
+TEST_F(TracerTest, CaptureLongerThanRingBuildsCompleteProfile) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  constexpr std::int64_t kRounds = obs::FlightRecorder::kDefaultCapacity;
+  obs::FlightRecorder::instance().set_capture(true);
+  for (std::int64_t i = 0; i < kRounds; ++i) {
+    obs::Span outer("capture.outer");
+    obs::Span inner("capture.inner");
+  }
+  const auto events = stop_and_drain();
+  // Four events a round: four times what the ring holds.
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(4 * kRounds));
+
+  const obs::Profile p = obs::build_profile(events);
+  EXPECT_EQ(p.events, 4 * kRounds);
+  EXPECT_EQ(p.dropped, 0);
+  ASSERT_EQ(p.root.children.size(), 1u);
+  const obs::ProfileNode& outer = p.root.children[0];
+  EXPECT_EQ(outer.name, "capture.outer");
+  EXPECT_EQ(outer.count, kRounds);
+  const obs::ProfileNode* inner = outer.child("capture.inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, kRounds);
+}
+
+TEST_F(TracerTest, FlowProfileAndChromeTraceCountTheSameSpans) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
+  const auto cases = designs::all_testcases();
+  obs::FlightRecorder::instance().set_capture(true);
+  synth::run_flow(cases.at(3).graph, synth::Flow::NewMerge);
+  const auto events = stop_and_drain();
+
+  const auto trace = complete_counts(chrome(events));
+  std::map<std::string, std::int64_t> profile;
+  profile_counts(obs::build_profile(events).root, profile);
+  EXPECT_EQ(trace, profile);
+  EXPECT_EQ(trace.count("flow.new-merge"), 1u);
+  EXPECT_GT(trace.count("transform.prune_ic"), 0u);
+  EXPECT_EQ(trace.count("cluster.decision"), 0u);
 }
 
 TEST(StatSinkTest, AddGetAndMax) {
@@ -274,17 +368,27 @@ TEST(CompiledOutTest, DisabledBuildKeepsArtifactsValidButEmpty) {
   if (obs::compiled_in()) {
     GTEST_SKIP() << "obs compiled in; covered by the DPMERGE_OBS=OFF CI job";
   }
-  // start() must be a no-op and every hook inert...
-  obs::Tracer::instance().start();
-  EXPECT_FALSE(obs::Tracer::instance().enabled());
-  EXPECT_FALSE(obs::tracing());
+  // The capture switch must be a no-op and every hook inert...
+  obs::FlightRecorder& fr = obs::FlightRecorder::instance();
+  fr.set_capture(true);
+  EXPECT_FALSE(fr.capturing());
+  EXPECT_FALSE(fr.enabled());
+  { obs::Span span("never.span"); }
+  obs::fr_mark("never.mark");
+  EXPECT_TRUE(fr.drain_capture().empty());
   obs::StatSink sink;
   obs::StatScope scope(&sink);
   obs::stat_add("never");
   EXPECT_EQ(sink.get("never"), 0);
   // ...but the export machinery still emits valid (empty) artifacts.
+  std::ostringstream trace, profile, events;
+  obs::write_chrome_trace(trace, {});
+  obs::write_profile_json(profile, obs::build_profile({}));
+  obs::write_events_jsonl(events, {});
   std::string err;
-  EXPECT_TRUE(obs::json_valid(obs::Tracer::instance().json(), &err)) << err;
+  EXPECT_TRUE(obs::json_valid(trace.str(), &err)) << err;
+  EXPECT_TRUE(obs::json_valid(profile.str(), &err)) << err;
+  EXPECT_TRUE(events.str().empty());
 }
 
 }  // namespace

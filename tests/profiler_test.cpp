@@ -95,11 +95,50 @@ TEST(ProfilerTest, CountersAndMarksAttachToOpenNode) {
   EXPECT_EQ(stage.counters.at("cells.emitted"), 37);
   ASSERT_TRUE(stage.counters.count("check.failure:net.verify"));
   EXPECT_EQ(stage.counters.at("check.failure:net.verify"), 1);
-  // Pool-task ends are leaf occurrences under the open span.
+  // A task end without its begin is an occurrence under the open span.
   const obs::ProfileNode* task = stage.child("pool.task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->count, 1);
   EXPECT_EQ(task->total_us, 7);
+  EXPECT_EQ(p.dropped, 1);
+}
+
+TEST(ProfilerTest, PoolTasksNestUnderTheSubmittingPath) {
+  obs::FrEvent job = ev(10, obs::FrKind::Mark, "pool.job", 9, 1);
+  job.aux = 2;  // tasks
+  obs::FrEvent t0 = ev(10, obs::FrKind::TaskBegin, "pool.task", 9, 0);
+  obs::FrEvent t1 = ev(11, obs::FrKind::TaskBegin, "pool.task", 9, 1);
+  t1.aux = 1;
+  // Worker tid 0 sorts before the submitter at the job's timestamp: the
+  // link is the job id, not the drain order.
+  const std::vector<obs::FrEvent> events = {
+      ev(0, obs::FrKind::SpanBegin, "bench.cells", 0, 1),
+      t0,
+      job,
+      t1,
+      ev(12, obs::FrKind::SpanBegin, "flow.synth", 0, 0),
+      ev(13, obs::FrKind::SpanBegin, "flow.synth", 0, 1),
+      ev(20, obs::FrKind::SpanEnd, "flow.synth", 8, 0),
+      ev(21, obs::FrKind::TaskEnd, "pool.task", 11, 0),
+      ev(30, obs::FrKind::SpanEnd, "flow.synth", 17, 1),
+      ev(31, obs::FrKind::TaskEnd, "pool.task", 20, 1),
+      ev(40, obs::FrKind::SpanEnd, "bench.cells", 40, 1),
+  };
+  const obs::Profile p = obs::build_profile(events);
+  EXPECT_EQ(p.dropped, 0);
+  ASSERT_EQ(p.root.children.size(), 1u);
+  const obs::ProfileNode& cells = p.root.children[0];
+  EXPECT_EQ(cells.name, "bench.cells");
+  EXPECT_EQ(cells.counters.at("pool.job"), 1);
+  const obs::ProfileNode* task = cells.child("pool.task");
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->count, 2);
+  EXPECT_EQ(task->total_us, 31);
+  const obs::ProfileNode* synth = task->child("flow.synth");
+  ASSERT_NE(synth, nullptr);
+  EXPECT_EQ(synth->count, 2);
+  EXPECT_EQ(synth->total_us, 25);
+  EXPECT_EQ(task->self_us, 6);
 }
 
 TEST(ProfilerTest, UnmatchedSpanEndIsAttributedAndCountedDropped) {
