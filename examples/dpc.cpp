@@ -81,6 +81,10 @@ int main(int argc, char** argv) {
   frontend::CompileResult compiled;
   try {
     compiled = frontend::compile(source);
+  } catch (const frontend::ParseError& e) {
+    std::fprintf(stderr, "%s: %s [%s]\n", name.c_str(), e.what(),
+                 e.rule().c_str());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
     return 1;

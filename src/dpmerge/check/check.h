@@ -8,7 +8,7 @@
 ///     acyclicity, arity, port bookkeeping, sign-annotation legality,
 ///     constant canonicality).
 ///   - `verify(netlist::Netlist)`: structural netlist checks (multiply-driven
-///     nets, floating cell inputs, combinational loops via Tarjan SCC,
+///     nets, floating cell inputs, combinational loops from the cached view,
 ///     undriven primary outputs, cell-pin arity).
 ///   - absint_engine.h: abstract-interpretation soundness lint
 ///     (`lint_absint`) cross-checking `analysis::info_content` /
@@ -20,13 +20,12 @@
 /// `CheckPolicy`:
 ///   - `Off`      (default): one relaxed atomic load and return — exactly
 ///                zero checking work, so production flows pay nothing.
-///   - `Errors`   : structural verifiers run at pass boundaries (linear
-///                sweeps only on netlists — cheap enough to leave on); any
+///   - `Errors`   : structural verifiers run at pass boundaries (netlist
+///                loops included: they come from the cached view); any
 ///                Error finding throws `CheckFailure`.
-///   - `Paranoid` : additionally re-verifies pass *inputs*, runs the netlist
-///                combinational-loop (SCC) sweep, and runs the abstract-
-///                interpretation soundness lint wherever analysis results
-///                cross a pass boundary.
+///   - `Paranoid` : additionally re-verifies pass *inputs* and runs the
+///                abstract-interpretation soundness lint wherever analysis
+///                results cross a pass boundary.
 /// Findings are also counted into the current obs::StatSink ("check.runs",
 /// "check.errors", "check.warnings", "check.rule.<id>"), so they surface in
 /// FlowReport stage stats and the --stats-json artifacts.
@@ -38,7 +37,6 @@
 
 #include "dpmerge/check/diagnostic.h"
 #include "dpmerge/dfg/graph.h"
-#include "dpmerge/netlist/cell.h"
 #include "dpmerge/netlist/netlist.h"
 
 namespace dpmerge::analysis {
@@ -112,11 +110,14 @@ class PolicyScope {
 ///                        everywhere and every analysis claim is vacuous
 CheckReport verify(const dfg::Graph& g);
 
-/// Structural netlist verifier. Rule catalog (all Error unless noted):
+/// Structural netlist verifier. Rule catalog (all Error):
 ///   net.range            net id out of [0, net_count)
 ///   net.gate.id          gate id does not match its storage index
 ///   net.gate.arity       pin count differs from cell_input_count(type)
 ///   net.gate.drive       drive-strength index outside the library's variants
+///   net.driver-index     the netlist's driver index does not name the gate
+///                        that drives the net (only `mutable_gates()` edits
+///                        can cause this; the cached view would be stale)
 ///   net.multi-driven     more than one gate drives a net
 ///   net.const-driven     a gate drives one of the designated constant nets
 ///   net.input-driven     a gate drives a primary-input bit
@@ -124,28 +125,12 @@ CheckReport verify(const dfg::Graph& g);
 ///                        primary input nor a constant
 ///   net.undriven-output  primary-output bit with no driver (and not PI/const)
 ///   net.comb-loop        combinational cycle (one finding per Tarjan SCC)
-///   net.unread-gate      (Warning) gate output read by nothing and absent
-///                        from every output bus (dead logic)
-/// Netlist verifier cost knobs. The full verify costs about as much as
-/// synthesis itself on the table-1 designs (it walks every gate and pin,
-/// builds a CSR gate graph and runs Tarjan), so the always-on `Errors`
-/// boundary runs only the linear sweeps:
-///   - `warnings=false` skips the Warning-severity sweeps — synthesized
-///     netlists legitimately keep unread helper gates (unused carry tails),
-///     and emitting hundreds of warning diagnostics per flow dominates cost.
-///   - `comb_loops=false` skips the SCC sweep (net.comb-loop), the single
-///     most expensive check. Paranoid boundaries and direct verify() calls
-///     keep it on.
-struct NetVerifyOptions {
-  bool warnings = true;
-  bool comb_loops = true;
-};
-
-/// `lib` controls the drive-level bound; the default library is assumed when
-/// null.
-CheckReport verify(const netlist::Netlist& n,
-                   const netlist::CellLibrary* lib = nullptr,
-                   NetVerifyOptions opts = {});
+/// Loops come from the cached `view()` (the one STA builds anyway): gates
+/// its Kahn order leaves out are the only ones the SCC sweep visits, so a
+/// loop-free netlist pays one comparison. That sweep runs only when the
+/// census found no `net.range`, `net.gate.id` or `net.driver-index` error.
+/// Dead logic is `lint_netlist_deadlogic`'s job (absint_netlist.h).
+CheckReport verify(const netlist::Netlist& n);
 
 // ------------------------------------------------- boundary enforcement --
 

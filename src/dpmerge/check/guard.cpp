@@ -67,15 +67,7 @@ void do_enforce(const dfg::Graph& g, std::string_view site) {
 }
 
 void do_enforce(const netlist::Netlist& n, std::string_view site) {
-  // Warnings off at every boundary: synthesized netlists keep unread helper
-  // gates by design, and boundary checks only gate on errors anyway. The SCC
-  // loop sweep — as expensive as synthesis itself on large netlists — runs
-  // under Paranoid only; Errors keeps the linear sweeps so production flows
-  // can leave it on (see EXPERIMENTS.md, "Checking overhead").
-  NetVerifyOptions opts;
-  opts.warnings = false;
-  opts.comb_loops = policy() == CheckPolicy::Paranoid;
-  account_and_throw(verify(n, nullptr, opts), site);
+  account_and_throw(verify(n), site);
 }
 
 void do_enforce_analyses(const dfg::Graph& g,

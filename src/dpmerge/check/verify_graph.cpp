@@ -30,43 +30,25 @@ std::string node_tag(const Graph& g, const Node& n) {
          (g.name(n).empty() ? "" : " '" + g.name(n) + "'");
 }
 
-/// Kahn sweep; reports the nodes stuck on a cycle (non-zero pending count
-/// after the sweep drains). One finding lists up to eight members.
-void check_acyclic(const Graph& g, CheckReport& rep) {
-  std::vector<int> pending(static_cast<std::size_t>(g.node_count()), 0);
-  std::vector<NodeId> ready;
-  for (const Node& n : g.nodes()) {
-    int cnt = 0;
-    for (EdgeId e : n.in) {
-      if (e.valid()) ++cnt;
-    }
-    pending[static_cast<std::size_t>(n.id.value)] = cnt;
-    if (cnt == 0) ready.push_back(n.id);
-  }
-  std::size_t seen = 0;
-  while (!ready.empty()) {
-    const NodeId id = ready.back();
-    ready.pop_back();
-    ++seen;
-    for (EdgeId eid : g.node(id).out) {
-      const Edge& e = g.edge(eid);
-      if (e.src != id) continue;  // corrupt bookkeeping, reported elsewhere
-      if (--pending[static_cast<std::size_t>(e.dst.value)] == 0) {
-        ready.push_back(e.dst);
-      }
-    }
-  }
-  if (seen == static_cast<std::size_t>(g.node_count())) return;
+/// Reports the nodes the frozen topological order leaves out: a cycle keeps
+/// its members and everything downstream of them unsorted. One finding lists
+/// up to eight of them, in id order.
+void check_cycle(const Graph& g, CheckReport& rep) {
+  const std::vector<NodeId>& topo = g.freeze().topo;
+  if (topo.size() == static_cast<std::size_t>(g.node_count())) return;
+  std::vector<unsigned char> sorted(static_cast<std::size_t>(g.node_count()),
+                                    0);
+  for (NodeId v : topo) sorted[static_cast<std::size_t>(v.value)] = 1;
   std::string members;
   int listed = 0;
-  for (const Node& n : g.nodes()) {
-    if (pending[static_cast<std::size_t>(n.id.value)] <= 0) continue;
+  for (int v = 0; v < g.node_count(); ++v) {
+    if (sorted[static_cast<std::size_t>(v)]) continue;
     if (listed++ == 8) {
       members += " ...";
       break;
     }
     if (!members.empty()) members += " ";
-    members += std::to_string(n.id.value);
+    members += std::to_string(v);
   }
   rep.add(Severity::Error, "dfg.graph.cycle",
           "graph contains a directed cycle through nodes {" + members + "}");
@@ -224,9 +206,9 @@ CheckReport verify(const Graph& g) {
             "graph has no Output node; every signal is unobservable");
   }
 
-  // Only attempt the cycle sweep on structurally indexable graphs.
+  // Only read the frozen order of structurally indexable graphs.
   if (!rep.has_rule("dfg.node.id") && !rep.has_rule("dfg.edge.endpoints")) {
-    check_acyclic(g, rep);
+    check_cycle(g, rep);
   }
 
   obs::stat_add("check.verify.graph.runs");

@@ -11,24 +11,20 @@ namespace dpmerge::check {
 namespace {
 
 using netlist::Bus;
-using netlist::CellLibrary;
 using netlist::Gate;
 using netlist::NetId;
 using netlist::Netlist;
 
-/// Iterative Tarjan SCC over the gate graph (gate -> gates reading its
-/// output), given in CSR form: gate g's successors are
-/// readers[offsets[g] .. offsets[g+1]). Appends one finding per non-trivial
-/// SCC; self-loops (a gate reading its own output) count as non-trivial.
-void check_comb_loops(const Netlist& n, const std::vector<int>& offsets,
-                      const std::vector<int>& readers, CheckReport& rep) {
+/// Combinational loops, from the cached view: Kahn leaves every gate on or
+/// downstream of a cycle out of `topo` (`topo_pos == -1`). An iterative
+/// Tarjan SCC over just those gates (successor = any gate reading my output)
+/// appends one finding per non-trivial SCC; self-loops (a gate reading its
+/// own output) count as non-trivial. The view is only read once the census
+/// found every net id in range and the driver index current.
+void check_comb_loops(const Netlist& n, CheckReport& rep) {
+  const netlist::NetlistView& v = n.view();
   const int ng = n.gate_count();
-  auto succ_begin = [&](std::size_t g) {
-    return static_cast<std::size_t>(offsets[g]);
-  };
-  auto succ_count = [&](std::size_t g) {
-    return static_cast<std::size_t>(offsets[g + 1] - offsets[g]);
-  };
+  if (v.topo.size() == static_cast<std::size_t>(ng)) return;
   constexpr int kUnvisited = -1;
   std::vector<int> index(static_cast<std::size_t>(ng), kUnvisited);
   std::vector<int> lowlink(static_cast<std::size_t>(ng), 0);
@@ -41,10 +37,11 @@ void check_comb_loops(const Netlist& n, const std::vector<int>& offsets,
     std::size_t child;
   };
   std::vector<Frame> dfs;
-  std::vector<int> scc;  // hoisted: every gate closes an SCC on acyclic nets
+  std::vector<int> scc;
 
   for (int root = 0; root < ng; ++root) {
-    if (index[static_cast<std::size_t>(root)] != kUnvisited) continue;
+    const auto ri = static_cast<std::size_t>(root);
+    if (v.topo_pos[ri] != -1 || index[ri] != kUnvisited) continue;
     dfs.push_back({root, 0});
     while (!dfs.empty()) {
       Frame& f = dfs.back();
@@ -54,11 +51,12 @@ void check_comb_loops(const Netlist& n, const std::vector<int>& offsets,
         stack.push_back(f.gate);
         on_stack[gi] = true;
       }
-      if (f.child < succ_count(gi)) {
-        const int succ = readers[succ_begin(gi) + f.child++];
-        const auto si = static_cast<std::size_t>(succ);
+      const auto readers = v.readers_of(n.gates()[gi].output);
+      if (f.child < readers.size()) {
+        const int s = readers[f.child++];
+        const auto si = static_cast<std::size_t>(s);
         if (index[si] == kUnvisited) {
-          dfs.push_back({succ, 0});
+          dfs.push_back({s, 0});
         } else if (on_stack[si]) {
           lowlink[gi] = std::min(lowlink[gi], index[si]);
         }
@@ -74,14 +72,9 @@ void check_comb_loops(const Netlist& n, const std::vector<int>& offsets,
           scc.push_back(m);
           if (m == f.gate) break;
         }
-        const auto succ_first = readers.begin() +
-                                static_cast<std::ptrdiff_t>(succ_begin(gi));
         const bool self_loop =
-            scc.size() == 1 &&
-            std::find(succ_first,
-                      succ_first + static_cast<std::ptrdiff_t>(succ_count(gi)),
-                      f.gate) != succ_first + static_cast<std::ptrdiff_t>(
-                                                  succ_count(gi));
+            scc.size() == 1 && std::find(readers.begin(), readers.end(),
+                                         f.gate) != readers.end();
         if (scc.size() > 1 || self_loop) {
           std::sort(scc.begin(), scc.end());
           std::string members;
@@ -108,9 +101,7 @@ void check_comb_loops(const Netlist& n, const std::vector<int>& offsets,
 
 }  // namespace
 
-CheckReport verify(const Netlist& n, const CellLibrary* lib,
-                   NetVerifyOptions opts) {
-  (void)lib;  // the drive-level bound is uniform across library instances
+CheckReport verify(const Netlist& n) {
   obs::Span span("check.verify.netlist");
   CheckReport rep;
   const int nets = n.net_count();
@@ -181,6 +172,13 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
       continue;
     }
     ++drivers[static_cast<std::size_t>(g.output.value)];
+    if (n.driver(g.output) != &g) {
+      rep.add(Severity::Error, "net.driver-index",
+              "gate " + std::to_string(gi) + " drives net " +
+                  std::to_string(g.output.value) +
+                  " but the netlist's driver index does not name it",
+              at());
+    }
     if (n.is_const(g.output)) {
       rep.add(Severity::Error, "net.const-driven",
               "gate " + std::to_string(gi) + " drives constant net " +
@@ -240,7 +238,6 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
                 Locus{"net", id.value, static_cast<int>(bit), b.name});
         continue;
       }
-      is_read[static_cast<std::size_t>(id.value)] = 1;
       if (undriven(id)) {
         rep.add(Severity::Error, "net.undriven-output",
                 "output bus '" + b.name + "' bit " + std::to_string(bit) +
@@ -250,56 +247,9 @@ CheckReport verify(const Netlist& n, const CellLibrary* lib,
     }
   }
 
-  bool ranges_ok = !rep.has_rule("net.range") && !rep.has_rule("net.gate.id");
-  if (ranges_ok) {
-    if (opts.warnings) {
-      for (int gi = 0; gi < ng; ++gi) {
-        const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
-        if (!is_read[static_cast<std::size_t>(g.output.value)]) {
-          rep.add(Severity::Warning, "net.unread-gate",
-                  std::string(netlist::to_string(g.type)) + " gate " +
-                      std::to_string(gi) + " output (net " +
-                      std::to_string(g.output.value) + ") is never read",
-                  Locus{"gate", gi, -1, {}});
-        }
-      }
-    }
-    if (!opts.comb_loops) {
-      obs::stat_add("check.verify.netlist.runs");
-      return rep;
-    }
-    // Gate graph for the SCC sweep (successor = any gate reading my output),
-    // flattened into CSR form so verification stays allocation-light on the
-    // hot enforce path.
-    std::vector<int> driver_gate(static_cast<std::size_t>(nets), -1);
-    for (int gi = 0; gi < ng; ++gi) {
-      driver_gate[static_cast<std::size_t>(
-          n.gates()[static_cast<std::size_t>(gi)].output.value)] = gi;
-    }
-    std::vector<int> degree(static_cast<std::size_t>(ng) + 1, 0);
-    for (int gi = 0; gi < ng; ++gi) {
-      for (NetId in : n.gates()[static_cast<std::size_t>(gi)].inputs) {
-        const int d = driver_gate[static_cast<std::size_t>(in.value)];
-        if (d >= 0) ++degree[static_cast<std::size_t>(d) + 1];
-      }
-    }
-    for (int gi = 0; gi < ng; ++gi) {
-      degree[static_cast<std::size_t>(gi) + 1] +=
-          degree[static_cast<std::size_t>(gi)];
-    }
-    std::vector<int> readers(static_cast<std::size_t>(
-        degree[static_cast<std::size_t>(ng)]));
-    std::vector<int> cursor(degree.begin(), degree.end() - 1);
-    for (int gi = 0; gi < ng; ++gi) {
-      for (NetId in : n.gates()[static_cast<std::size_t>(gi)].inputs) {
-        const int d = driver_gate[static_cast<std::size_t>(in.value)];
-        if (d >= 0) {
-          readers[static_cast<std::size_t>(
-              cursor[static_cast<std::size_t>(d)]++)] = gi;
-        }
-      }
-    }
-    check_comb_loops(n, degree, readers, rep);
+  if (!rep.has_rule("net.range") && !rep.has_rule("net.gate.id") &&
+      !rep.has_rule("net.driver-index")) {
+    check_comb_loops(n, rep);
   }
 
   obs::stat_add("check.verify.netlist.runs");

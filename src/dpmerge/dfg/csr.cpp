@@ -51,7 +51,7 @@ void build_csr(const Graph& g, Csr& c) {
   }
 
   // Kahn-LIFO topological order over the flat arrays — must stay
-  // element-for-element identical to Graph::topo_order().
+  // element-for-element identical to tests/dfg_oracle.h.
   std::vector<int> pending(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> ready;
   c.topo.clear();

@@ -213,43 +213,6 @@ std::vector<NodeId> Graph::outputs() const {
   return r;
 }
 
-void Graph::topo_order_into(std::vector<NodeId>& order,
-                            TopoScratch& scratch) const {
-  auto& pending = scratch.pending;
-  auto& ready = scratch.ready;
-  pending.assign(nodes_.size(), 0);
-  ready.clear();
-  order.clear();
-  order.reserve(nodes_.size());
-  for (const auto& n : nodes_) {
-    int cnt = 0;
-    for (EdgeId e : n.in) {
-      if (e.valid()) ++cnt;
-    }
-    pending[static_cast<std::size_t>(n.id.value)] = cnt;
-    if (cnt == 0) ready.push_back(n.id);
-  }
-  while (!ready.empty()) {
-    const NodeId id = ready.back();
-    ready.pop_back();
-    order.push_back(id);
-    for (EdgeId eid : node(id).out) {
-      const NodeId d = edge(eid).dst;
-      if (--pending[static_cast<std::size_t>(d.value)] == 0) {
-        ready.push_back(d);
-      }
-    }
-  }
-}
-
-std::vector<NodeId> Graph::topo_order() const {
-  std::vector<NodeId> order;
-  TopoScratch scratch;
-  topo_order_into(order, scratch);
-  assert(order.size() == nodes_.size() && "graph has a cycle");
-  return order;
-}
-
 std::vector<std::string> Graph::validate() const {
   std::vector<std::string> errs;
   auto err = [&errs](std::string m) { errs.push_back(std::move(m)); };
@@ -290,14 +253,8 @@ std::vector<std::string> Graph::validate() const {
       err("edge " + std::to_string(e.id.value) + ": non-positive width");
     }
   }
-  // Acyclicity, via the shared allocation-free Kahn sweep (a cycle shows up
-  // as a partial order).
-  {
-    std::vector<NodeId> order;
-    TopoScratch scratch;
-    topo_order_into(order, scratch);
-    if (order.size() != nodes_.size()) err("graph contains a cycle");
-  }
+  // A cycle shows up as a partial frozen order.
+  if (freeze().topo.size() != nodes_.size()) err("graph contains a cycle");
   return errs;
 }
 

@@ -12,6 +12,13 @@
 
 namespace dpmerge::dfg {
 
+/// Widest signal, in bits, a design may declare or infer. The `.dp` frontend
+/// and the `.dfg` reader reject anything wider (and any shift amount past
+/// it) with a located diagnostic, so width arithmetic never overflows `int`
+/// and no allocation is sized by an unchecked user number. Far above any
+/// datapath the paper's flows target.
+inline constexpr int kMaxWidth = 1024;
+
 /// Kinds of DFG nodes. The paper (Section 2.1) restricts the discussion to
 /// +, -, x and unary minus "for the sake of clarity" but notes the analyses
 /// apply to shifters and comparators too; this implementation includes both:
@@ -110,9 +117,10 @@ struct Csr {
   std::vector<std::int32_t> in_begin;
   std::vector<std::int32_t> in_edges;
 
-  /// Kahn-LIFO topological order — element-for-element identical to
-  /// `Graph::topo_order()` (cluster numbering and netlist emission depend on
-  /// that order, so the frozen view must not invent a different one).
+  /// Kahn-LIFO topological order: the graph's one topological order
+  /// (cluster numbering and netlist emission depend on it; tests/dfg_oracle.h
+  /// holds the reference sort). A cycle leaves its nodes, and everything
+  /// downstream of it, out, so `topo.size() < num_nodes` flags one.
   std::vector<NodeId> topo;
 
   std::span<const std::int32_t> out(NodeId v) const {
@@ -126,13 +134,6 @@ struct Csr {
   }
 };
 
-/// Reusable scratch for `Graph::topo_order_into`, so hot callers don't pay
-/// two vector allocations per traversal.
-struct TopoScratch {
-  std::vector<int> pending;
-  std::vector<NodeId> ready;
-};
-
 /// A data flow graph of datapath operators: directed, acyclic, connected
 /// (Section 2.1). Nodes and edges are stored in stable index vectors; ids are
 /// never reused. The only structural mutations the paper's transformations
@@ -140,7 +141,8 @@ struct TopoScratch {
 /// all provided here; removal is not supported (and not needed).
 ///
 /// Thread-safety: const accessors are safe to call concurrently EXCEPT
-/// `freeze()` (the first call after a structural mutation builds the cache).
+/// `freeze()` and `validate()` (the first call after a structural mutation
+/// builds the cache).
 /// Parallel passes freeze once up front, then share the Csr read-only.
 class Graph {
  public:
@@ -203,14 +205,6 @@ class Graph {
   std::vector<NodeId> inputs() const;
   std::vector<NodeId> outputs() const;
 
-  /// Nodes in a topological order (sources first). The graph must be acyclic.
-  std::vector<NodeId> topo_order() const;
-
-  /// Allocation-free topo sweep for hot callers: writes the order into
-  /// `order` (cleared and refilled) using `scratch`'s buffers. Emits a
-  /// partial order if the graph has a cycle (callers compare sizes).
-  void topo_order_into(std::vector<NodeId>& order, TopoScratch& scratch) const;
-
   /// Frozen CSR view of the current structure (see `Csr`). Cached; rebuilt
   /// lazily after the next `add_node`/`add_edge`/`insert_extension_*`.
   /// Width/sign/shift setters do not invalidate it.
@@ -223,8 +217,9 @@ class Graph {
   int src_width(EdgeId e) const { return node(edge(e).src).width; }
 
   /// Checks structural invariants; returns a human-readable list of
-  /// violations (empty == valid): acyclicity, port arity/ordering, one
-  /// in-edge per input port, outputs have no fanout, positive widths.
+  /// violations (empty == valid): acyclicity (from `freeze().topo`), port
+  /// arity/ordering, one in-edge per input port, outputs have no fanout,
+  /// positive widths.
   std::vector<std::string> validate() const;
 
   /// Graphviz dot rendering with widths, signs and (optionally) per-node

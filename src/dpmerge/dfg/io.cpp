@@ -134,6 +134,19 @@ Graph parse_graph(const std::string& text) {
   auto define = [&](const std::string& name, NodeId id) {
     if (!byname.emplace(name, id).second) fail("duplicate node '" + name + "'");
   };
+  // Widths lie in [1, kMaxWidth], shift amounts in [0, kMaxWidth].
+  auto bounded = [&](const std::string& tok, const char* what, int least) {
+    const int v = number_from<int>(tok, lineno, what);
+    if (v < least) {
+      fail(std::string(what) +
+           (least > 0 ? " must be positive" : " must be non-negative"));
+    }
+    if (v > kMaxWidth) {
+      fail(std::string(what) + " " + tok + " exceeds the limit of " +
+           std::to_string(kMaxWidth) + " bits");
+    }
+    return v;
+  };
 
   while (std::getline(is, line)) {
     ++lineno;
@@ -155,21 +168,18 @@ Graph parse_graph(const std::string& text) {
     const std::string& cmd = tok[0];
     if (cmd == "input") {
       if (tok.size() < 3 || tok.size() > 4) fail("input <name> <width> [sign]");
-      const int w = number_from<int>(tok[2], lineno, "width");
-      if (w <= 0) fail("width must be positive");
+      const int w = bounded(tok[2], "width", 1);
       const NodeId id = g.add_node(OpKind::Input, w, tok[1]);
       g.set_node_ext_sign(id, tok.size() == 4 ? sign_from(tok[3], lineno)
                                               : Sign::Signed);
       define(tok[1], id);
     } else if (cmd == "output") {
       if (tok.size() != 3) fail("output <name> <width>");
-      const int w = number_from<int>(tok[2], lineno, "width");
-      if (w <= 0) fail("width must be positive");
+      const int w = bounded(tok[2], "width", 1);
       define(tok[1], g.add_node(OpKind::Output, w, tok[1]));
     } else if (cmd == "const") {
       if (tok.size() != 4) fail("const <name> <width> <value>");
-      const int w = number_from<int>(tok[2], lineno, "width");
-      if (w <= 0) fail("width must be positive");
+      const int w = bounded(tok[2], "width", 1);
       BitVector v;
       if (tok[3].rfind("0b", 0) == 0) {
         v = BitVector::from_string(tok[3].substr(2)).resize(w, Sign::Signed);
@@ -181,14 +191,11 @@ Graph parse_graph(const std::string& text) {
     } else if (cmd == "node") {
       if (tok.size() < 4) fail("node <name> <kind> <width> [arg]");
       const OpKind k = kind_from(tok[2], lineno);
-      const int w = number_from<int>(tok[3], lineno, "width");
-      if (w <= 0) fail("width must be positive");
+      const int w = bounded(tok[3], "width", 1);
       const NodeId id = g.add_node(k, w, tok[1]);
       if (k == OpKind::Shl) {
         if (tok.size() != 5) fail("shl needs a shift amount");
-        const int s = number_from<int>(tok[4], lineno, "shift");
-        if (s < 0) fail("shift must be non-negative");
-        g.set_node_shift(id, s);
+        g.set_node_shift(id, bounded(tok[4], "shift", 0));
       } else if (k == OpKind::Extension) {
         if (tok.size() != 5) fail("ext needs a signedness");
         g.set_node_ext_sign(id, sign_from(tok[4], lineno));
@@ -201,8 +208,7 @@ Graph parse_graph(const std::string& text) {
       const NodeId src = lookup(tok[1]);
       const NodeId dst = lookup(tok[2]);
       const int port = number_from<int>(tok[3], lineno, "port");
-      const int w = number_from<int>(tok[4], lineno, "width");
-      if (w <= 0) fail("width must be positive");
+      const int w = bounded(tok[4], "width", 1);
       const int want = operand_count(g.node(dst).kind);
       if (port < 0 || port >= want) fail("port out of range");
       if (static_cast<int>(g.node(dst).in.size()) > port &&

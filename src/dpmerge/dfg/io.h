@@ -24,7 +24,8 @@ namespace dpmerge::dfg {
 ///   edge t r 0 9 signed
 ///
 /// `parse_graph` throws std::invalid_argument with a line number on malformed
-/// input; the result always passes Graph::validate().
+/// input, including widths and shift amounts past `kMaxWidth`; the result
+/// always passes Graph::validate().
 std::string to_text(const Graph& g);
 Graph parse_graph(const std::string& text);
 

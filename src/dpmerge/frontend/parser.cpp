@@ -211,6 +211,20 @@ class Parser {
     throw ParseError(cur_.line, cur_.col, cur_.text, msg);
   }
 
+  /// Returns `w` (declared, inferred or a shift amount) if it is at most
+  /// dfg::kMaxWidth, else throws a "frontend.limit" error located at `at`.
+  /// Operand widths are already within the limit, so no width a caller
+  /// infers from them can overflow `int`; a shift amount arrives as the
+  /// literal's 64-bit value.
+  static int within_limit(std::int64_t w, const Token& at, const char* what) {
+    if (w <= dfg::kMaxWidth) return static_cast<int>(w);
+    throw ParseError(at.line, at.col, at.text,
+                     std::string(what) + " " + std::to_string(w) +
+                         " exceeds the limit of " +
+                         std::to_string(dfg::kMaxWidth) + " bits",
+                     "frontend.limit");
+  }
+
   void shift() { cur_ = lex_.next(); }
 
   void expect(Tok k, const char* what) {
@@ -228,6 +242,7 @@ class Parser {
   /// Parses ": s8" / ": u12" type annotations.
   std::pair<int, Sign> parse_type() {
     expect(Tok::Colon, "':' and a type like s8 or u12");
+    const Token at = cur_;
     const std::string t = expect_ident("type like s8 or u12");
     if (t.size() < 2 || (t[0] != 's' && t[0] != 'u')) {
       fail("bad type '" + t + "' (use s<width> or u<width>)");
@@ -238,6 +253,7 @@ class Parser {
     if (ptr != end) fail("bad type '" + t + "'");
     if (ec != std::errc()) fail("width out of range in '" + t + "'");
     if (w <= 0) fail("width must be positive in '" + t + "'");
+    within_limit(w, at, "declared width");
     return {w, t[0] == 's' ? Sign::Signed : Sign::Unsigned};
   }
 
@@ -287,17 +303,19 @@ class Parser {
   Value parse_cmp() {
     Value lhs = parse_addsub();
     if (cur_.kind != Tok::Lt && cur_.kind != Tok::EqEq) return lhs;
-    const Tok op = cur_.kind;
+    const Token op = cur_;
     shift();
     Value rhs = parse_addsub();
     // Compare at a common lossless width; a mixed-sign compare widens the
     // unsigned side by one and compares signed.
     bool cmp_signed = lhs.sign == Sign::Signed || rhs.sign == Sign::Signed;
-    int w = std::max(lhs.width + (lhs.sign == Sign::Unsigned && cmp_signed),
-                     rhs.width + (rhs.sign == Sign::Unsigned && cmp_signed));
-    const OpKind kind = op == Tok::EqEq  ? OpKind::Eq
-                        : cmp_signed     ? OpKind::LtS
-                                         : OpKind::LtU;
+    const int w = within_limit(
+        std::max(lhs.width + (lhs.sign == Sign::Unsigned && cmp_signed),
+                 rhs.width + (rhs.sign == Sign::Unsigned && cmp_signed)),
+        op, "comparison width");
+    const OpKind kind = op.kind == Tok::EqEq ? OpKind::Eq
+                        : cmp_signed         ? OpKind::LtS
+                                             : OpKind::LtU;
     const NodeId id = g_.add_node(kind, w);
     g_.add_edge(lhs.node, id, 0, w, lhs.sign);
     g_.add_edge(rhs.node, id, 1, w, rhs.sign);
@@ -307,14 +325,16 @@ class Parser {
   Value parse_addsub() {
     Value lhs = parse_mul();
     while (cur_.kind == Tok::Plus || cur_.kind == Tok::Minus) {
-      const bool sub = cur_.kind == Tok::Minus;
+      const Token op = cur_;
+      const bool sub = op.kind == Tok::Minus;
       shift();
       const Value rhs = parse_mul();
       const Sign s =
           (sub || lhs.sign == Sign::Signed || rhs.sign == Sign::Signed)
               ? Sign::Signed
               : Sign::Unsigned;
-      const int w = std::max(lhs.width, rhs.width) + 1;
+      const int w = within_limit(std::max(lhs.width, rhs.width) + 1, op,
+                                 sub ? "difference width" : "sum width");
       const NodeId id = g_.add_node(sub ? OpKind::Sub : OpKind::Add, w);
       g_.add_edge(lhs.node, id, 0, w, lhs.sign);
       g_.add_edge(rhs.node, id, 1, w, rhs.sign);
@@ -326,10 +346,11 @@ class Parser {
   Value parse_mul() {
     Value lhs = parse_shift();
     while (cur_.kind == Tok::Star) {
+      const Token op = cur_;
       shift();
       const Value rhs = parse_shift();
       const Sign s = lhs.sign | rhs.sign;
-      const int w = lhs.width + rhs.width;
+      const int w = within_limit(lhs.width + rhs.width, op, "product width");
       const NodeId id = g_.add_node(OpKind::Mul, w);
       g_.add_edge(lhs.node, id, 0, w, lhs.sign);
       g_.add_edge(rhs.node, id, 1, w, rhs.sign);
@@ -343,9 +364,10 @@ class Parser {
     while (cur_.kind == Tok::Shl) {
       shift();
       if (cur_.kind != Tok::Int) fail("shift amount must be a literal");
-      const int s = static_cast<int>(cur_.value);
+      const Token amount = cur_;
+      const int s = within_limit(amount.value, amount, "shift amount");
       shift();
-      const int w = lhs.width + s;
+      const int w = within_limit(lhs.width + s, amount, "shifted width");
       const NodeId id = g_.add_node(OpKind::Shl, w);
       g_.set_node_shift(id, s);
       g_.add_edge(lhs.node, id, 0, w, lhs.sign);
@@ -367,11 +389,12 @@ class Parser {
 
   Value parse_unary() {
     if (cur_.kind == Tok::Minus) {
+      const Token op = cur_;
       enter_nesting();
       shift();
       const Value v = parse_unary();
       --depth_;
-      const int w = v.width + 1;
+      const int w = within_limit(v.width + 1, op, "negation width");
       const NodeId id = g_.add_node(OpKind::Neg, w);
       g_.add_edge(v.node, id, 0, w, v.sign);
       return Value{id, w, Sign::Signed};

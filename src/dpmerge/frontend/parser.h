@@ -23,7 +23,8 @@ class ParseError : public std::invalid_argument {
   /// end-of-input).
   const std::string& token() const { return token_; }
   /// "frontend.parse" for malformed source, "frontend.limit" for source
-  /// past one of the documented size limits (kMaxNestingDepth).
+  /// past one of the documented size limits (kMaxNestingDepth,
+  /// dfg::kMaxWidth).
   const std::string& rule() const { return rule_; }
 
   /// The failure as a structured finding: rule(), locus kind "line" with
@@ -82,7 +83,8 @@ struct CompileResult {
 /// Throws ParseError (an std::invalid_argument, so existing catch sites
 /// keep working) with a line/column message on errors (syntax, unknown or
 /// duplicate identifiers, zero widths, shift by negative amounts, nesting
-/// past kMaxNestingDepth).
+/// past kMaxNestingDepth, a declared or inferred width or a shift amount
+/// past dfg::kMaxWidth).
 CompileResult compile(const std::string& source);
 
 /// Non-throwing variant: on failure returns std::nullopt and appends the

@@ -245,31 +245,4 @@ const NetlistView& Netlist::view() const {
   return view_;
 }
 
-std::vector<std::string> Netlist::validate() const {
-  std::vector<std::string> errs;
-  std::vector<bool> has_pi(static_cast<std::size_t>(net_count_), false);
-  has_pi[0] = has_pi[1] = true;  // constants
-  for (const Bus& b : inputs_) {
-    for (NetId n : b.signal.bits) {
-      has_pi[static_cast<std::size_t>(n.value)] = true;
-    }
-  }
-  for (const Gate& g : gates_) {
-    for (NetId in : g.inputs) {
-      if (driver_of_[static_cast<std::size_t>(in.value)] < 0 &&
-          !has_pi[static_cast<std::size_t>(in.value)]) {
-        errs.push_back("gate " + std::to_string(g.id.value) +
-                       ": floating input net " + std::to_string(in.value));
-      }
-    }
-    if (g.output.value <= 1) {
-      errs.push_back("gate drives a constant net");
-    }
-  }
-  if (topo_gates().size() != gates_.size()) {
-    errs.push_back("combinational cycle");
-  }
-  return errs;
-}
-
 }  // namespace dpmerge::netlist

@@ -84,9 +84,10 @@ struct Bus {
 /// products generate many of those.
 ///
 /// Thread-safety: const accessors are safe to call concurrently EXCEPT
-/// `view()` / `topo_gates()` / `validate()` while the view is stale (the
-/// first call after a structural mutation builds the cache). Code that
-/// shares a netlist across threads builds the view once up front.
+/// `view()` / `topo_gates()` (and `check::verify`, which reads the view)
+/// while the view is stale: the first call after a structural mutation
+/// builds the cache. Code that shares a netlist across threads builds the
+/// view once up front.
 class Netlist {
  public:
   Netlist();
@@ -196,10 +197,6 @@ class Netlist {
   const NetlistView& view() const;
   /// Gates in topological order (inputs first): `view().topo`.
   const std::vector<GateId>& topo_gates() const { return view().topo; }
-
-  /// Structural checks: single driver per net, no combinational cycles, all
-  /// gate inputs driven or primary/constant.
-  std::vector<std::string> validate() const;
 
  private:
   int net_count_ = 0;

@@ -119,192 +119,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-namespace {
-
-/// Single-pass recursive-descent JSON checker (no value materialisation).
-class Checker {
- public:
-  explicit Checker(std::string_view t) : t_(t) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    bool ok = value();
-    if (ok) {
-      skip_ws();
-      if (pos_ != t_.size()) {
-        ok = false;
-        err_ = "trailing content";
-      }
-    }
-    if (!ok && error) {
-      *error = err_.empty() ? "malformed JSON" : err_;
-      *error += " at byte " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  bool fail(const char* why) {
-    if (err_.empty()) err_ = why;
-    return false;
-  }
-  char peek() const { return pos_ < t_.size() ? t_[pos_] : '\0'; }
-  bool eat(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < t_.size() &&
-           (t_[pos_] == ' ' || t_[pos_] == '\t' || t_[pos_] == '\n' ||
-            t_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (t_.substr(pos_, word.size()) != word) return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!eat('"')) return fail("expected string");
-    while (pos_ < t_.size()) {
-      const unsigned char c = static_cast<unsigned char>(t_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        const char e = peek();
-        if (e == 'u') {
-          ++pos_;
-          for (int i = 0; i < 4; ++i) {
-            if (!std::isxdigit(static_cast<unsigned char>(peek()))) {
-              return fail("bad \\u escape");
-            }
-            ++pos_;
-          }
-        } else if (e == '"' || e == '\\' || e == '/' || e == 'b' || e == 'f' ||
-                   e == 'n' || e == 'r' || e == 't') {
-          ++pos_;
-        } else {
-          return fail("bad escape");
-        }
-      } else {
-        ++pos_;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    eat('-');
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-      return fail("expected digit");
-    }
-    if (!eat('0')) {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (eat('.')) {
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("expected fraction digit");
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("expected exponent digit");
-      }
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool value() {
-    if (++depth_ > 256) return fail("nesting too deep");
-    bool ok = false;
-    switch (peek()) {
-      case '{': {
-        ++pos_;
-        skip_ws();
-        if (eat('}')) {
-          ok = true;
-          break;
-        }
-        for (;;) {
-          skip_ws();
-          if (!string()) break;
-          skip_ws();
-          if (!eat(':')) {
-            fail("expected ':'");
-            break;
-          }
-          skip_ws();
-          if (!value()) break;
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat('}');
-          if (!ok) fail("expected ',' or '}'");
-          break;
-        }
-        break;
-      }
-      case '[': {
-        ++pos_;
-        skip_ws();
-        if (eat(']')) {
-          ok = true;
-          break;
-        }
-        for (;;) {
-          skip_ws();
-          if (!value()) break;
-          skip_ws();
-          if (eat(',')) continue;
-          ok = eat(']');
-          if (!ok) fail("expected ',' or ']'");
-          break;
-        }
-        break;
-      }
-      case '"':
-        ok = string();
-        break;
-      case 't':
-        ok = literal("true");
-        break;
-      case 'f':
-        ok = literal("false");
-        break;
-      case 'n':
-        ok = literal("null");
-        break;
-      default:
-        ok = number();
-    }
-    --depth_;
-    return ok;
-  }
-
-  std::string_view t_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string err_;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-  return Checker(text).run(error);
-}
-
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::Object) return nullptr;
   for (const auto& [k, v] : object) {
@@ -345,9 +159,8 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-/// Materialising recursive-descent parser; the grammar mirrors Checker
-/// above (kept separate on purpose — the checker is a zero-allocation
-/// validity gate, the parser builds a tree).
+/// Materialising recursive-descent parser: the one JSON grammar (json_valid
+/// parses into a scratch value and discards it).
 class Parser {
  public:
   explicit Parser(std::string_view t) : t_(t) {}
@@ -600,6 +413,11 @@ class Parser {
 };
 
 }  // namespace
+
+bool json_valid(std::string_view text, std::string* error) {
+  JsonValue scratch;
+  return Parser(text).run(&scratch, error);
+}
 
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue{};

@@ -55,7 +55,7 @@ struct JsonValue {
                         std::string_view def = {}) const;
 };
 
-/// Parses exactly one complete JSON value (same grammar json_valid checks;
+/// Parses exactly one complete JSON value (the grammar json_valid checks;
 /// \uXXXX escapes, surrogate pairs included, are decoded to UTF-8). On
 /// failure returns false and, if `error` is non-null, a message with the
 /// byte offset of the first problem.

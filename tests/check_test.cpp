@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dpmerge/check/absint_engine.h"
+#include "dpmerge/check/absint_netlist.h"
 #include "dpmerge/check/check.h"
 #include "dpmerge/designs/figures.h"
 #include "dpmerge/designs/kernels.h"
@@ -62,6 +63,20 @@ TEST(VerifyGraph, DirectedCycle) {
   const CheckReport rep = check::verify(g);
   EXPECT_TRUE(rep.has_rule("dfg.graph.cycle")) << rep.to_text();
   EXPECT_FALSE(rep.ok());
+}
+
+TEST(VerifyGraph, CycleListsTheNodesLeftOutOfTheFrozenOrder) {
+  Graph g = small_adder();
+  const NodeId s2 = g.add_node(OpKind::Add, 9);
+  g.add_edge(NodeId{2}, s2, 0, 9, Sign::Unsigned);
+  g.add_edge(s2, NodeId{2}, 2, 9, Sign::Unsigned);
+  // The cycle 2 <-> 4 and the output 3 it feeds stay unsorted.
+  const CheckReport rep = check::verify(g);
+  ASSERT_EQ(rep.count_rule("dfg.graph.cycle"), 1) << rep.to_text();
+  for (const auto& d : rep.diagnostics()) {
+    if (d.rule != "dfg.graph.cycle") continue;
+    EXPECT_EQ(d.message, "graph contains a directed cycle through nodes {2 3 4}");
+  }
 }
 
 TEST(VerifyGraph, MissingOperand) {
@@ -190,6 +205,27 @@ TEST(VerifyNetlist, GatePinArity) {
   EXPECT_EQ(rep.count_rule("net.gate.arity"), 1) << rep.to_text();
 }
 
+TEST(VerifyNetlist, StaleDriverIndex) {
+  netlist::Netlist n = small_netlist();
+  const netlist::NetId fresh = n.new_net();
+  n.mutable_gates()[0].output = fresh;  // the driver index still names net 4
+  const CheckReport rep = check::verify(n);
+  EXPECT_EQ(rep.count_rule("net.driver-index"), 1) << rep.to_text();
+  EXPECT_FALSE(rep.has_rule("net.comb-loop")) << rep.to_text();
+}
+
+TEST(VerifyNetlist, UnreadGateIsDeadLogic) {
+  netlist::Netlist n = small_netlist();
+  n.add_gate(netlist::CellType::INV, {n.inputs()[0].signal.bit(0)});
+  EXPECT_TRUE(check::verify(n).clean());
+  check::NetlistAbsintStats st;
+  const CheckReport rep = check::lint_netlist_deadlogic(n, &st);
+  EXPECT_EQ(st.unobservable_cells, 1);
+  ASSERT_EQ(rep.count_rule("net.absint.unobservable-cell"), 1)
+      << rep.to_text();
+  EXPECT_EQ(rep.diagnostics()[0].locus.id, 1);
+}
+
 // ------------------------------------------------------- analysis lints --
 
 TEST(AnalysisLint, UnsoundClaimIsContradicted) {
@@ -234,6 +270,25 @@ TEST(Boundaries, EnforceThrowsCheckFailureWithSiteAndReport) {
     EXPECT_EQ(e.site(), "test.site");
     EXPECT_TRUE(e.report().has_rule("dfg.shl.shift"));
     EXPECT_NE(std::string(e.what()).find("test.site"), std::string::npos);
+  }
+}
+
+TEST(Boundaries, ErrorsPolicyRejectsLoopClosedBySetInput) {
+  netlist::Netlist n = small_netlist();
+  const netlist::NetId a = n.inputs()[0].signal.bit(0);
+  const netlist::NetId x = n.inv(a);
+  n.inv(x);
+  PolicyScope scope(CheckPolicy::Errors);
+  check::enforce(n, "test.site");  // loop-free: no throw
+  n.set_input(netlist::GateId{1}, 0, n.gates()[2].output);  // inv1 <-> inv2
+  try {
+    check::enforce(n, "test.site");
+    FAIL() << "enforce did not throw";
+  } catch (const check::CheckFailure& e) {
+    ASSERT_EQ(e.report().count_rule("net.comb-loop"), 1)
+        << e.report().to_text();
+    EXPECT_EQ(e.report().diagnostics()[0].message,
+              "combinational loop through 2 gate(s) {1 2}");
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dpmerge/check/check.h"
 #include "dpmerge/support/rng.h"
 #include "sim_oracle.h"
 
@@ -33,7 +34,7 @@ void check_sum(int width, const std::vector<bool>& negate,
     tree.add_constant(BitVector::from_int(width, constant));
   }
   net.add_output("s", tree.reduce_and_sum(arch));
-  ASSERT_TRUE(net.validate().empty());
+  ASSERT_TRUE(check::verify(net).ok());
 
   Simulator sim(net);
   Rng rng(seed);

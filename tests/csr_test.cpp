@@ -1,5 +1,5 @@
 // Graph::freeze() CSR view: fanin/fanout round-trip against the edge list,
-// topo-order identity with Graph::topo_order(), level-structure invariants,
+// topo-order identity with the Kahn-LIFO oracle (dfg_oracle.h),
 // cache-invalidation semantics, name interning and reserve().
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "dpmerge/dfg/graph.h"
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/support/rng.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::dfg {
 namespace {
@@ -74,7 +75,7 @@ TEST(CsrTest, EveryEdgeAppearsExactlyOnceEachSide) {
 TEST(CsrTest, TopoIdenticalToGraphTopoOrder) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Graph g = sample_graph(seed);
-    EXPECT_EQ(g.freeze().topo, g.topo_order());
+    EXPECT_EQ(g.freeze().topo, oracle::topo_order(g));
   }
 }
 
@@ -103,16 +104,6 @@ TEST(CsrTest, CacheInvalidationSemantics) {
   EXPECT_TRUE(g.validate().empty());
 }
 
-TEST(CsrTest, TopoOrderIntoReusesScratch) {
-  TopoScratch scratch;
-  std::vector<NodeId> order;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const Graph g = sample_graph(seed);
-    g.topo_order_into(order, scratch);
-    EXPECT_EQ(order, g.topo_order());
-  }
-}
-
 TEST(CsrTest, NameInterningDeduplicatesAndRoundTrips) {
   Graph g;
   const NodeId a = g.add_node(OpKind::Input, 8, "same");
@@ -138,7 +129,7 @@ TEST(CsrTest, ReservePreservesBehaviour) {
   }
   b.output("o", 9, Operand{prev.back()});
   EXPECT_TRUE(g.validate().empty());
-  EXPECT_EQ(g.freeze().topo, g.topo_order());
+  EXPECT_EQ(g.freeze().topo, oracle::topo_order(g));
 }
 
 }  // namespace

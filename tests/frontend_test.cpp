@@ -176,6 +176,53 @@ TEST(Frontend, NestingPastTheLimitIsALocatedLimitError) {
   }
 }
 
+TEST(Frontend, WidthsPastTheLimitAreLocatedLimitErrors) {
+  // The widest legal signals still compile.
+  EXPECT_NO_THROW(compile("input a : u1024\noutput y : u1024 = a\n"));
+  EXPECT_NO_THROW(compile("input a : s8\noutput y : s8 = a << 1016\n"));
+
+  // A t*t chain doubles the width each line: t8 would be 2048 bits.
+  std::string chain = "input t0 : s8\n";
+  for (int i = 1; i <= 3000; ++i) {
+    const std::string p = "t" + std::to_string(i - 1);
+    chain += "let t" + std::to_string(i) + " = " + p + " * " + p + "\n";
+  }
+  chain += "output y : s8 = t3000\n";
+
+  struct Case {
+    std::string source;
+    int line;
+    int column;
+  };
+  const Case cases[] = {
+      {"input a : s8\noutput y : s16 = a << 2147483647\n", 2, 23},
+      {"input a : s8\noutput y : s16 = a << 99999999999\n", 2, 23},
+      {"input a : s8\noutput y : s16 = a << 1017\n", 2, 23},
+      {"input a : s2000000000\noutput y : s8 = a\n", 1, 11},
+      {chain, 9, 13},
+      {"input a : u1024\noutput y : u8 = a + a\n", 2, 19},
+      {"input a : u1024\noutput y : u8 = -a\n", 2, 17},
+      {"input a : u1024\ninput b : s8\noutput y : u1 = a < b\n", 3, 19},
+  };
+  for (const Case& c : cases) {
+    const std::string head = c.source.substr(0, 40);
+    try {
+      compile(c.source);
+      ADD_FAILURE() << "expected a width-limit error: " << head;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.rule(), "frontend.limit") << head << ": " << e.what();
+      EXPECT_EQ(e.line(), c.line) << head;
+      EXPECT_EQ(e.column(), c.column) << head;
+      EXPECT_NE(std::string(e.what()).find("exceeds the limit of 1024 bits"),
+                std::string::npos)
+          << e.what();
+    }
+    check::CheckReport rep;
+    EXPECT_FALSE(compile_or_diagnose(c.source, rep));
+    EXPECT_EQ(rep.count_rule("frontend.limit"), 1) << head;
+  }
+}
+
 TEST(Frontend, CompiledDesignSynthesizesCorrectly) {
   const auto res = compile(R"(
 design mac4

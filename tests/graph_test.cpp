@@ -7,6 +7,7 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/support/rng.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::dfg {
 namespace {
@@ -71,7 +72,8 @@ TEST(Graph, TopoOrderRespectsEdges) {
   opt.num_operators = 40;
   const Graph g = random_graph(rng, opt);
   EXPECT_TRUE(g.validate().empty());
-  const auto order = g.topo_order();
+  const auto& order = g.freeze().topo;
+  EXPECT_EQ(order, oracle::topo_order(g));
   ASSERT_EQ(order.size(), static_cast<std::size_t>(g.node_count()));
   std::vector<int> pos(static_cast<std::size_t>(g.node_count()));
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -92,6 +94,21 @@ TEST(Graph, ValidateDetectsMissingOperand) {
   // Second operand left unconnected.
   const auto errs = g.validate();
   EXPECT_FALSE(errs.empty());
+}
+
+TEST(Graph, ValidateDetectsCycleFromTheFrozenOrder) {
+  Graph g = simple_sum();
+  EXPECT_TRUE(g.validate().empty());
+  // A second adder wired mutually with the first: s -> t -> s.
+  const NodeId s{2};
+  const NodeId t = g.add_node(OpKind::Add, 9);
+  g.add_edge(s, t, 0);
+  g.add_edge(t, s, 2);
+  EXPECT_EQ(g.freeze().topo, oracle::topo_order(g));
+  EXPECT_LT(g.freeze().topo.size(), static_cast<std::size_t>(g.node_count()));
+  const auto errs = g.validate();
+  EXPECT_NE(std::find(errs.begin(), errs.end(), "graph contains a cycle"),
+            errs.end());
 }
 
 TEST(Graph, ValidateDetectsBadWidth) {

@@ -97,6 +97,19 @@ TEST(Io, ErrorsCarryLineNumbers) {
                "line 2: shift '4294967296' out of range");
   expect_throw("dfg v1\ninput a 8\nnode t neg 8\nedge a t 0x 8 signed\n",
                "line 4: port '0x' not an integer");
+  // Widths and shift amounts past dfg::kMaxWidth are located errors too.
+  expect_throw("dfg v1\ninput a 2000000000\n",
+               "line 2: width 2000000000 exceeds the limit of 1024 bits");
+  expect_throw("dfg v1\noutput y 1025\n",
+               "line 2: width 1025 exceeds the limit of 1024 bits");
+  expect_throw("dfg v1\nconst k 4096 3\n",
+               "line 2: width 4096 exceeds the limit of 1024 bits");
+  expect_throw("dfg v1\nnode t add 1025\n",
+               "line 2: width 1025 exceeds the limit of 1024 bits");
+  expect_throw("dfg v1\ninput a 8\nnode s shl 8 2147483647\n",
+               "line 3: shift 2147483647 exceeds the limit of 1024 bits");
+  expect_throw("dfg v1\ninput a 8\nnode t neg 8\nedge a t 0 1025 signed\n",
+               "line 4: width 1025 exceeds the limit of 1024 bits");
 }
 
 TEST(Io, RoundTripPreservesFunction) {

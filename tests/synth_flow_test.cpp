@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dpmerge/check/check.h"
 #include "dpmerge/designs/figures.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/builder.h"
@@ -23,8 +24,8 @@ void expect_flow_correct(const Graph& g, Flow flow, std::uint64_t seed,
   SynthOptions opt;
   opt.adder = arch;
   const FlowResult res = run_flow(g, flow, opt);
-  const auto errs = res.net.validate();
-  ASSERT_TRUE(errs.empty()) << what << ": " << errs.front();
+  const auto rep = check::verify(res.net);
+  ASSERT_TRUE(rep.ok()) << what << ": " << rep.to_text();
   Rng rng(seed);
   std::string why;
   // NOTE: verify against the ORIGINAL graph — NewMerge transformed a copy.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dpmerge/check/check.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/support/rng.h"
@@ -38,7 +39,7 @@ TEST(TimingOpt, PreservesFunctionality) {
   o.target_ns = 0.0;
   o.max_moves = 200;
   opt.optimize(flow.net, o);
-  ASSERT_TRUE(flow.net.validate().empty());
+  ASSERT_TRUE(check::verify(flow.net).ok());
   Rng rng(7);
   std::string why;
   EXPECT_TRUE(synth::verify_netlist(flow.net, g, 24, rng, &why)) << why;

@@ -220,11 +220,7 @@ int main(int argc, char** argv) {
             auto res = synth::run_flow(graph, flow, sopt);
             res.report.design = path;
             session.reports.push_back(res.report);
-            // Warnings off: synthesized netlists legitimately contain unread
-            // helper gates (unused carry tails, comparator internals).
-            check::NetVerifyOptions nopts;
-            nopts.warnings = false;
-            rep.merge(check::verify(res.net, nullptr, nopts));
+            rep.merge(check::verify(res.net));
           } catch (const check::CheckFailure& e) {
             rep.merge(e.report());
           }
