@@ -86,12 +86,13 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   st.gates = nl.gate_count();
 
   // Forward: tri-state values per net. Constants are pinned, every other
-  // undriven net (primary inputs) varies; gates evaluate in topo order.
+  // undriven net (primary inputs) varies; gates evaluate in Kahn order,
+  // which also fixes the order of the findings.
   std::vector<unsigned char> tri(static_cast<std::size_t>(nl.net_count()),
                                  kU);
   tri[static_cast<std::size_t>(nl.const0().value)] = kF;
   tri[static_cast<std::size_t>(nl.const1().value)] = kT;
-  const std::vector<GateId>& order = nl.topo_gates();
+  const std::vector<GateId> order = netlist::kahn_order(nl);
   for (GateId gid : order) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
     tri[static_cast<std::size_t>(gt.output.value)] = eval_gate(gt, tri);

@@ -125,10 +125,12 @@ CheckReport verify(const dfg::Graph& g);
 ///                        primary input nor a constant
 ///   net.undriven-output  primary-output bit with no driver (and not PI/const)
 ///   net.comb-loop        combinational cycle (one finding per Tarjan SCC)
-/// Loops come from the cached `view()` (the one STA builds anyway): gates
-/// its Kahn order leaves out are the only ones the SCC sweep visits, so a
-/// loop-free netlist pays one comparison. That sweep runs only when the
-/// census found no `net.range`, `net.gate.id` or `net.driver-index` error.
+/// While `index_topological()` holds there is no loop and no loop check.
+/// Otherwise loops come from the cached `view()` (the one STA builds then
+/// anyway): gates its Kahn order leaves out are the only ones the SCC sweep
+/// visits, so a loop-free netlist pays one comparison. That sweep runs only
+/// when the census found no `net.range`, `net.gate.id` or
+/// `net.driver-index` error.
 /// Dead logic is `lint_netlist_deadlogic`'s job (absint_netlist.h).
 CheckReport verify(const netlist::Netlist& n);
 

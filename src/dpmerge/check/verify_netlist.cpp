@@ -247,8 +247,10 @@ CheckReport verify(const Netlist& n) {
     }
   }
 
-  if (!rep.has_rule("net.range") && !rep.has_rule("net.gate.id") &&
-      !rep.has_rule("net.driver-index")) {
+  // Index order topological means every gate reads only earlier gates: no
+  // loop, and no view to build.
+  if (!n.index_topological() && !rep.has_rule("net.range") &&
+      !rep.has_rule("net.gate.id") && !rep.has_rule("net.driver-index")) {
     check_comb_loops(n, rep);
   }
 

@@ -18,27 +18,29 @@ NetId Netlist::new_net() {
 }
 
 NetId Netlist::add_gate(CellType t, PinList inputs) {
-  const NetId out = new_net();
-  add_gate_driving(t, inputs, out);
-  return out;
-}
-
-GateId Netlist::add_gate_driving(CellType t, PinList inputs, NetId out) {
   assert(static_cast<int>(inputs.size()) == cell_input_count(t));
+  const NetId out = new_net();
   Gate g;
   g.id = GateId{static_cast<int>(gates_.size())};
   g.type = t;
   g.inputs = inputs;
   g.output = out;
-  assert(driver_of_[static_cast<std::size_t>(out.value)] == -1 &&
-         "net already driven");
   driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
   gates_.push_back(g);
-  ++version_;
 #ifndef DPMERGE_OBS_DISABLED
   gate_owner_.push_back(current_owner_);
 #endif
-  return gates_.back().id;
+  return out;
+}
+
+void Netlist::set_input(GateId g, int pin, NetId n) {
+  gates_[static_cast<std::size_t>(g.value)]
+      .inputs[static_cast<std::size_t>(pin)] = n;
+  ++version_;
+  if (n.value < 0 || n.value >= net_count_ ||
+      driver_of_[static_cast<std::size_t>(n.value)] >= g.value) {
+    index_topological_ = false;
+  }
 }
 
 NetId Netlist::inv(NetId a) {
@@ -171,8 +173,11 @@ const Gate* Netlist::driver(NetId n) const {
 
 namespace {
 
+/// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
+/// its positions; otherwise `topo` and `topo_pos` are left empty.
 void build_view(const std::vector<Gate>& gates,
-                const std::vector<int>& driver_of, NetlistView& v) {
+                const std::vector<int>& driver_of, bool with_topo,
+                NetlistView& v) {
   const std::size_t nets = driver_of.size();
   const std::size_t ng = gates.size();
 
@@ -181,15 +186,16 @@ void build_view(const std::vector<Gate>& gates,
   // sort is done). Gates with none seed the ready stack in gate order.
   v.reader_begin.assign(nets + 1, 0);
   std::vector<std::int32_t>& pending = v.topo_pos;
-  pending.resize(ng);
+  pending.resize(with_topo ? ng : 0);
   std::vector<std::int32_t> ready;
   for (std::size_t gi = 0; gi < ng; ++gi) {
     std::int32_t cnt = 0;
     for (NetId in : gates[gi].inputs) {
       const auto ni = static_cast<std::size_t>(in.value);
       ++v.reader_begin[ni];
-      if (driver_of[ni] >= 0) ++cnt;
+      if (with_topo && driver_of[ni] >= 0) ++cnt;
     }
+    if (!with_topo) continue;
     pending[gi] = cnt;
     if (cnt == 0) ready.push_back(static_cast<std::int32_t>(gi));
   }
@@ -210,6 +216,7 @@ void build_view(const std::vector<Gate>& gates,
     }
   }
 
+  if (!with_topo) return;
   // Kahn-LIFO over the driven pins. Must stay element-for-element
   // identical to the original per-call sort (tests/netlist_oracle.h):
   // simplify and Verilog numbering follow this order.
@@ -239,10 +246,19 @@ const NetlistView& Netlist::view() const {
   if (view_version_ != version_) {
     obs::Span span("netlist.view");
     obs::stat_add("netlist.view_builds");
-    build_view(gates_, driver_of_, view_);
+    build_view(gates_, driver_of_, !index_topological_, view_);
     view_version_ = version_;
   }
   return view_;
+}
+
+std::vector<GateId> kahn_order(const Netlist& n) {
+  if (!n.index_topological()) return n.view().topo;
+  // A private build: the cached view keeps no order while index order is
+  // topological, and this leaves it untouched.
+  NetlistView v;
+  build_view(n.gates_, n.driver_of_, true, v);
+  return std::move(v.topo);
 }
 
 }  // namespace dpmerge::netlist

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -39,13 +40,17 @@ static_assert(sizeof(Gate) <= 32, "gates are stored flat; keep them small");
 
 /// Cached structural view of a Netlist, built by `Netlist::view()` and kept
 /// until the next structural mutation (new net, new gate, rewired pin,
-/// `mutable_gates`). Drive changes do not invalidate it. Mirrors `dfg::Csr`: build once, then
-/// share read-only.
+/// `mutable_gates`). Drive changes do not invalidate it. Mirrors `dfg::Csr`:
+/// build once, then share read-only. While `Netlist::index_topological()`
+/// holds, gate-index order is the topological order and the view holds only
+/// the reader CSR (`topo` and `topo_pos` stay empty).
 struct NetlistView {
-  /// Kahn-LIFO topological order (inputs first). A combinational cycle
-  /// leaves its gates out, so `topo.size() < gate_count()` flags one.
+  /// Kahn-LIFO topological order (inputs first), built only while the
+  /// index-order bit is clear. A combinational cycle leaves its gates out,
+  /// so `topo.size() < gate_count()` flags one.
   std::vector<GateId> topo;
-  /// Gate index -> position in `topo` (-1 for gates left out by a cycle).
+  /// Gate index -> position in `topo` (-1 for gates left out by a cycle);
+  /// empty while `topo` is.
   std::vector<std::int32_t> topo_pos;
   /// Reader CSR over every net (constants and primary inputs included):
   /// the gates reading net n are readers[reader_begin[n]..reader_begin[n+1]),
@@ -58,6 +63,51 @@ struct NetlistView {
     return {readers.data() + reader_begin[i],
             readers.data() + reader_begin[i + 1]};
   }
+};
+
+/// Gates in topological order (inputs first), as returned by
+/// `Netlist::topo_gates()`: gate-index order `0..n` while the netlist's
+/// index-order bit holds (nothing is built or stored), otherwise the view's
+/// Kahn-LIFO order. A range of `GateId`s; valid until the next structural
+/// mutation.
+class GateOrder {
+ public:
+  class iterator {
+   public:
+    using value_type = GateId;
+    using difference_type = std::ptrdiff_t;
+
+    GateId operator*() const { return order_ ? order_[pos_] : GateId{pos_}; }
+    iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++pos_;
+      return old;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class GateOrder;
+    iterator(const GateId* order, int pos) : order_(order), pos_(pos) {}
+    const GateId* order_ = nullptr;  ///< null: index order
+    int pos_ = 0;
+  };
+
+  std::size_t size() const { return static_cast<std::size_t>(size_); }
+  GateId operator[](std::size_t i) const {
+    return order_ ? order_[i] : GateId{static_cast<int>(i)};
+  }
+  iterator begin() const { return {order_, 0}; }
+  iterator end() const { return {order_, size_}; }
+
+ private:
+  friend class Netlist;
+  GateOrder(const GateId* order, int size) : order_(order), size_(size) {}
+  const GateId* order_;  ///< null: index order
+  int size_;
 };
 
 /// A multi-bit signal: nets in LSB-first order. Mirrors BitVector semantics
@@ -83,11 +133,19 @@ struct Bus {
 /// inputs are the constant nets — width adaptation and masked partial
 /// products generate many of those.
 ///
+/// Index order: `add_gate` appends a gate whose output is a fresh net no
+/// gate reads yet, so a netlist built by it alone lists every gate after the
+/// drivers of its inputs. `index_topological()` records that. Two mutators
+/// can break it, and clear it for good: `set_input` to a net whose driver
+/// is not earlier than the gate, and `mutable_gates()`.
+///
 /// Thread-safety: const accessors are safe to call concurrently EXCEPT
-/// `view()` / `topo_gates()` (and `check::verify`, which reads the view)
-/// while the view is stale: the first call after a structural mutation
-/// builds the cache. Code that shares a netlist across threads builds the
-/// view once up front.
+/// `view()` (and, while the index-order bit is clear, `kahn_order` and
+/// `check::verify`, which read the view) while the view is stale: the first
+/// call after a structural mutation builds the cache. `topo_gates()` builds
+/// nothing while the bit is set, so it is safe to call concurrently then;
+/// with the bit clear it reads the view. Code that shares a netlist across
+/// threads builds the view once up front when it needs it.
 class Netlist {
  public:
   Netlist();
@@ -97,21 +155,17 @@ class Netlist {
   NetId const1() const { return NetId{1}; }
   bool is_const(NetId n) const { return n.value <= 1; }
 
-  /// Raw gate creation (no folding).
+  /// Raw gate creation (no folding): appends a gate driving a fresh net.
   NetId add_gate(CellType t, PinList inputs);
-  /// Re-drives an existing net with a gate (used by buffering transforms).
-  GateId add_gate_driving(CellType t, PinList inputs, NetId out);
 
   /// Sets a gate's drive-strength variant. Not structural: the view stays.
   void set_drive(GateId g, int drive) {
     gates_[static_cast<std::size_t>(g.value)].drive = drive;
   }
-  /// Rewires input pin `pin` of gate `g` to net `n`. Structural.
-  void set_input(GateId g, int pin, NetId n) {
-    gates_[static_cast<std::size_t>(g.value)]
-        .inputs[static_cast<std::size_t>(pin)] = n;
-    ++version_;
-  }
+  /// Rewires input pin `pin` of gate `g` to net `n`. Structural. Clears
+  /// the index-order bit unless `n` is undriven or driven by an earlier
+  /// gate.
+  void set_input(GateId g, int pin, NetId n);
 
   // Folding helpers.
   NetId inv(NetId a);
@@ -143,10 +197,12 @@ class Netlist {
   const std::vector<Gate>& gates() const { return gates_; }
   /// Unchecked write access for the verifier tests' corruption cases; real
   /// transforms use `set_drive` / `set_input`. Counts as a structural
-  /// mutation at the call: a reference obtained here must not be used to
-  /// change structure after the next view build (the view would go stale).
+  /// mutation at the call, and clears the index-order bit: a reference
+  /// obtained here must not be used to change structure after the next view
+  /// build (the view would go stale).
   std::vector<Gate>& mutable_gates() {
     ++version_;
+    index_topological_ = false;
     return gates_;
   }
   int gate_count() const { return static_cast<int>(gates_.size()); }
@@ -192,19 +248,30 @@ class Netlist {
   /// Driver gate of a net, or nullptr for primary inputs / constants.
   const Gate* driver(NetId n) const;
 
+  /// True while gate-index order is topological (see the class comment).
+  bool index_topological() const { return index_topological_; }
+
   /// Cached structural view (see `NetlistView`); rebuilt lazily on the
   /// first call after a structural mutation.
   const NetlistView& view() const;
-  /// Gates in topological order (inputs first): `view().topo`.
-  const std::vector<GateId>& topo_gates() const { return view().topo; }
+  /// Gates in topological order (inputs first): index order while
+  /// `index_topological()`, else `view().topo`.
+  GateOrder topo_gates() const {
+    if (index_topological_) return {nullptr, gate_count()};
+    const NetlistView& v = view();
+    return {v.topo.data(), static_cast<int>(v.topo.size())};
+  }
 
  private:
+  friend std::vector<GateId> kahn_order(const Netlist& n);
+
   int net_count_ = 0;
   std::vector<Gate> gates_;
   std::vector<int> driver_of_;  // net -> gate index, -1 if none
   std::vector<Bus> inputs_;
   std::vector<Bus> outputs_;
   std::uint64_t version_ = 0;  ///< Structural mutation counter (view key).
+  bool index_topological_ = true;
   mutable NetlistView view_;
   mutable std::uint64_t view_version_ = ~std::uint64_t{0};
 #ifndef DPMERGE_OBS_DISABLED
@@ -212,5 +279,12 @@ class Netlist {
   int current_owner_ = -1;
 #endif
 };
+
+/// The Kahn-LIFO topological order (inputs first; gates on or downstream
+/// of a cycle left out), from the same code as `NetlistView::topo`, whatever
+/// the index-order bit. For artifacts whose text follows that order (the
+/// gate numbering of `simplify`, the finding order of
+/// `check::lint_netlist_deadlogic`); everything else iterates `topo_gates()`.
+std::vector<GateId> kahn_order(const Netlist& n);
 
 }  // namespace dpmerge::netlist

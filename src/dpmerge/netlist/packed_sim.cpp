@@ -7,7 +7,9 @@
 namespace dpmerge::netlist {
 
 PackedSimulator::PackedSimulator(const Netlist& n) : net_(n) {
-  (void)n.view();  // built here, so concurrent runs only read it
+  // With the index-order bit clear `run` walks the view's order: build it
+  // here, so concurrent runs only read it.
+  if (!n.index_topological()) (void)n.view();
 }
 
 std::vector<PackedSimulator::PackedBus> PackedSimulator::run(

@@ -66,7 +66,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
     return NetId{};
   };
 
-  for (GateId gid : n.topo_gates()) {
+  for (GateId gid : kahn_order(n)) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
     PinList ins;
     for (NetId in : g.inputs) {
@@ -181,7 +181,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       }
       pruned.add_input(nb.name, nb.signal);
     }
-    for (GateId gid : out.topo_gates()) {
+    for (GateId gid : kahn_order(out)) {
       const Gate& g = out.gates()[static_cast<std::size_t>(gid.value)];
       if (!live[static_cast<std::size_t>(g.output.value)]) continue;
       PinList ins;

@@ -102,13 +102,16 @@ void IncrementalSta::update_drive_change(GateId g) {
   const Gate& gate = net_.gates()[static_cast<std::size_t>(g.value)];
   const NetlistView& view = net_.view();
 
-  // Min-heap over topo positions so cone gates are re-evaluated in
-  // dependency order (each gate at most once per update).
+  // Min-heap over topological positions so cone gates are re-evaluated in
+  // dependency order (each gate at most once per update). While index
+  // order is topological the position is the gate index itself.
+  const bool by_index = net_.index_topological();
   std::priority_queue<int, std::vector<int>, std::greater<int>> pq;
   auto enqueue = [&](int gate_idx) {
     if (!queued_[static_cast<std::size_t>(gate_idx)]) {
       queued_[static_cast<std::size_t>(gate_idx)] = 1;
-      pq.push(view.topo_pos[static_cast<std::size_t>(gate_idx)]);
+      pq.push(by_index ? gate_idx
+                       : view.topo_pos[static_cast<std::size_t>(gate_idx)]);
     }
   };
 
@@ -134,7 +137,8 @@ void IncrementalSta::update_drive_change(GateId g) {
   while (!pq.empty()) {
     const int pos = pq.top();
     pq.pop();
-    const int gi = view.topo[static_cast<std::size_t>(pos)].value;
+    const int gi =
+        by_index ? pos : view.topo[static_cast<std::size_t>(pos)].value;
     queued_[static_cast<std::size_t>(gi)] = 0;
     ++cone_gates;
     const NetId out = net_.gates()[static_cast<std::size_t>(gi)].output;

@@ -55,10 +55,13 @@ class Sta {
 ///   - `arrival_[n]` == from-scratch arrival of net n
 ///   - `from_[n]`    == latest-arriving input of n's driver (ties broken
 ///                      last input wins)
-/// Topological order, topo positions and reader lists come from the
-/// netlist's cached `NetlistView`, fetched afresh on every call (no pointer
-/// into it is kept). Any structural edit (adding gates, rewiring inputs)
-/// invalidates the timing state; call `rebuild()` afterwards.
+/// The topological order is `Netlist::topo_gates()`: gate-index order while
+/// `index_topological()` holds, so the worklist is keyed by gate index and
+/// no order is built; otherwise the view's Kahn order and `topo_pos`.
+/// Reader lists come from the netlist's cached `NetlistView`, fetched afresh
+/// on every call (no pointer into it is kept). Any structural edit (adding
+/// gates, rewiring inputs) invalidates the timing state; call `rebuild()`
+/// afterwards.
 class IncrementalSta {
  public:
   IncrementalSta(const Netlist& n, const CellLibrary& lib);

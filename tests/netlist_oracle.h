@@ -1,7 +1,8 @@
-// Reference oracle for the netlist's cached structural view: the original
+// Reference oracles for the netlist's topological orders: the original
 // per-call Kahn-LIFO topological sort over a freshly built
-// vector-of-vectors reader list. `NetlistView::topo` must equal it element
-// for element.
+// vector-of-vectors reader list (`NetlistView::topo` and `kahn_order` must
+// equal it element for element), and a linear check that gate-index order
+// is topological (what `Netlist::index_topological()` claims).
 
 #pragma once
 
@@ -41,6 +42,18 @@ inline std::vector<GateId> topo_gates(const Netlist& n) {
     }
   }
   return order;
+}
+
+/// True when every gate reads only undriven nets and nets driven by
+/// earlier gates.
+inline bool index_order_is_topological(const Netlist& n) {
+  for (const Gate& g : n.gates()) {
+    for (NetId in : g.inputs) {
+      const Gate* d = n.driver(in);
+      if (d != nullptr && d->id.value >= g.id.value) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace dpmerge::netlist::oracle

@@ -24,7 +24,9 @@ namespace dpmerge::netlist {
 class Simulator {
  public:
   explicit Simulator(const Netlist& n) : net_(n) {
-    (void)n.view();  // built here, so concurrent runs only read it
+    // With the index-order bit clear `run` walks the view's order: build
+    // it here, so concurrent runs only read it.
+    if (!n.index_topological()) (void)n.view();
   }
 
   /// Positional form: `inputs[i]` supplies the value of the i-th bus in
