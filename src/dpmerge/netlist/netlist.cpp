@@ -175,9 +175,8 @@ namespace {
 
 /// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
 /// its positions; otherwise `topo` and `topo_pos` are left empty.
-void build_view(const std::vector<Gate>& gates,
-                const std::vector<int>& driver_of, bool with_topo,
-                NetlistView& v) {
+void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
+                bool with_topo, NetlistView& v) {
   const std::size_t nets = driver_of.size();
   const std::size_t ng = gates.size();
 
@@ -246,7 +245,7 @@ const NetlistView& Netlist::view() const {
   if (view_version_ != version_) {
     obs::Span span("netlist.view");
     obs::stat_add("netlist.view_builds");
-    build_view(gates_, driver_of_, !index_topological_, view_);
+    build_view(gates(), driver_of_.span(), !index_topological_, view_);
     view_version_ = version_;
   }
   return view_;
@@ -257,7 +256,7 @@ std::vector<GateId> kahn_order(const Netlist& n) {
   // A private build: the cached view keeps no order while index order is
   // topological, and this leaves it untouched.
   NetlistView v;
-  build_view(n.gates_, n.driver_of_, true, v);
+  build_view(n.gates(), n.driver_of_.span(), true, v);
   return std::move(v.topo);
 }
 

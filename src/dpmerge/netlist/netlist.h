@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dpmerge/netlist/cell.h"
 #include "dpmerge/support/bitvector.h"
 #include "dpmerge/support/inline_list.h"
+#include "dpmerge/support/pod_buffer.h"
 #include "dpmerge/support/sign.h"
 
 namespace dpmerge::netlist {
@@ -37,6 +39,8 @@ struct Gate {
   NetId output;
 };
 static_assert(sizeof(Gate) <= 32, "gates are stored flat; keep them small");
+static_assert(std::is_trivially_copyable_v<Gate>,
+              "the gate array grows by realloc (support::PodBuffer)");
 
 /// Cached structural view of a Netlist, built by `Netlist::view()` and kept
 /// until the next structural mutation (new net, new gate, rewired pin,
@@ -194,16 +198,17 @@ class Netlist {
   const std::vector<Bus>& inputs() const { return inputs_; }
   const std::vector<Bus>& outputs() const { return outputs_; }
 
-  const std::vector<Gate>& gates() const { return gates_; }
+  /// The gates, by index. Valid until the next `add_gate`.
+  std::span<const Gate> gates() const { return gates_.span(); }
   /// Unchecked write access for the verifier tests' corruption cases; real
   /// transforms use `set_drive` / `set_input`. Counts as a structural
-  /// mutation at the call, and clears the index-order bit: a reference
-  /// obtained here must not be used to change structure after the next view
-  /// build (the view would go stale).
-  std::vector<Gate>& mutable_gates() {
+  /// mutation at the call, and clears the index-order bit: a span obtained
+  /// here must not be used to change structure after the next view build
+  /// (the view would go stale).
+  std::span<Gate> mutable_gates() {
     ++version_;
     index_topological_ = false;
-    return gates_;
+    return gates_.span();
   }
   int gate_count() const { return static_cast<int>(gates_.size()); }
   int net_count() const { return net_count_; }
@@ -265,9 +270,11 @@ class Netlist {
  private:
   friend std::vector<GateId> kahn_order(const Netlist& n);
 
+  // Per-gate and per-net arrays grow by realloc, not by vector regrowth
+  // (DESIGN.md §5b).
   int net_count_ = 0;
-  std::vector<Gate> gates_;
-  std::vector<int> driver_of_;  // net -> gate index, -1 if none
+  support::PodBuffer<Gate> gates_;
+  support::PodBuffer<int> driver_of_;  // net -> gate index, -1 if none
   std::vector<Bus> inputs_;
   std::vector<Bus> outputs_;
   std::uint64_t version_ = 0;  ///< Structural mutation counter (view key).
@@ -275,7 +282,7 @@ class Netlist {
   mutable NetlistView view_;
   mutable std::uint64_t view_version_ = ~std::uint64_t{0};
 #ifndef DPMERGE_OBS_DISABLED
-  std::vector<int> gate_owner_;  // parallel to gates_; -1 = untagged
+  support::PodBuffer<int> gate_owner_;  // parallel to gates_; -1 = untagged
   int current_owner_ = -1;
 #endif
 };

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "dpmerge/support/sign.h"
 
@@ -21,7 +20,10 @@ namespace dpmerge {
 /// 2.1 of the paper) or interpreted (`to_int64`, `signed_lt`, ...).
 ///
 /// Bits are stored little-endian in 64-bit words; unused high bits of the top
-/// word are kept zero as a class invariant.
+/// word are kept zero as a class invariant. A value of at most 64 bits lives
+/// in one inline word; only wider values own a heap block. Operations work
+/// on whole words through `data()`, so the two cases share one code path.
+/// A moved-from vector is empty (width 0).
 class BitVector {
  public:
   /// The zero-width vector (identity for `concat`-style uses; rarely needed).
@@ -29,6 +31,28 @@ class BitVector {
 
   /// A `width`-bit vector of all zeros. `width >= 0`.
   explicit BitVector(int width);
+
+  BitVector(const BitVector& other) : width_(other.width_) {
+    if (on_heap()) {
+      heap_ = new_words(other.heap_);
+    } else {
+      word_ = other.word_;
+    }
+  }
+  BitVector(BitVector&& other) noexcept : width_(other.width_) {
+    if (on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      word_ = other.word_;
+    }
+    other.width_ = 0;
+    other.word_ = 0;
+  }
+  BitVector& operator=(const BitVector& other);
+  BitVector& operator=(BitVector&& other) noexcept;
+  ~BitVector() {
+    if (on_heap()) delete[] heap_;
+  }
 
   /// Builds a `width`-bit vector from the low bits of `v` (zero-extended).
   static BitVector from_uint(int width, std::uint64_t v);
@@ -46,6 +70,10 @@ class BitVector {
   /// Value of bit `i` (bit 0 = least significant). Requires 0 <= i < width.
   bool bit(int i) const;
   void set_bit(int i, bool value);
+
+  /// Stores word `k` (bits 64k..64k+63); bits above `width` are dropped.
+  /// Requires 0 <= k < ceil(width / 64).
+  void set_word(int k, std::uint64_t w);
 
   /// Most significant bit; requires width >= 1.
   bool msb() const { return bit(width_ - 1); }
@@ -103,11 +131,25 @@ class BitVector {
   bool signed_lt(const BitVector& rhs) const;
 
  private:
+  static constexpr int kInlineBits = 64;
+
+  bool on_heap() const { return width_ > kInlineBits; }
+  std::uint64_t* data() { return on_heap() ? heap_ : &word_; }
+  const std::uint64_t* data() const { return on_heap() ? heap_ : &word_; }
+  int num_words() const { return (width_ + 63) / 64; }
   void normalize();  // zero the unused bits of the top word
-  int num_words() const { return static_cast<int>(words_.size()); }
+  /// A fresh heap block holding a copy of this width's words from `src`.
+  std::uint64_t* new_words(const std::uint64_t* src) const;
+  /// Index of the highest bit that differs from `fill`, or -1.
+  int highest_bit_unlike(bool fill) const;
 
   int width_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t word_ = 0;  ///< the value, while width <= 64
+    std::uint64_t* heap_;     ///< num_words() words, while width > 64
+  };
 };
+static_assert(sizeof(BitVector) <= 16,
+              "a BitVector of <= 64 bits is one inline word and a width");
 
 }  // namespace dpmerge

@@ -29,12 +29,7 @@ class Rng {
   /// Uniformly random `width`-bit vector.
   BitVector bits(int width) {
     BitVector v(width);
-    for (int i = 0; i < width; i += 64) {
-      const std::uint64_t w = engine_();
-      for (int b = 0; b < 64 && i + b < width; ++b) {
-        v.set_bit(i + b, (w >> b) & 1u);
-      }
-    }
+    for (int k = 0; k * 64 < width; ++k) v.set_word(k, engine_());
     return v;
   }
 

@@ -174,7 +174,7 @@ TEST(VerifyNetlist, CombinationalLoop) {
   netlist::Netlist n = small_netlist();
   n.add_gate(netlist::CellType::INV, {n.new_net()});
   n.add_gate(netlist::CellType::INV, {n.new_net()});
-  auto& gates = n.mutable_gates();
+  const auto gates = n.mutable_gates();
   // inv1 reads inv2's output and vice versa.
   gates[1].inputs[0] = gates[2].output;
   gates[2].inputs[0] = gates[1].output;

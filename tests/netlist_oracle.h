@@ -14,7 +14,7 @@
 namespace dpmerge::netlist::oracle {
 
 inline std::vector<GateId> topo_gates(const Netlist& n) {
-  const std::vector<Gate>& gates = n.gates();
+  const std::span<const Gate> gates = n.gates();
   std::vector<int> pending(gates.size(), 0);
   // readers[net] -> gates reading it, one entry per driven input pin.
   std::vector<std::vector<int>> readers(static_cast<std::size_t>(n.net_count()));

@@ -37,6 +37,18 @@ TEST(Verilog, DriveStrengthSuffixes) {
   EXPECT_NE(to_verilog(n, "m").find("INVX2"), std::string::npos);
 }
 
+TEST(Verilog, CopiedNetlistExportsIdenticalText) {
+  for (synth::Flow flow : {synth::Flow::NoMerge, synth::Flow::NewMerge}) {
+    const auto res = synth::run_flow(designs::make_d5(), flow);
+    const Netlist copy = res.net;  // a fresh copy of every gate/net array
+    Netlist assigned;
+    assigned = copy;
+    const std::string v = to_verilog(res.net, "d5");
+    EXPECT_EQ(to_verilog(copy, "d5"), v);
+    EXPECT_EQ(to_verilog(assigned, "d5"), v);
+  }
+}
+
 TEST(Verilog, InstanceCountMatchesGateCount) {
   const auto res = synth::run_flow(designs::make_d1(), synth::Flow::NewMerge);
   const std::string v = to_verilog(res.net, "d1");
