@@ -20,7 +20,7 @@
 namespace dpmerge::bench {
 
 /// Shared command-line contract of every bench harness. The observability
-/// flags (--stats-json, --trace, --profile, --metrics, --events, --seed,
+/// flags (--stats-json, --trace, --profile, --events, --seed,
 /// --stats-deterministic — see obs::ObsArgs in obs/session.h) are parsed by
 /// obs::parse_obs_arg, the same parser dpmerge-lint and dpmerge-explain
 /// use, so every flow-running binary speaks one artifact dialect. On top of
@@ -94,8 +94,8 @@ inline BenchArgs parse_bench_args(int& argc, char** argv,
   return a;
 }
 
-/// The bench-side artifact session: obs::ArtifactSession (tracer lifecycle,
-/// crash handlers, and the --stats-json/--profile/--metrics/--events
+/// The bench-side artifact session: obs::ArtifactSession (flight-recorder
+/// capture, crash handlers, and the --stats-json/--trace/--profile/--events
 /// artifacts at destruction) constructed from the parsed BenchArgs. The
 /// harness fills the inherited `reports` vector (in deterministic cell
 /// order) before the session is destroyed.
@@ -116,14 +116,15 @@ struct BenchCell {
   double area = 0.0;
   std::int64_t cpa_count = 0;
   double wall_ms = 0.0;  ///< zeroed with --stats-deterministic
-  double rss_mb = 0.0;   ///< peak RSS after the cell; zeroed likewise
+  double rss_mb = 0.0;   ///< peak RSS after the cell (bench/scale: of the
+                         ///< cell alone); zeroed likewise
 };
 
 /// Peak resident-set size of this process in MiB, or 0.0 where procfs is
 /// unavailable. A thin wrapper over obs::MemorySampler (the one RSS source
 /// in the tree); kept because every bench already calls it by this name.
-/// A high-water mark: it only grows, so per-cell readings in a multi-design
-/// harness reflect the largest design processed so far.
+/// A high-water mark: it only grows until obs::MemorySampler::reset_peak(),
+/// which bench/scale calls before every cell.
 inline double peak_rss_mb() { return obs::MemorySampler::peak_rss_mb(); }
 
 /// Writes the BENCH_<name>.json trajectory artifact: one object per cell,

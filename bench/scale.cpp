@@ -11,6 +11,7 @@
 //                     (default 10000; synthesis cost, not clustering, is the
 //                     practical bound at larger sizes)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -78,15 +79,30 @@ int main(int argc, char** argv) {
   bench::Table t({"design", "nodes", "build(ms)", "front-end(ms)",
                   "clusters", "rss(MB)"});
 
+  // Per-cell peak RSS: the high-water mark is reset before every cell, so
+  // each reading is that cell's own peak rather than the process's so far.
+  bool per_cell_rss = true;
+  double row_rss_mb = 0.0;
+  auto begin_cell = [&] {
+    per_cell_rss = obs::MemorySampler::reset_peak() && per_cell_rss;
+  };
+  auto cell_rss_mb = [&] {
+    const double mb = bench::peak_rss_mb();
+    row_rss_mb = std::max(row_rss_mb, mb);
+    return mb;
+  };
+
   for (const int target : sizes) {
     auto suite = designs::scale_suite(target);
     for (auto& d : suite) {
       dfg::Graph& g = d.graph;
+      row_rss_mb = 0.0;
 
       // Construction cost proxy: CSR freeze + full validation. Generation
       // itself happened in scale_suite; freeze/validate are the structural
       // sweeps every flow pays, and validate's O(n) behaviour at 100k is
       // exactly what this cell tracks.
+      begin_cell();
       const auto t_build = Clock::now();
       g.freeze();
       const auto errs = g.validate();
@@ -97,19 +113,21 @@ int main(int argc, char** argv) {
         return 1;
       }
       cells.push_back(BenchCell{d.name, "build", 0.0, 0.0, 0, build_ms,
-                                bench::peak_rss_mb()});
+                                cell_rss_mb()});
 
       // New-merge front-end.
+      begin_cell();
       dfg::Graph work = g;
       const auto t_fe = Clock::now();
       const auto cr = synth::prepare_new_merge(work);
       const double front_end_ms = ms_since(t_fe);
       cells.push_back(BenchCell{d.name, "cluster-serial", 0.0, 0.0,
                                 cr.partition.num_clusters(), front_end_ms,
-                                bench::peak_rss_mb()});
+                                cell_rss_mb()});
 
       // Full flow (clustering + synthesis + STA) at tractable sizes.
       if (g.node_count() <= full_max) {
+        begin_cell();
         const auto t_f = Clock::now();
         auto res = synth::run_flow(g, synth::Flow::NewMerge);
         const double full_ms = ms_since(t_f);
@@ -119,7 +137,7 @@ int main(int argc, char** argv) {
                                   timing.longest_path_ns,
                                   sta.area_scaled(res.net),
                                   res.partition.num_clusters(), full_ms,
-                                  bench::peak_rss_mb()});
+                                  cell_rss_mb()});
         res.report.metrics["delay_ns"] = timing.longest_path_ns;
         res.report.metrics["area"] = sta.area_scaled(res.net);
         res.report.metrics["clusters"] = res.partition.num_clusters();
@@ -128,7 +146,7 @@ int main(int argc, char** argv) {
 
       t.add_row({d.name, std::to_string(g.node_count()), fmt(build_ms),
                  fmt(front_end_ms), std::to_string(cr.partition.num_clusters()),
-                 fmt(bench::peak_rss_mb(), 1)});
+                 fmt(row_rss_mb, 1)});
     }
   }
 
@@ -137,6 +155,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the front-end stays near-linear in nodes; it is one\n"
       "serial sweep per analysis and per break check.\n");
+  if (!per_cell_rss) {
+    std::printf(
+        "rss(MB): per-cell peak unavailable (/proc/self/clear_refs refused);"
+        " the column is the process peak so far.\n");
+  }
 
   if (!args.bench_json.empty()) {
     bench::write_bench_json_file(args.bench_json, "scale", cells,

@@ -31,10 +31,6 @@ struct RequiredPrecision {
   int r_in(dfg::NodeId n) const {
     return at_input_port[static_cast<std::size_t>(n.value)];
   }
-  /// r at the destination port of edge `e`.
-  int r_dst(const dfg::Graph& g, dfg::EdgeId e) const {
-    return r_in(g.edge(e).dst);
-  }
 };
 
 /// Computes required precision for all ports by a single reverse-topological

@@ -92,9 +92,6 @@ struct AbsintResult {
   const BitVector& demand_edge(dfg::EdgeId e) const {
     return demanded_edge[static_cast<std::size_t>(e.value)];
   }
-  const BitVector& demand_operand(dfg::EdgeId e) const {
-    return demanded_operand[static_cast<std::size_t>(e.value)];
-  }
   /// 1 + index of the highest demanded output bit (0 = nothing demanded).
   int demanded_width(dfg::NodeId n) const;
 };

@@ -213,9 +213,6 @@ class Graph {
   /// Bumped on every structural mutation; the Csr cache keys off it.
   std::uint64_t structure_version() const { return version_; }
 
-  /// Source-node result width feeding this edge (w(src)).
-  int src_width(EdgeId e) const { return node(edge(e).src).width; }
-
   /// Checks structural invariants; returns a human-readable list of
   /// violations (empty == valid): acyclicity (from `freeze().topo`), port
   /// arity/ordering, one in-edge per input port, outputs have no fanout,

@@ -49,7 +49,6 @@ class SymbolicInputs {
   /// Builds variables for inputs named/widthed like the graph's inputs.
   SymbolicInputs(Bdd& m, const dfg::Graph& g);
   const Word& by_name(const std::string& name) const;
-  int total_bits() const { return total_bits_; }
 
   /// Decodes a BDD satisfying assignment back into per-input binary strings.
   std::string witness(const Bdd& m, Bdd::Ref f) const;

@@ -27,9 +27,7 @@ NetId Netlist::add_gate(CellType t, PinList inputs) {
   g.output = out;
   driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
   gates_.push_back(g);
-#ifndef DPMERGE_OBS_DISABLED
   gate_owner_.push_back(current_owner_);
-#endif
   return out;
 }
 

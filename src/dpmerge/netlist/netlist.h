@@ -215,38 +215,23 @@ class Netlist {
 
   // ---- provenance tags (dpmerge::obs) ----
   // Side metadata only: the DFG node whose synthesis created each gate.
-  // Never influences structure, simulation, timing or export, and compiles
-  // out entirely with -DDPMERGE_OBS=OFF (owner() is then always -1), so
-  // netlists are byte-identical with or without provenance.
+  // Never influences structure, simulation, timing or export.
 
   /// Sets the owner DFG node id stamped on subsequently created gates
   /// (-1 = untagged). The synthesizer scopes this around each node's turn.
-  void set_provenance_owner(int dfg_node) {
-#ifndef DPMERGE_OBS_DISABLED
-    current_owner_ = dfg_node;
-#else
-    (void)dfg_node;
-#endif
-  }
+  void set_provenance_owner(int dfg_node) { current_owner_ = dfg_node; }
 
-  /// Owner DFG node of a gate, or -1 (untagged / compiled out).
+  /// Owner DFG node of a gate, or -1 (untagged).
   int provenance_owner(GateId g) const {
-#ifndef DPMERGE_OBS_DISABLED
     const auto i = static_cast<std::size_t>(g.value);
     return i < gate_owner_.size() ? gate_owner_[i] : -1;
-#else
-    (void)g;
-    return -1;
-#endif
   }
 
   /// True when at least one gate carries an owner tag.
   bool has_provenance() const {
-#ifndef DPMERGE_OBS_DISABLED
     for (int o : gate_owner_) {
       if (o >= 0) return true;
     }
-#endif
     return false;
   }
 
@@ -281,10 +266,8 @@ class Netlist {
   bool index_topological_ = true;
   mutable NetlistView view_;
   mutable std::uint64_t view_version_ = ~std::uint64_t{0};
-#ifndef DPMERGE_OBS_DISABLED
   support::PodBuffer<int> gate_owner_;  // parallel to gates_; -1 = untagged
   int current_owner_ = -1;
-#endif
 };
 
 /// The Kahn-LIFO topological order (inputs first; gates on or downstream

@@ -65,13 +65,6 @@ std::vector<std::vector<BitVector>> PackedSimulator::run_batch(
   }
   obs::stat_add("packed_sim.batches");
   obs::stat_add("packed_sim.lanes_used", static_cast<std::int64_t>(lanes));
-  if constexpr (obs::compiled_in()) {
-    // Lane-utilization histogram: how full the 64-wide batches actually are.
-    // Registry lookup mutexes; cache the reference once per process.
-    static obs::Histogram& lanes_hist =
-        obs::Registry::instance().histogram("packed_sim.lanes_per_batch");
-    lanes_hist.observe(static_cast<std::int64_t>(lanes));
-  }
 
   // Pack: word for bit b of bus i has stimuli[L][i].bit(b) in bit L.
   std::vector<PackedBus> packed(net_.inputs().size());

@@ -7,7 +7,6 @@ namespace dpmerge::netlist {
 struct SimplifyStats {
   int gates_before = 0;
   int gates_after = 0;
-  int gates_removed() const { return gates_before - gates_after; }
 };
 
 /// Light combinational clean-up: rebuilds the netlist through the

@@ -203,14 +203,10 @@ const char* current_stage() {
 }
 
 void note_check_failure(std::string_view site, std::string_view detail) {
-#ifndef DPMERGE_OBS_DISABLED
   FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) {
-    fr.record(FrKind::Mark, fr.intern(std::string("check.failure:") +
-                                      std::string(site)),
-              now_us());
-  }
-#endif
+  fr.record(FrKind::Mark,
+            fr.intern(std::string("check.failure:") + std::string(site)),
+            now_us());
   if (g_installed.load(std::memory_order_relaxed) &&
       g_dump_on_check_failure.load(std::memory_order_relaxed) &&
       !g_check_dumped.exchange(true)) {
@@ -234,9 +230,7 @@ std::string build_crash_json(std::string_view reason, std::string_view detail) {
   out += ",\"pid\":" + std::to_string(::getpid());
   out += ",\"timestamp_unix\":" +
          std::to_string(static_cast<std::int64_t>(std::time(nullptr)));
-  out += ",\"build\":{\"obs\":";
-  out += compiled_in() ? "true" : "false";
-  out += ",\"compiler\":";
+  out += ",\"build\":{\"compiler\":";
 #if defined(__VERSION__)
   json_append_quoted(out, __VERSION__);
 #else

@@ -33,9 +33,7 @@ struct CrashOptions {
 };
 
 /// Installs the signal and std::terminate handlers process-wide. Idempotent;
-/// a second call only updates the options. Compiled in regardless of
-/// DPMERGE_OBS (an OBS=OFF dump simply has no events — the provenance, RSS
-/// and reason fields still make it useful).
+/// a second call only updates the options.
 void install_crash_handlers(const CrashOptions& opts = {});
 bool crash_handlers_installed();
 

@@ -6,7 +6,6 @@
 
 #include "dpmerge/obs/crash.h"
 #include "dpmerge/obs/json.h"
-#include "dpmerge/obs/stats.h"
 #include "dpmerge/obs/trace.h"
 #include "dpmerge/support/thread_pool.h"
 
@@ -63,72 +62,36 @@ namespace {
 
 std::atomic<std::uint16_t> g_next_tid{1};
 
-#ifndef DPMERGE_OBS_DISABLED
-
 /// Thread-pool telemetry sink: turns the support-layer hook calls into
-/// flight-recorder events and registry stats. Installed once by
-/// FlightRecorder's constructor (support cannot depend on obs, so the pool
-/// exposes a hook struct instead of calling us directly).
-void pool_job_telemetry(std::uint64_t job, int tasks, int width) {
-  FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) {
-    fr.record(FrKind::Mark, "pool.job", now_us(), static_cast<std::int64_t>(job),
-              static_cast<std::uint32_t>(tasks));
-  }
-  Registry& reg = Registry::instance();
-  static Counter& jobs = reg.counter("pool.jobs");
-  static Gauge& depth = reg.gauge("pool.queue_depth");
-  static Gauge& wgauge = reg.gauge("pool.job_width");
-  jobs.add(1);
-  // Queue depth at dispatch: every task of the job is queued before the
-  // first dispense, so the job's task count is the depth high-water mark.
-  depth.set(static_cast<double>(tasks));
-  wgauge.set(static_cast<double>(width));
+/// flight-recorder events. Installed once by FlightRecorder's constructor
+/// (support cannot depend on obs, so the pool exposes a hook struct instead
+/// of calling us directly).
+void pool_job_telemetry(std::uint64_t job, int tasks) {
+  FlightRecorder::instance().record(FrKind::Mark, "pool.job", now_us(),
+                                    static_cast<std::int64_t>(job),
+                                    static_cast<std::uint32_t>(tasks));
 }
 
 void pool_task_begin_telemetry(std::uint64_t job, int pos,
                                std::int64_t t0_us) {
-  FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) {
-    fr.record(FrKind::TaskBegin, "pool.task", t0_us,
-              static_cast<std::int64_t>(job), static_cast<std::uint32_t>(pos));
-  }
+  FlightRecorder::instance().record(FrKind::TaskBegin, "pool.task", t0_us,
+                                    static_cast<std::int64_t>(job),
+                                    static_cast<std::uint32_t>(pos));
 }
 
 void pool_task_end_telemetry(std::uint64_t /*job*/, int pos,
                              std::int64_t t0_us, std::int64_t dur_us) {
-  FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) {
-    fr.record(FrKind::TaskEnd, "pool.task", t0_us + dur_us, dur_us,
-              static_cast<std::uint32_t>(pos));
-  }
-  Registry& reg = Registry::instance();
-  static Histogram& lat = reg.histogram("pool.task_us");
-  static Counter& tasks = reg.counter("pool.tasks");
-  lat.observe(dur_us);
-  tasks.add(1);
-  // Per-worker utilization: busy time billed to the flight-recorder thread
-  // id of the worker that ran the task. The name set is bounded by the
-  // number of threads that ever ran pool work; the reference is cached
-  // per thread so the registry lock is paid once per worker.
-  thread_local Counter* busy = nullptr;
-  if (busy == nullptr) {
-    busy = &reg.counter("pool.worker." + std::to_string(fr.local_tid()) +
-                        ".busy_us");
-  }
-  busy->add(dur_us);
+  FlightRecorder::instance().record(FrKind::TaskEnd, "pool.task",
+                                    t0_us + dur_us, dur_us,
+                                    static_cast<std::uint32_t>(pos));
 }
-
-#endif  // DPMERGE_OBS_DISABLED
 
 }  // namespace
 
 FlightRecorder::FlightRecorder() {
-#ifndef DPMERGE_OBS_DISABLED
   static const support::PoolTelemetryHooks hooks{
       pool_job_telemetry, pool_task_begin_telemetry, pool_task_end_telemetry};
   support::set_pool_telemetry(&hooks);
-#endif
 }
 
 FlightRecorder& FlightRecorder::instance() {
@@ -148,8 +111,6 @@ FlightRecorder::Slot* FlightRecorder::local_slot() {
   return slot;
 }
 
-#ifndef DPMERGE_OBS_DISABLED
-
 void FlightRecorder::record(FrKind kind, const char* name, std::int64_t ts_us,
                             std::int64_t value, std::uint32_t aux) {
   Slot* s = local_slot();
@@ -163,11 +124,7 @@ void FlightRecorder::record(FrKind kind, const char* name, std::int64_t ts_us,
   e.aux = aux;
   e.name = name;  // last: a racing reader skips entries with a null name
   s->head.store(h + 1, std::memory_order_release);
-  if (capture_.load(std::memory_order_relaxed)) append_capture(s, e);
-}
-
-void FlightRecorder::append_capture(Slot* s, const FrEvent& e) {
-  s->captured.push_back(e);
+  if (capture_.load(std::memory_order_relaxed)) s->captured.push_back(e);
 }
 
 void FlightRecorder::push_span(const char* name) {
@@ -199,16 +156,12 @@ std::uint16_t FlightRecorder::local_tid() {
 }
 
 void fr_mark(const char* name, std::int64_t value) {
-  FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) fr.record(FrKind::Mark, name, now_us(), value);
+  FlightRecorder::instance().record(FrKind::Mark, name, now_us(), value);
 }
 
 void fr_counter(const char* name, std::int64_t delta) {
-  FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) fr.record(FrKind::Counter, name, now_us(), delta);
+  FlightRecorder::instance().record(FrKind::Counter, name, now_us(), delta);
 }
-
-#endif  // DPMERGE_OBS_DISABLED
 
 const char* FlightRecorder::intern(std::string_view s) {
   support::MutexLock lock(mu_);

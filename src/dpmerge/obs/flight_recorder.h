@@ -29,13 +29,10 @@ namespace dpmerge::obs {
 /// JSONL event log (`--events`). The ring is never resized for them.
 ///
 /// Hot-path contract: recording is lock-free after a thread's first event —
-/// one relaxed enabled() load, one steady-clock read (done by the caller),
-/// a store into the calling thread's own slot, and, while capturing, one
-/// append to that thread's own vector. Thread slots live in a fixed-size
-/// table (never freed, never moved), so the crash handler can walk them
-/// without taking any lock. Under DPMERGE_OBS=OFF every recording entry
-/// point compiles away to nothing (the drain/export machinery stays,
-/// returning empty data).
+/// one steady-clock read (done by the caller), a store into the calling
+/// thread's own slot, and, while capturing, one append to that thread's own
+/// vector. Thread slots live in a fixed-size table (never freed, never
+/// moved), so the crash handler can walk them without taking any lock.
 enum class FrKind : std::uint8_t {
   SpanBegin = 0,   ///< value unused
   SpanEnd = 1,     ///< value = duration in us
@@ -82,24 +79,15 @@ class FlightRecorder {
   /// dispatch/complete events flow in from every parallel_for job.
   static FlightRecorder& instance();
 
-  /// Recording master switch; on by default when obs is compiled in.
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on && compiled_in_(), std::memory_order_relaxed);
-  }
-
   /// Capture mode: while on, every record() also appends its event to the
   /// calling thread's unbounded capture vector, read back by
-  /// drain_capture(). Off by default; a no-op when obs is compiled out.
-  void set_capture(bool on) {
-    capture_.store(on && compiled_in_(), std::memory_order_relaxed);
-  }
+  /// drain_capture(). Off by default.
+  void set_capture(bool on) { capture_.store(on, std::memory_order_relaxed); }
   bool capturing() const { return capture_.load(std::memory_order_relaxed); }
 
-#ifndef DPMERGE_OBS_DISABLED
   /// Appends one event to the calling thread's ring (and, while capturing,
   /// to its capture). `name` must have program lifetime (literal or
-  /// intern()ed). Call only while enabled().
+  /// intern()ed).
   void record(FrKind kind, const char* name, std::int64_t ts_us,
               std::int64_t value = 0, std::uint32_t aux = 0);
 
@@ -115,14 +103,6 @@ class FlightRecorder {
   /// The calling thread's recorder id (registers a slot on first use);
   /// 0 when the slot table is full.
   std::uint16_t local_tid();
-#else
-  void record(FrKind, const char*, std::int64_t, std::int64_t = 0,
-              std::uint32_t = 0) {}
-  void push_span(const char*) {}
-  void pop_span() {}
-  void set_thread_context(std::string_view) {}
-  std::uint16_t local_tid() { return 0; }
-#endif
 
   /// Copies `s` into the recorder's string arena and returns a pointer with
   /// program lifetime; repeated interns of equal strings return the same
@@ -158,19 +138,7 @@ class FlightRecorder {
 
   FlightRecorder();
   Slot* local_slot();
-  /// record()'s capture branch, out of line so the DPMERGE_OBS=OFF symbol
-  /// check can prove the capture path is compiled out with record().
-  void append_capture(Slot* s, const FrEvent& e);
 
-  static constexpr bool compiled_in_() {
-#ifdef DPMERGE_OBS_DISABLED
-    return false;
-#else
-    return true;
-#endif
-  }
-
-  std::atomic<bool> enabled_{compiled_in_()};
   std::atomic<bool> capture_{false};
 
   /// Fixed slot table: registration appends (lock-free via nslots_), slots
@@ -183,19 +151,12 @@ class FlightRecorder {
   std::set<std::string> arena_ DPMERGE_GUARDED_BY(mu_);
 };
 
-/// Convenience wrappers mirroring obs::stat_add's shape. No-ops when the
-/// recorder is disabled or obs is compiled out.
-#ifndef DPMERGE_OBS_DISABLED
+/// Convenience wrappers mirroring obs::stat_add's shape.
 void fr_mark(const char* name, std::int64_t value = 0);
 void fr_counter(const char* name, std::int64_t delta);
 inline void fr_set_thread_context(std::string_view ctx) {
   FlightRecorder::instance().set_thread_context(ctx);
 }
-#else
-inline void fr_mark(const char*, std::int64_t = 0) {}
-inline void fr_counter(const char*, std::int64_t) {}
-inline void fr_set_thread_context(std::string_view) {}
-#endif
 
 /// Writes one JSON object per drained event (JSONL): the structured event
 /// log export (`--events` on the bench harnesses).

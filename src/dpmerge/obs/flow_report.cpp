@@ -212,18 +212,13 @@ void FlowScope::begin_stage(std::string name, std::int64_t in_nodes,
     s.in_edges = in_edges;
   }
   stage_t0_ = now_us();
-#ifndef DPMERGE_OBS_DISABLED
   FlightRecorder& fr = FlightRecorder::instance();
-  if (fr.enabled()) {
-    const std::string& sname = rep_->stages[stage_idx_].name;
-    stage_crash_name_ = fr.intern(sname);
-    stage_fr_name_ = fr.intern("flow." + sname);
-    fr.record(FrKind::SpanBegin, stage_fr_name_, stage_t0_);
-    fr.push_span(stage_fr_name_);
-    set_current_stage(stage_crash_name_);
-    stage_rss_base_kb_ = MemorySampler::current_rss_kb();
-  }
-#endif
+  const std::string& sname = rep_->stages[stage_idx_].name;
+  stage_fr_name_ = fr.intern("flow." + sname);
+  fr.record(FrKind::SpanBegin, stage_fr_name_, stage_t0_);
+  fr.push_span(stage_fr_name_);
+  set_current_stage(fr.intern(sname));
+  stage_rss_base_kb_ = MemorySampler::current_rss_kb();
 }
 
 void FlowScope::end_stage(std::int64_t out_nodes, std::int64_t out_edges) {
@@ -240,22 +235,14 @@ void FlowScope::end_stage(std::int64_t out_nodes, std::int64_t out_edges) {
     const std::int64_t delta = v - (it == stage_base_.end() ? 0 : it->second);
     if (delta != 0) s.stats[k] += delta;
   }
-#ifndef DPMERGE_OBS_DISABLED
-  if (stage_fr_name_ != nullptr) {
-    FlightRecorder& fr = FlightRecorder::instance();
-    if (fr.enabled()) {
-      // Stage memory delta rides as a counter event *inside* the stage span
-      // (before SpanEnd), so the profiler attributes it to this stage.
-      fr.record(FrKind::Counter, "stage.rss_delta_kb", t1,
-                MemorySampler::current_rss_kb() - stage_rss_base_kb_);
-      fr.record(FrKind::SpanEnd, stage_fr_name_, t1, t1 - stage_t0_);
-      fr.pop_span();
-    }
-    set_current_stage(nullptr);
-    stage_fr_name_ = nullptr;
-    stage_crash_name_ = nullptr;
-  }
-#endif
+  FlightRecorder& fr = FlightRecorder::instance();
+  // Stage memory delta rides as a counter event *inside* the stage span
+  // (before SpanEnd), so the profiler attributes it to this stage.
+  fr.record(FrKind::Counter, "stage.rss_delta_kb", t1,
+            MemorySampler::current_rss_kb() - stage_rss_base_kb_);
+  fr.record(FrKind::SpanEnd, stage_fr_name_, t1, t1 - stage_t0_);
+  fr.pop_span();
+  set_current_stage(nullptr);
 }
 
 }  // namespace dpmerge::obs

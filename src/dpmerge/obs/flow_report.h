@@ -95,7 +95,7 @@ void write_stats_json(std::ostream& os, std::string_view bench_name,
 
 /// Builds a FlowReport while a flow runs: installs a StatScope around the
 /// whole flow and splits the sink's counters into per-stage deltas.
-/// Stage boundaries also emit tracer spans ("flow.<stage>").
+/// Stage boundaries also emit flight-recorder spans ("flow.<stage>").
 class FlowScope {
  public:
   explicit FlowScope(FlowReport* rep);
@@ -123,10 +123,8 @@ class FlowScope {
   std::int64_t stage_t0_ = 0;
   bool in_stage_ = false;
   // Flight-recorder bookkeeping for the open stage: interned span name
-  // ("flow.<stage>"), interned stage name for crash-dump "stage", and the
-  // RSS baseline for the stage's memory delta. Unused under OBS=OFF.
+  // ("flow.<stage>") and the RSS baseline for the stage's memory delta.
   const char* stage_fr_name_ = nullptr;
-  const char* stage_crash_name_ = nullptr;
   std::int64_t stage_rss_base_kb_ = 0;
 };
 

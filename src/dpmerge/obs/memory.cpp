@@ -32,4 +32,11 @@ std::int64_t MemorySampler::current_rss_kb() { return proc_status_kb("VmRSS"); }
 
 std::int64_t MemorySampler::peak_rss_kb() { return proc_status_kb("VmHWM"); }
 
+bool MemorySampler::reset_peak() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "we");
+  if (f == nullptr) return false;
+  const bool ok = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace dpmerge::obs

@@ -24,18 +24,11 @@ class MemorySampler {
     return static_cast<double>(peak_rss_kb()) / 1024.0;
   }
 
-  /// Delta-instance: remembers the RSS at construction (or the last
-  /// `rebase()`) so a stage can report how much resident memory it added.
-  /// Negative deltas are real (the allocator returned pages) and reported
-  /// as-is.
-  MemorySampler() : base_kb_(current_rss_kb()) {}
-
-  std::int64_t delta_kb() const { return current_rss_kb() - base_kb_; }
-  std::int64_t base_kb() const { return base_kb_; }
-  void rebase() { base_kb_ = current_rss_kb(); }
-
- private:
-  std::int64_t base_kb_;
+  /// Resets the peak (VmHWM) to the current resident set by writing 5 to
+  /// /proc/self/clear_refs, so a later peak_rss_kb() covers only what ran
+  /// since. False where the write is refused (non-Linux, restricted
+  /// procfs); the peak then stays the process-lifetime one.
+  static bool reset_peak();
 };
 
 }  // namespace dpmerge::obs

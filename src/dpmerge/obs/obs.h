@@ -5,9 +5,8 @@
 ///
 /// Umbrella header. The subsystem's layers:
 ///   - trace.h: Span (RAII scoped timer) and now_us, the one time source.
-///   - stats.h: StatSink/StatScope (thread-local scoped counters) and the
-///     process-global Registry (counters / gauges / histograms, JSON and
-///     Prometheus export).
+///   - stats.h: StatSink/StatScope (thread-local scoped counters), the one
+///     counter store.
 ///   - flow_report.h: FlowReport/FlowScope — the per-stage breakdown
 ///     synth::run_flow emits and the benches serialise via --stats-json.
 ///   - provenance.h: DecisionLog/DecisionScope and the per-decision
@@ -25,9 +24,9 @@
 ///   - session.h: the shared --stats-json/--trace/--profile/... CLI parser
 ///     and the ArtifactSession writing every artifact at exit.
 ///
-/// Everything is near-zero-cost when idle (one relaxed atomic load per
-/// span, one TLS load per stat hook) and compiles out entirely with the
-/// CMake option -DDPMERGE_OBS=OFF (see DESIGN.md, "Observability").
+/// There is one build: every instrumentation site is always compiled in and
+/// cheap at rest (one clock read and a lock-free ring write per span event,
+/// one TLS load per stat hook; DESIGN.md §14).
 
 #include "dpmerge/obs/crash.h"
 #include "dpmerge/obs/flight_recorder.h"

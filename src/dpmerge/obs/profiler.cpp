@@ -12,7 +12,6 @@
 
 #include "dpmerge/obs/json.h"
 #include "dpmerge/obs/memory.h"
-#include "dpmerge/obs/stats.h"
 
 namespace dpmerge::obs {
 
@@ -216,9 +215,6 @@ void write_profile_json(std::ostream& os, const Profile& p,
   out += ",\"dropped\":" + std::to_string(p.dropped);
   out += ",\"peak_rss_mb\":" +
          json_number(opt.zero_times ? 0.0 : p.peak_rss_mb);
-  if (opt.include_registry && !opt.zero_times) {
-    out += ",\"registry\":" + Registry::instance().json();
-  }
   out += ",\"tree\":";
   node_to_json(out, p.root, opt);
   out += "}\n";

@@ -54,13 +54,9 @@ struct Profile {
 Profile build_profile(const std::vector<FrEvent>& events);
 
 struct ProfileJsonOptions {
-  /// Zeroes every duration and memory field, and omits the registry
-  /// snapshot (its latency histograms are schedule-dependent) — the
-  /// `--stats-deterministic` contract for profile artifacts.
+  /// Zeroes every duration and memory field — the `--stats-deterministic`
+  /// contract for profile artifacts.
   bool zero_times = false;
-  /// Embed a stats::Registry snapshot under "registry" (thread-pool
-  /// telemetry travels with the profile). Ignored when zero_times.
-  bool include_registry = true;
 };
 
 /// `{"schema":"dpmerge-profile-v1",...,"tree":{...}}` (one object, no

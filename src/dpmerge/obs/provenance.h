@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "dpmerge/obs/trace.h"  // compiled_in()
 #include "dpmerge/support/annotations.h"
 
 /// Decision provenance (dpmerge::obs::prov) — the "why" layer of the flow.
@@ -19,12 +18,7 @@
 /// its gate there. The resulting Ledger names the exact merge decisions a
 /// design's critical path and area are owed to, and LedgerDiff names the
 /// decisions on which two flows diverge.
-///
-/// Like the rest of dpmerge::obs, everything here compiles out with
-/// -DDPMERGE_OBS=OFF: the recording scope becomes a no-op, current_log()
-/// is constant nullptr, and netlists carry no tags — emitted artifacts stay
-/// byte-identical to an instrumented build's netlists (tags are side
-/// metadata and never influence structure).
+/// Netlist tags are side metadata and never influence structure.
 
 namespace dpmerge::obs::prov {
 
@@ -116,48 +110,34 @@ class DPMERGE_THREAD_CONFINED DecisionLog {
 };
 
 // ---------------------------------------------------------------------------
-// Recording scope (thread-local, compiled out with the rest of obs).
+// Recording scope (thread-local).
 // ---------------------------------------------------------------------------
 
 namespace detail {
-#ifndef DPMERGE_OBS_DISABLED
 inline DecisionLog*& t_decision_log() {
   thread_local DecisionLog* log = nullptr;
   return log;
 }
-#endif
 }  // namespace detail
 
 /// The calling thread's active decision log, or nullptr when no
 /// DecisionScope is live (every recording site is then a TLS load + branch).
 /// The returned pointer is thread-confined — never hand it to pool tasks.
-inline DecisionLog* current_log() {
-#ifdef DPMERGE_OBS_DISABLED
-  return nullptr;
-#else
-  return detail::t_decision_log();
-#endif
-}
+inline DecisionLog* current_log() { return detail::t_decision_log(); }
 
 /// Installs a log as the calling thread's recording target for the scope's
 /// lifetime. Nests; the previous log is restored on exit.
 class DecisionScope {
  public:
-#ifndef DPMERGE_OBS_DISABLED
   explicit DecisionScope(DecisionLog* log) : prev_(detail::t_decision_log()) {
     detail::t_decision_log() = log;
   }
   ~DecisionScope() { detail::t_decision_log() = prev_; }
-#else
-  explicit DecisionScope(DecisionLog*) {}
-#endif
   DecisionScope(const DecisionScope&) = delete;
   DecisionScope& operator=(const DecisionScope&) = delete;
 
  private:
-#ifndef DPMERGE_OBS_DISABLED
   DecisionLog* prev_;
-#endif
 };
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include "dpmerge/obs/crash.h"
 #include "dpmerge/obs/flight_recorder.h"
 #include "dpmerge/obs/profiler.h"
-#include "dpmerge/obs/stats.h"
 
 namespace dpmerge::obs {
 
@@ -60,10 +59,6 @@ bool parse_obs_arg(int argc, char** argv, int& i, ObsArgs* out) {
     out->profile = v;
     return true;
   }
-  if (flag_value(argc, argv, i, "--metrics", &v)) {
-    out->metrics = v;
-    return true;
-  }
   if (flag_value(argc, argv, i, "--events", &v)) {
     out->events = v;
     return true;
@@ -85,8 +80,6 @@ const char* obs_usage() {
       "  --trace <path>         Chrome trace_event JSON\n"
       "  --profile <path>       hierarchical profile JSON (see "
       "dpmerge-profile)\n"
-      "  --metrics <path>       Prometheus text exposition of the stats "
-      "registry\n"
       "  --events <path>        JSONL flight-recorder event log\n"
       "  --seed <n>             stimulus seed (default 1)\n"
       "  --stats-deterministic  zero wall-clock/memory fields in artifacts\n";
@@ -137,11 +130,6 @@ ArtifactSession::~ArtifactSession() {
       if (std::ofstream os = open_artifact(args_.events, "events")) {
         write_events_jsonl(os, events);
       }
-    }
-  }
-  if (!args_.metrics.empty()) {
-    if (std::ofstream os = open_artifact(args_.metrics, "metrics")) {
-      Registry::instance().write_prometheus(os);
     }
   }
 }

@@ -17,8 +17,6 @@ namespace dpmerge::obs {
 ///   --trace <path>          Chrome trace_event JSON of the run
 ///   --profile <path>        hierarchical profile JSON (dpmerge-profile
 ///                           renders/diffs it)
-///   --metrics <path>        Prometheus/OpenMetrics text exposition of the
-///                           stats registry
 ///   --events <path>         JSONL structured event log
 /// --trace, --profile and --events render one flight-recorder capture of
 /// the whole run (FlightRecorder::set_capture), drained once at exit.
@@ -29,7 +27,6 @@ struct ObsArgs {
   std::string stats_json;
   std::string trace;
   std::string profile;
-  std::string metrics;
   std::string events;
   std::uint64_t seed = 1;
   bool deterministic = false;
@@ -53,9 +50,6 @@ const char* obs_usage();
 /// for it. The destructor writes every requested artifact. The harness
 /// fills `reports` (in deterministic cell order) before the session is
 /// destroyed.
-///
-/// Under DPMERGE_OBS=OFF all artifacts are still written and valid — just
-/// empty of events/spans (the no-obs CI job asserts exactly this).
 class ArtifactSession {
  public:
   /// `crash` tunes the handler install: tools that *expect* to catch

@@ -2,9 +2,9 @@
 
 /// Clang Thread Safety Analysis attribute macros (DESIGN.md §12).
 ///
-/// Every shared-mutable surface in the library (ThreadPool, obs::stats
-/// Registry, obs::FlightRecorder) declares its locking discipline with these
-/// macros so that a Clang build with -Wthread-safety turns the discipline
+/// Every shared-mutable surface in the library (ThreadPool,
+/// obs::FlightRecorder) declares its locking discipline with these macros
+/// so that a Clang build with -Wthread-safety turns the discipline
 /// into a compile-time check: reading a DPMERGE_GUARDED_BY(mu) field without
 /// holding `mu`, returning while still holding a lock, or calling a
 /// DPMERGE_REQUIRES(mu) function lock-free is a hard error in the

@@ -144,10 +144,9 @@ bool ThreadPool::open_job(int count, const std::function<void(int)>* fn,
   const int participants = std::min(
       {static_cast<int>(workers_.size()), std::max(cap - 1, 0), count - 1});
   // Telemetry before the job is published, so its record precedes every
-  // task's, and outside mu_: the hook may take its own locks (registry)
-  // and must never nest under a pool mutex.
+  // task's, and outside mu_: the hook must never nest under a pool mutex.
   if (const PoolTelemetryHooks* tel = pool_telemetry()) {
-    tel->job(job_id, count, participants + 1);
+    tel->job(job_id, count);
   }
   {
     MutexLock lk(mu_);

@@ -28,9 +28,8 @@ namespace dpmerge::support {
 struct PoolTelemetryHooks {
   /// One call per dispatched job, on the submitting thread before any of
   /// its tasks can start: `job_id` is unique in the process, `tasks` =
-  /// number of indices, `width` = admitted parallel width (workers + the
-  /// participating caller).
-  void (*job)(std::uint64_t job_id, int tasks, int width);
+  /// number of indices.
+  void (*job)(std::uint64_t job_id, int tasks);
   /// One call as each task starts and one as it completes, on the thread
   /// running it: `t0_us`/`dur_us` are steady-clock microseconds (same epoch
   /// as obs::now_us).

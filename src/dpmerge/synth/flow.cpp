@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "dpmerge/check/check.h"
+#include "dpmerge/obs/trace.h"
 #include "dpmerge/synth/cluster_synth.h"
 #include "dpmerge/transform/width_prune.h"
 
@@ -193,7 +194,7 @@ FlowResult run_flow(const Graph& g, Flow flow, const SynthOptions& opt) {
   {
     obs::FlowScope fs(&res.report);
     // Decision provenance: every candidate merge the clusterer evaluates
-    // for this flow lands in the result's log (compiled out with obs).
+    // for this flow lands in the result's log.
     obs::prov::DecisionScope decisions(&res.decisions);
     // RP for the post-cluster analysis lint; only NewMerge carries one out
     // of the clusterer, the fixed partitions get by with the IC lint alone.

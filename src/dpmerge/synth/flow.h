@@ -35,13 +35,12 @@ struct FlowResult {
   int cluster_iterations = 1;
   netlist::Netlist net;
   /// Per-stage observability breakdown (times, merge decisions, CSA/CPA
-  /// structure, cell histogram). Always populated; near-free to fill when
-  /// the obs subsystem is compiled out (times/stats are then zero/empty).
+  /// structure, cell histogram). Always populated.
   obs::FlowReport report;
   /// Every merge decision the clusterer took (per-edge evidence + final
   /// node verdicts), recorded while the flow ran. Together with the
   /// netlist's gate owner tags this is the provenance chain the ledger and
-  /// `dpmerge-explain` are built from. Empty when obs is compiled out.
+  /// `dpmerge-explain` are built from.
   obs::prov::DecisionLog decisions;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "dpmerge/support/rng.h"
 
@@ -35,8 +36,11 @@ TEST(BitVector, FromIntNegative) {
 }
 
 TEST(BitVector, FromIntNegativeWideVector) {
+  // -2 sign-extended to 100 bits: ninety-nine ones, then a zero. Checked
+  // through width-valid accessors (to_int64 requires width <= 64).
   const auto v = BitVector::from_int(100, -2);
-  EXPECT_EQ(v.to_int64() /* low 64 view */, -2);
+  EXPECT_EQ(v.to_string(), std::string(99, '1') + "0");
+  EXPECT_EQ(v.to_uint64() /* low 64 bits */, ~std::uint64_t{1});
   for (int i = 1; i < 100; ++i) EXPECT_TRUE(v.bit(i)) << i;
   EXPECT_FALSE(v.bit(0));
 }

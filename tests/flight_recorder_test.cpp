@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dpmerge/obs/json.h"
-#include "dpmerge/obs/stats.h"
 #include "dpmerge/obs/trace.h"
 #include "dpmerge/support/thread_pool.h"
 
@@ -34,7 +33,6 @@ std::vector<obs::FrEvent> drained_named(const char* name) {
 }
 
 TEST(FlightRecorderTest, RecordsAndDrainsInTimeOrder) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   const std::int64_t t0 = obs::now_us();
@@ -62,7 +60,6 @@ TEST(FlightRecorderTest, RecordsAndDrainsInTimeOrder) {
 }
 
 TEST(FlightRecorderTest, WrapperHelpersRecord) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder::instance().clear();
   obs::fr_mark("fr.test.wrap_mark", 3);
   obs::fr_counter("fr.test.wrap_counter", -42);
@@ -88,7 +85,6 @@ TEST(FlightRecorderTest, InternReturnsStablePointers) {
 }
 
 TEST(FlightRecorderTest, CapacityBoundsRingAndKeepsMostRecent) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   constexpr std::int64_t kCap = obs::FlightRecorder::kDefaultCapacity;
@@ -116,7 +112,6 @@ TEST(FlightRecorderTest, CapacityBoundsRingAndKeepsMostRecent) {
 }
 
 TEST(FlightRecorderTest, CaptureKeepsEveryEventPastTheRing) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   constexpr std::int64_t kTotal = obs::FlightRecorder::kDefaultCapacity + 1000;
@@ -145,7 +140,6 @@ TEST(FlightRecorderTest, CaptureKeepsEveryEventPastTheRing) {
 }
 
 TEST(FlightRecorderTest, SpanStackAndContextShowInThreadStates) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   obs::fr_set_thread_context("sweep:D4/new-merge");
@@ -176,22 +170,14 @@ TEST(FlightRecorderTest, SpanStackAndContextShowInThreadStates) {
 }
 
 TEST(FlightRecorderTest, PoolTelemetryFlowsIntoRecorderAndRegistry) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
-  obs::Registry& reg = obs::Registry::instance();
-  const std::int64_t tasks_before = reg.counter("pool.tasks").value();
-  const std::int64_t jobs_before = reg.counter("pool.jobs").value();
-  const std::int64_t lat_before = reg.histogram("pool.task_us").count();
 
   support::ThreadPool pool(3);
   std::vector<int> out(16, 0);
   pool.parallel_for(16, [&](int i) { out[static_cast<std::size_t>(i)] = i; });
 
   for (int i = 0; i < 16; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(reg.counter("pool.tasks").value() - tasks_before, 16);
-  EXPECT_EQ(reg.counter("pool.jobs").value() - jobs_before, 1);
-  EXPECT_EQ(reg.histogram("pool.task_us").count() - lat_before, 16);
 
   const auto jobs = drained_named("pool.job");
   ASSERT_EQ(jobs.size(), 1u);
@@ -213,7 +199,6 @@ TEST(FlightRecorderTest, PoolTelemetryFlowsIntoRecorderAndRegistry) {
 }
 
 TEST(FlightRecorderTest, EventsJsonlIsValidJsonPerLine) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   obs::fr_mark("fr.test.jsonl \"quoted\"", 1);

@@ -1,6 +1,6 @@
 // Tests for dpmerge::obs: JSON validation, the flight-recorder capture and
-// its Chrome trace_event and profile renderings, stat sinks/scopes and the
-// process-global registry, FlowReport contents for a real flow, and the
+// its Chrome trace_event and profile renderings, stat sinks/scopes,
+// FlowReport contents for a real flow, and the
 // determinism contract of the --stats-json artifacts (same workload =>
 // byte-identical JSON, regardless of thread schedule, when wall-clock fields
 // are zeroed).
@@ -108,7 +108,6 @@ TEST_F(TracerTest, IdleTracerRecordsNothing) {
 }
 
 TEST_F(TracerTest, ExportIsValidChromeTraceJson) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder::instance().set_capture(true);
   {
     obs::Span outer("outer");
@@ -147,7 +146,6 @@ TEST_F(TracerTest, ExportIsValidChromeTraceJson) {
 }
 
 TEST_F(TracerTest, PerThreadBuffersMergeAtExport) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   obs::FlightRecorder::instance().set_capture(true);
   constexpr int kThreads = 4, kEach = 50;
   std::vector<std::thread> pool;
@@ -171,7 +169,6 @@ TEST_F(TracerTest, PerThreadBuffersMergeAtExport) {
 }
 
 TEST_F(TracerTest, CaptureLongerThanRingBuildsCompleteProfile) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   constexpr std::int64_t kRounds = obs::FlightRecorder::kDefaultCapacity;
   obs::FlightRecorder::instance().set_capture(true);
   for (std::int64_t i = 0; i < kRounds; ++i) {
@@ -195,7 +192,6 @@ TEST_F(TracerTest, CaptureLongerThanRingBuildsCompleteProfile) {
 }
 
 TEST_F(TracerTest, FlowProfileAndChromeTraceCountTheSameSpans) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto cases = designs::all_testcases();
   obs::FlightRecorder::instance().set_capture(true);
   synth::run_flow(cases.at(3).graph, synth::Flow::NewMerge);
@@ -222,14 +218,6 @@ TEST(StatSinkTest, AddGetAndMax) {
 }
 
 TEST(StatScopeTest, InstallsAndRestoresNested) {
-  if (!obs::compiled_in()) {
-    obs::StatSink sink;
-    obs::StatScope scope(&sink);
-    obs::stat_add("x");
-    EXPECT_EQ(sink.get("x"), 0);  // hooks are no-ops when compiled out
-    EXPECT_EQ(obs::current_sink(), nullptr);
-    return;
-  }
   EXPECT_EQ(obs::current_sink(), nullptr);
   obs::StatSink outer, inner;
   {
@@ -248,35 +236,6 @@ TEST(StatScopeTest, InstallsAndRestoresNested) {
   EXPECT_EQ(inner.get("hits"), 2);
 }
 
-TEST(RegistryTest, CountersAreExactUnderThreads) {
-  obs::Counter& c = obs::Registry::instance().counter("test.reg.hammer");
-  c.reset();
-  constexpr int kThreads = 8, kEach = 10000;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&c] {
-      for (int i = 0; i < kEach; ++i) c.add();
-    });
-  }
-  for (auto& th : pool) th.join();
-  EXPECT_EQ(c.value(), static_cast<std::int64_t>(kThreads) * kEach);
-}
-
-TEST(RegistryTest, HistogramBucketsAndJson) {
-  obs::Histogram& h = obs::Registry::instance().histogram("test.reg.hist");
-  h.reset();
-  h.observe(0);
-  h.observe(1);
-  h.observe(5);
-  h.observe(64);
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), 70);
-  const std::string json = obs::Registry::instance().json();
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(json, &err)) << err;
-  EXPECT_NE(json.find("test.reg.hist"), std::string::npos);
-}
-
 TEST(FlowReportTest, NewMergeFlowPopulatesReport) {
   const auto cases = designs::all_testcases();
   const auto& d4 = cases.at(3);
@@ -288,10 +247,8 @@ TEST(FlowReportTest, NewMergeFlowPopulatesReport) {
   EXPECT_EQ(rep.cluster_iterations, res.cluster_iterations);
   EXPECT_GE(rep.cluster_iterations, 1);
   EXPECT_GT(rep.merge_decisions, 0);
-  if (obs::compiled_in()) {  // sourced from sink counters, 0 when stubbed out
-    EXPECT_GT(rep.csa_rows, 0);
-    EXPECT_GE(rep.cpa_count, 1);
-  }
+  EXPECT_GT(rep.csa_rows, 0);
+  EXPECT_GE(rep.cpa_count, 1);
   EXPECT_FALSE(rep.cells_by_type.empty());
   // Cell histogram covers the whole netlist.
   std::int64_t cells = 0;
@@ -362,33 +319,6 @@ TEST(StatsDeterminismTest, ZeroedTimesAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(one, four);
   std::string err;
   EXPECT_TRUE(obs::json_valid(one, &err)) << err;
-}
-
-TEST(CompiledOutTest, DisabledBuildKeepsArtifactsValidButEmpty) {
-  if (obs::compiled_in()) {
-    GTEST_SKIP() << "obs compiled in; covered by the DPMERGE_OBS=OFF CI job";
-  }
-  // The capture switch must be a no-op and every hook inert...
-  obs::FlightRecorder& fr = obs::FlightRecorder::instance();
-  fr.set_capture(true);
-  EXPECT_FALSE(fr.capturing());
-  EXPECT_FALSE(fr.enabled());
-  { obs::Span span("never.span"); }
-  obs::fr_mark("never.mark");
-  EXPECT_TRUE(fr.drain_capture().empty());
-  obs::StatSink sink;
-  obs::StatScope scope(&sink);
-  obs::stat_add("never");
-  EXPECT_EQ(sink.get("never"), 0);
-  // ...but the export machinery still emits valid (empty) artifacts.
-  std::ostringstream trace, profile, events;
-  obs::write_chrome_trace(trace, {});
-  obs::write_profile_json(profile, obs::build_profile({}));
-  obs::write_events_jsonl(events, {});
-  std::string err;
-  EXPECT_TRUE(obs::json_valid(trace.str(), &err)) << err;
-  EXPECT_TRUE(obs::json_valid(profile.str(), &err)) << err;
-  EXPECT_TRUE(events.str().empty());
 }
 
 }  // namespace

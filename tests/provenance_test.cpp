@@ -112,7 +112,6 @@ TEST(DecisionLogTest, JsonIsWellFormed) {
 // ---------------------------------------------------------------------------
 
 TEST(ProvenanceRecordingTest, EveryArithOperatorGetsAFinalVerdict) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   for (const auto& tc : designs::all_testcases()) {
     const auto res = synth::run_flow(tc.graph, synth::Flow::NewMerge);
     for (const dfg::Node& n : res.graph.nodes()) {
@@ -133,7 +132,6 @@ TEST(ProvenanceRecordingTest, EveryArithOperatorGetsAFinalVerdict) {
 }
 
 TEST(ProvenanceRecordingTest, AllThreeFlowsRecordDecisions) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto cases = designs::all_testcases();
   for (const auto flow : {synth::Flow::NoMerge, synth::Flow::OldMerge,
                           synth::Flow::NewMerge}) {
@@ -148,7 +146,6 @@ TEST(ProvenanceRecordingTest, AllThreeFlowsRecordDecisions) {
 // ---------------------------------------------------------------------------
 
 TEST(ProvenanceTagTest, EveryGateOwnedByALiveNodeAcrossRandomGraphs) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     Rng rng(seed);
     const dfg::Graph g = dfg::random_graph(rng);
@@ -213,7 +210,6 @@ TEST(AttributionTest, LedgerReconcilesAndCoversAreaOnPaperDesigns) {
 }
 
 TEST(AttributionTest, LedgerJsonIsDeterministicAcrossRuns) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto& lib = netlist::CellLibrary::tsmc025();
   const netlist::Sta sta(lib);
   const auto tc = designs::all_testcases()[3];  // D4: the big width-pruning win
@@ -231,7 +227,6 @@ TEST(AttributionTest, LedgerJsonIsDeterministicAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(LedgerDiffTest, NewVsOldNamesADifferingDecisionWhereTable1Differs) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto& lib = netlist::CellLibrary::tsmc025();
   // D4 is the paper's headline delta (39.67% delay reduction new vs old),
   // so the two flows must have decided at least one operator differently.
@@ -247,7 +242,6 @@ TEST(LedgerDiffTest, NewVsOldNamesADifferingDecisionWhereTable1Differs) {
 }
 
 TEST(LedgerDiffTest, FlowAgainstItselfIsEmpty) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto& lib = netlist::CellLibrary::tsmc025();
   const auto tc = designs::all_testcases()[0];
   const auto a = synth::explain_flow(tc.graph, synth::Flow::NewMerge, lib);
@@ -273,7 +267,6 @@ TEST(ProvenanceNeutralityTest, VerilogIdenticalWithAndWithoutRecording) {
 }
 
 TEST(ProvenanceNeutralityTest, DotAndLedgerTextAreNonEmpty) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto& lib = netlist::CellLibrary::tsmc025();
   const auto tc = designs::all_testcases()[0];
   const auto e = synth::explain_flow(tc.graph, synth::Flow::NewMerge, lib);
@@ -288,7 +281,6 @@ TEST(ProvenanceNeutralityTest, DotAndLedgerTextAreNonEmpty) {
 // ---------------------------------------------------------------------------
 
 TEST(FlowReportProvenanceTest, TopDecisionsSerializeToJson) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "obs compiled out";
   const auto& lib = netlist::CellLibrary::tsmc025();
   const netlist::Sta sta(lib);
   const auto tc = designs::all_testcases()[3];

@@ -151,9 +151,7 @@ void expect_width_invariant(const std::vector<Named>& corpus,
                             std::initializer_list<int> widths) {
   for (const Named& d : corpus) {
     const FrontEndRun ref = prepare(d.graph, 1);
-    if (obs::compiled_in()) {
-      EXPECT_FALSE(ref.cluster_stats.empty()) << d.name;
-    }
+    EXPECT_FALSE(ref.cluster_stats.empty()) << d.name;
     for (int threads : widths) {
       expect_identical(prepare(d.graph, threads), ref,
                        d.name + " threads=" + std::to_string(threads));

@@ -50,14 +50,12 @@ TEST(WideDatapath, EveryFlowVerifiesUnderParanoidChecks) {
     SCOPED_TRACE(synth::to_string(flow));
     // A check failure throws out of run_flow and fails the test.
     const synth::FlowResult fr = synth::run_flow(src.graph, flow);
-    if constexpr (obs::compiled_in()) {
-      std::int64_t check_runs = 0;
-      for (const auto& stage : fr.report.stages) {
-        const auto it = stage.stats.find("check.runs");
-        if (it != stage.stats.end()) check_runs += it->second;
-      }
-      EXPECT_GT(check_runs, 0);
+    std::int64_t check_runs = 0;
+    for (const auto& stage : fr.report.stages) {
+      const auto it = stage.stats.find("check.runs");
+      if (it != stage.stats.end()) check_runs += it->second;
     }
+    EXPECT_GT(check_runs, 0);
     Rng rng(20);
     std::string why;
     EXPECT_TRUE(synth::verify_netlist(fr.net, src.graph, 256, rng, &why))

@@ -17,21 +17,16 @@
 //   --flow=new|old|none|all  flows to run (default all; diffs need all)
 //   --json <path|->          machine-readable ledgers + diffs
 //   --dot <prefix>           write <prefix><design>.<flow>.dot per run
-//   --verilog <prefix>       write <prefix><design>.<flow>.v per run (works
-//                            without obs — CI uses it to prove an obs-off
-//                            build emits byte-identical netlists)
+//   --verilog <prefix>       write <prefix><design>.<flow>.v per run
 //   -q                       suppress the human-readable reports
 //
 // Plus the shared observability flags (obs/session.h): --stats-json,
-// --trace, --profile, --metrics, --events, --seed (recorded in the JSON
-// artifact — the flows are deterministic; the seed only tags the output),
+// --trace, --profile, --events, --seed (recorded in the JSON artifact —
+// the flows are deterministic; the seed only tags the output),
 // --stats-deterministic. Same dialect as the benches and dpmerge-lint.
 //
 // Exit status: 0 ok, 1 a flow failed or attribution did not reconcile, 2
-// usage/IO errors. Explanations need an obs-enabled build (the default);
-// with -DDPMERGE_OBS=OFF the provenance chain is compiled out, so the tool
-// exits 1 — unless --verilog is the only output requested, which stays
-// fully supported (netlists never depend on provenance).
+// usage/IO errors.
 
 #include <cmath>
 #include <cstdio>
@@ -121,16 +116,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dpmerge-explain: no input files (try --help)\n");
     return 2;
   }
-  const bool provenance = obs::compiled_in();
-  if (!provenance) {
-    std::fprintf(stderr,
-                 "dpmerge-explain: this build has DPMERGE_OBS=OFF; the "
-                 "provenance chain is compiled out%s\n",
-                 verilog_prefix.empty() ? "" : " (netlist dumps only)");
-    if (verilog_prefix.empty()) return 1;
-    quiet = true;  // ledgers would be all-untagged noise
-  }
-
   const synth::SynthOptions sopt;
 
   // Artifact lifecycle; a flow failure here is a reported finding (exit 1),

@@ -28,8 +28,8 @@
 //   -q                        suppress per-file OK lines
 //
 // Plus the shared observability flags (obs/session.h): --stats-json,
-// --trace, --profile, --metrics, --events, --seed, --stats-deterministic —
-// the same artifact dialect the benches and dpmerge-explain speak.
+// --trace, --profile, --events, --seed, --stats-deterministic — the same
+// artifact dialect the benches and dpmerge-explain speak.
 //
 // Exit status: 0 all clean, 1 findings (errors or warnings), 2 usage/IO.
 
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  // Artifact lifecycle (--trace/--profile/--metrics/--events/--stats-json):
+  // Artifact lifecycle (--trace/--profile/--events/--stats-json):
   // check-failure dumps stay off — this tool provokes CheckFailures on
   // purpose and reports them as findings, not crashes.
   obs::CrashOptions crash;
@@ -188,23 +188,16 @@ int main(int argc, char** argv) {
         try {
           const auto res = synth::run_flow(graph, synth::Flow::NewMerge, sopt);
           if (res.report.merge_decisions == 0) {
-            if (!dpmerge::obs::compiled_in()) {
-              std::printf(
-                  "%s: new-merge merged nothing (provenance compiled out; "
-                  "rebuild with DPMERGE_OBS=ON for reject reasons)\n",
-                  path.c_str());
-            } else {
-              std::printf("%s: new-merge merged nothing; reject reasons:\n",
-                          path.c_str());
-              for (const auto id : res.decisions.final_decisions()) {
-                const auto& d = res.decisions.decision(id);
-                if (d.verdict != obs::prov::Verdict::Reject) continue;
-                std::printf("  %s\n", d.to_text().c_str());
-                for (const auto rid : res.decisions.rejects_for_node(d.node)) {
-                  if (rid == id) continue;
-                  std::printf("    %s\n",
-                              res.decisions.decision(rid).to_text().c_str());
-                }
+            std::printf("%s: new-merge merged nothing; reject reasons:\n",
+                        path.c_str());
+            for (const auto id : res.decisions.final_decisions()) {
+              const auto& d = res.decisions.decision(id);
+              if (d.verdict != obs::prov::Verdict::Reject) continue;
+              std::printf("  %s\n", d.to_text().c_str());
+              for (const auto rid : res.decisions.rejects_for_node(d.node)) {
+                if (rid == id) continue;
+                std::printf("    %s\n",
+                            res.decisions.decision(rid).to_text().c_str());
               }
             }
           }

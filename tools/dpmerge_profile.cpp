@@ -127,14 +127,9 @@ int main(int argc, char** argv) {
       case Format::Text:
         obs::write_profile_text(ss, p);
         break;
-      case Format::Json: {
-        // Re-emit of a loaded artifact: this process's live registry has
-        // nothing to do with the run being rendered, so leave it out.
-        obs::ProfileJsonOptions o;
-        o.include_registry = false;
-        obs::write_profile_json(ss, p, o);
+      case Format::Json:
+        obs::write_profile_json(ss, p);
         break;
-      }
       case Format::Folded:
         obs::write_profile_folded(ss, p);
         break;
