@@ -2,8 +2,9 @@
 // the clustering algorithm with DFG size. The paper claims "efficient
 // algorithms" (required precision and the information-content upper bound
 // are single sweeps, O(V+E)); these benches demonstrate near-linear
-// behaviour and measure the cost of the iterative merging loop and of full
-// synthesis.
+// behaviour and measure the cost of the iterative merging loop. Synthesis,
+// simulation, verification and timing optimisation are measured end to end
+// by dpbench (`python3 dpbench/run.py`, see dpbench/README.md).
 
 #include <benchmark/benchmark.h>
 
@@ -12,12 +13,7 @@
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/analysis/required_precision.h"
 #include "dpmerge/cluster/clusterer.h"
-#include "dpmerge/designs/kernels.h"
 #include "dpmerge/dfg/random_graph.h"
-#include "dpmerge/netlist/packed_sim.h"
-#include "dpmerge/netlist/sta.h"
-#include "dpmerge/synth/flow.h"
-#include "dpmerge/synth/verify.h"
 #include "dpmerge/transform/width_prune.h"
 
 namespace {
@@ -78,113 +74,6 @@ void BM_ClusterLeakage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterLeakage)->Range(16, 4096);
-
-void BM_FullFlow(benchmark::State& state) {
-  const auto g = graph_of_size(static_cast<int>(state.range(0)));
-  const auto flow = static_cast<synth::Flow>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(synth::run_flow(g, flow));
-  }
-  state.SetLabel(std::string(synth::to_string(flow)));
-}
-BENCHMARK(BM_FullFlow)
-    ->ArgsProduct({{64, 256, 1024}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond);
-
-/// The largest DSP kernel by synthesized gate count under the full
-/// new-merge flow — the verification-heavy workload of the acceptance
-/// criteria. Synthesized once and shared by the sim/verify benches.
-struct LargestKernel {
-  std::string name;
-  dfg::Graph graph;
-  netlist::Netlist net;
-};
-
-const LargestKernel& largest_kernel() {
-  static const LargestKernel k = [] {
-    LargestKernel best;
-    int best_gates = -1;
-    for (auto& kern : designs::dsp_kernels()) {
-      auto res = synth::run_flow(kern.graph, synth::Flow::NewMerge);
-      if (res.net.gate_count() > best_gates) {
-        best_gates = res.net.gate_count();
-        best.name = kern.name;
-        best.graph = kern.graph;
-        best.net = std::move(res.net);
-      }
-    }
-    return best;
-  }();
-  return k;
-}
-
-// 64 stimulus vectors through the netlist in one word-parallel pass.
-void BM_PackedSim(benchmark::State& state) {
-  const auto& k = largest_kernel();
-  Rng rng(11);
-  std::vector<std::vector<BitVector>> stimuli(netlist::PackedSimulator::kLanes);
-  for (auto& lane : stimuli) {
-    for (const auto& bus : k.net.inputs()) {
-      lane.push_back(rng.bits(bus.signal.width()));
-    }
-  }
-  netlist::PackedSimulator vec(k.net);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vec.run_batch(stimuli));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          netlist::PackedSimulator::kLanes);
-  state.SetLabel(k.name + "/packed");
-}
-BENCHMARK(BM_PackedSim)->Unit(benchmark::kMicrosecond);
-
-// Full Monte-Carlo equivalence check, 256 trials, lane-batched.
-void BM_VerifyNetlist(benchmark::State& state) {
-  const auto& k = largest_kernel();
-  for (auto _ : state) {
-    Rng rng(42);  // per-iteration reseed: identical stimulus sequence
-    if (!synth::verify_netlist(k.net, k.graph, 256, rng)) {
-      state.SkipWithError("verification mismatch");
-    }
-  }
-  state.SetLabel(k.name + "/packed");
-}
-BENCHMARK(BM_VerifyNetlist)->Unit(benchmark::kMillisecond);
-
-// The timing-update kernel of the optimizer's sizing loop: apply a
-// pseudo-random drive change, then re-time — full Sta::analyze (arg 0) vs
-// IncrementalSta forward-cone update (arg 1).
-void BM_TimingOptIncremental(benchmark::State& state) {
-  const auto& k = largest_kernel();
-  netlist::Netlist net = k.net;  // mutated copy
-  const auto& lib = netlist::CellLibrary::tsmc025();
-  const bool incremental = state.range(0) != 0;
-  Rng rng(7);
-  std::vector<std::pair<int, int>> changes;  // (gate, new drive)
-  for (int i = 0; i < 256; ++i) {
-    changes.emplace_back(
-        static_cast<int>(rng.uniform(0, net.gate_count() - 1)),
-        static_cast<int>(rng.uniform(0, netlist::kDriveLevels - 1)));
-  }
-  netlist::Sta sta(lib);
-  netlist::IncrementalSta ista(net, lib);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [gi, drive] = changes[i++ % changes.size()];
-    net.set_drive(netlist::GateId{gi}, drive);
-    if (incremental) {
-      ista.update_drive_change(netlist::GateId{gi});
-      benchmark::DoNotOptimize(ista.longest_path_ns());
-    } else {
-      benchmark::DoNotOptimize(sta.analyze(net).longest_path_ns);
-    }
-  }
-  state.SetLabel(k.name + (incremental ? "/incremental" : "/full"));
-}
-BENCHMARK(BM_TimingOptIncremental)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_HuffmanRebalancing(benchmark::State& state) {
   std::vector<analysis::Addend> addends;

@@ -42,7 +42,7 @@ unsigned char eval_gate(const Gate& gt,
                         const std::vector<unsigned char>& tri) {
   auto in = [&](int i) {
     return tri[static_cast<std::size_t>(
-        gt.inputs[static_cast<std::size_t>(i)].value)];
+        gt.pins[static_cast<std::size_t>(i)].value)];
   };
   switch (gt.type) {
     case CellType::INV:
@@ -114,14 +114,14 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
     if (tri[out_idx] != kU) continue;  // constant output: influence stops
     if (gt.type == CellType::MUX2) {
       const unsigned char sel =
-          tri[static_cast<std::size_t>(gt.inputs[2].value)];
+          tri[static_cast<std::size_t>(gt.pins[2].value)];
       if (sel != kU) {
         obs_net[static_cast<std::size_t>(
-            gt.inputs[sel == kT ? 1 : 0].value)] = 1;
+            gt.pins[sel == kT ? 1 : 0].value)] = 1;
         continue;
       }
     }
-    for (NetId in : gt.inputs) {
+    for (NetId in : gt.inputs()) {
       obs_net[static_cast<std::size_t>(in.value)] = 1;
     }
   }

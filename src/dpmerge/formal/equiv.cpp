@@ -256,7 +256,7 @@ std::vector<std::pair<std::string, Word>> sym_eval_netlist(
   for (netlist::GateId gid : n.topo_gates()) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
     auto inv = [&](int k) {
-      return value[static_cast<std::size_t>(g.inputs[static_cast<std::size_t>(k)].value)];
+      return value[static_cast<std::size_t>(g.pins[static_cast<std::size_t>(k)].value)];
     };
     Bdd::Ref r = Bdd::kFalse;
     switch (g.type) {

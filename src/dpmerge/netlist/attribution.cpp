@@ -13,9 +13,9 @@ PathAttribution attribute_critical_path(const Netlist& n,
     seg.arrival_ns = rep.arrival[static_cast<std::size_t>(net.value)];
     seg.incr_ns = seg.arrival_ns - prev_arrival;
     prev_arrival = seg.arrival_ns;
-    if (const Gate* drv = n.driver(net)) {
-      seg.gate = drv->id;
-      seg.owner = n.provenance_owner(drv->id);
+    if (const GateId drv = n.driver_id(net); drv.valid()) {
+      seg.gate = drv;
+      seg.owner = n.provenance_owner(drv);
       out.path_gates_by_owner[seg.owner] += 1;
     }
     // Primary-input segments arrive at t = 0 and bill nothing; gate
@@ -29,8 +29,9 @@ PathAttribution attribute_critical_path(const Netlist& n,
 std::map<int, OwnerCensus> census_by_owner(const Netlist& n,
                                            const CellLibrary& lib) {
   std::map<int, OwnerCensus> out;
-  for (const Gate& g : n.gates()) {
-    OwnerCensus& c = out[n.provenance_owner(g.id)];
+  for (int gi = 0; gi < n.gate_count(); ++gi) {
+    const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
+    OwnerCensus& c = out[n.provenance_owner(GateId{gi})];
     c.gates += 1;
     c.area += lib.variant(g.type, g.drive).area;
   }

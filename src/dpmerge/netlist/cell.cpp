@@ -1,20 +1,6 @@
 #include "dpmerge/netlist/cell.h"
 
-#include <cassert>
-
 namespace dpmerge::netlist {
-
-int cell_input_count(CellType t) {
-  switch (t) {
-    case CellType::INV:
-    case CellType::BUF:
-      return 1;
-    case CellType::MUX2:
-      return 3;
-    default:
-      return 2;
-  }
-}
 
 std::string_view to_string(CellType t) {
   switch (t) {
@@ -38,31 +24,6 @@ std::string_view to_string(CellType t) {
       return "MUX2";
   }
   return "?";
-}
-
-bool eval_cell(CellType t, const std::vector<bool>& in) {
-  assert(static_cast<int>(in.size()) == cell_input_count(t));
-  switch (t) {
-    case CellType::INV:
-      return !in[0];
-    case CellType::BUF:
-      return in[0];
-    case CellType::NAND2:
-      return !(in[0] && in[1]);
-    case CellType::NOR2:
-      return !(in[0] || in[1]);
-    case CellType::AND2:
-      return in[0] && in[1];
-    case CellType::OR2:
-      return in[0] || in[1];
-    case CellType::XOR2:
-      return in[0] != in[1];
-    case CellType::XNOR2:
-      return in[0] == in[1];
-    case CellType::MUX2:
-      return in[2] ? in[1] : in[0];
-  }
-  return false;
 }
 
 std::uint64_t eval_cell_packed(CellType t, const std::uint64_t* in) {

@@ -1,6 +1,7 @@
 #include "dpmerge/netlist/netlist.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "dpmerge/obs/obs.h"
 
@@ -18,22 +19,30 @@ NetId Netlist::new_net() {
 }
 
 NetId Netlist::add_gate(CellType t, PinList inputs) {
-  assert(static_cast<int>(inputs.size()) == cell_input_count(t));
+  if (static_cast<int>(inputs.size()) != cell_input_count(t)) {
+    throw std::invalid_argument("add_gate: wrong pin count for " +
+                                std::string(to_string(t)));
+  }
   const NetId out = new_net();
+  const int gi = static_cast<int>(gates_.size());
   Gate g;
-  g.id = GateId{static_cast<int>(gates_.size())};
   g.type = t;
-  g.inputs = inputs;
+  // All three slots (unused ones hold NetId{}): a size()-long copy compiles
+  // to a variable-length memcpy that costs more than the gate store itself.
+  for (std::size_t k = 0; k < g.pins.size(); ++k) g.pins[k] = inputs[k];
   g.output = out;
-  driver_of_[static_cast<std::size_t>(out.value)] = g.id.value;
+  driver_of_[static_cast<std::size_t>(out.value)] = gi;
   gates_.push_back(g);
   gate_owner_.push_back(current_owner_);
   return out;
 }
 
 void Netlist::set_input(GateId g, int pin, NetId n) {
-  gates_[static_cast<std::size_t>(g.value)]
-      .inputs[static_cast<std::size_t>(pin)] = n;
+  Gate& gate = gates_[static_cast<std::size_t>(g.value)];
+  if (pin < 0 || pin >= cell_input_count(gate.type)) {
+    throw std::invalid_argument("set_input: no pin " + std::to_string(pin));
+  }
+  gate.pins[static_cast<std::size_t>(pin)] = n;
   ++version_;
   if (n.value < 0 || n.value >= net_count_ ||
       driver_of_[static_cast<std::size_t>(n.value)] >= g.value) {
@@ -164,11 +173,6 @@ void Netlist::add_output(const std::string& name, const Signal& s) {
   outputs_.push_back(Bus{name, s});
 }
 
-const Gate* Netlist::driver(NetId n) const {
-  const int g = driver_of_[static_cast<std::size_t>(n.value)];
-  return g < 0 ? nullptr : &gates_[static_cast<std::size_t>(g)];
-}
-
 namespace {
 
 /// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
@@ -187,7 +191,7 @@ void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
   std::vector<std::int32_t> ready;
   for (std::size_t gi = 0; gi < ng; ++gi) {
     std::int32_t cnt = 0;
-    for (NetId in : gates[gi].inputs) {
+    for (NetId in : gates[gi].inputs()) {
       const auto ni = static_cast<std::size_t>(in.value);
       ++v.reader_begin[ni];
       if (with_topo && driver_of[ni] >= 0) ++cnt;
@@ -205,7 +209,7 @@ void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
   }
   v.readers.resize(static_cast<std::size_t>(v.reader_begin[nets]));
   for (std::size_t gi = ng; gi-- > 0;) {
-    const PinList& ins = gates[gi].inputs;
+    const std::span<const NetId> ins = gates[gi].inputs();
     for (std::size_t k = ins.size(); k-- > 0;) {
       const auto ni = static_cast<std::size_t>(ins[k].value);
       v.readers[static_cast<std::size_t>(--v.reader_begin[ni])] =

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -21,24 +23,31 @@ struct NetId {
   auto operator<=>(const NetId&) const = default;
 };
 
+/// A gate's id is its index in `Netlist::gates()`.
 struct GateId {
   int value = -1;
+  bool valid() const { return value >= 0; }
   auto operator<=>(const GateId&) const = default;
 };
 
-/// A gate's input pins, stored inline: no heap block per gate. The
-/// capacity is the widest cell's arity (MUX2); appending past it throws
-/// `std::length_error` in every build type.
-using PinList = support::InlineList<NetId, 3>;
+/// The input pins handed to `add_gate`. The capacity is the widest cell's
+/// arity (MUX2); appending past it throws `std::length_error` in every
+/// build type.
+using PinList = support::InlineList<NetId, kMaxCellInputs>;
 
+/// One cell instance. Its id is its index in the gate array and its pin
+/// count is `cell_input_count(type)`; neither is stored.
 struct Gate {
-  GateId id;
   CellType type = CellType::INV;
-  int drive = 0;  ///< drive-strength variant index (0 = X1)
-  PinList inputs;
+  std::uint8_t drive = 0;  ///< drive-strength variant index (0 = X1)
+  std::array<NetId, kMaxCellInputs> pins{};  ///< unused slots: NetId{}
   NetId output;
+
+  std::span<const NetId> inputs() const {
+    return {pins.data(), static_cast<std::size_t>(cell_input_count(type))};
+  }
 };
-static_assert(sizeof(Gate) <= 32, "gates are stored flat; keep them small");
+static_assert(sizeof(Gate) <= 20, "gates are stored flat; keep them small");
 static_assert(std::is_trivially_copyable_v<Gate>,
               "the gate array grows by realloc (support::PodBuffer)");
 
@@ -160,11 +169,17 @@ class Netlist {
   bool is_const(NetId n) const { return n.value <= 1; }
 
   /// Raw gate creation (no folding): appends a gate driving a fresh net.
+  /// It, `set_drive` and `set_input` throw `std::invalid_argument` (in every
+  /// build type) on a pin count, drive or pin the cell does not have.
   NetId add_gate(CellType t, PinList inputs);
 
   /// Sets a gate's drive-strength variant. Not structural: the view stays.
   void set_drive(GateId g, int drive) {
-    gates_[static_cast<std::size_t>(g.value)].drive = drive;
+    if (drive < 0 || drive >= kDriveLevels) {
+      throw std::invalid_argument("set_drive: no such drive");
+    }
+    gates_[static_cast<std::size_t>(g.value)].drive =
+        static_cast<std::uint8_t>(drive);
   }
   /// Rewires input pin `pin` of gate `g` to net `n`. Structural. Clears
   /// the index-order bit unless `n` is undriven or driven by an earlier
@@ -235,8 +250,15 @@ class Netlist {
     return false;
   }
 
-  /// Driver gate of a net, or nullptr for primary inputs / constants.
-  const Gate* driver(NetId n) const;
+  /// Driver gate of a net (its id, its gate), or invalid / nullptr for
+  /// primary inputs and constants.
+  GateId driver_id(NetId n) const {
+    return GateId{driver_of_[static_cast<std::size_t>(n.value)]};
+  }
+  const Gate* driver(NetId n) const {
+    const GateId g = driver_id(n);
+    return g.valid() ? &gates_[static_cast<std::size_t>(g.value)] : nullptr;
+  }
 
   /// True while gate-index order is topological (see the class comment).
   bool index_topological() const { return index_topological_; }

@@ -34,11 +34,12 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
   }
 
   const Gate* gates = net_.gates().data();
-  std::uint64_t ins[3];
+  std::uint64_t ins[kMaxCellInputs];
   for (GateId gid : net_.topo_gates()) {
     const Gate& g = gates[static_cast<std::size_t>(gid.value)];
-    for (std::size_t k = 0; k < g.inputs.size(); ++k) {
-      ins[k] = value[static_cast<std::size_t>(g.inputs[k].value)];
+    std::size_t k = 0;
+    for (NetId in : g.inputs()) {
+      ins[k++] = value[static_cast<std::size_t>(in.value)];
     }
     value[static_cast<std::size_t>(g.output.value)] =
         eval_cell_packed(g.type, ins);

@@ -69,7 +69,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
   for (GateId gid : kahn_order(n)) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
     PinList ins;
-    for (NetId in : g.inputs) {
+    for (NetId in : g.inputs()) {
       const NetId m = map[static_cast<std::size_t>(in.value)];
       assert(m.valid() && "input net not yet rebuilt");
       ins.push_back(m);
@@ -87,7 +87,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       // source cheaply via the driver in `out`.
       if (!result.valid()) {
         const Gate* d = out.driver(ins[0]);
-        if (d && d->type == CellType::INV) result = d->inputs[0];
+        if (d && d->type == CellType::INV) result = d->inputs()[0];
       }
     }
     if (!result.valid()) {
@@ -158,7 +158,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       if (live[static_cast<std::size_t>(cur.value)]) continue;
       live[static_cast<std::size_t>(cur.value)] = true;
       if (const Gate* d = out.driver(cur)) {
-        for (NetId in : d->inputs) stack.push_back(in);
+        for (NetId in : d->inputs()) stack.push_back(in);
       }
     }
   }
@@ -185,7 +185,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       const Gate& g = out.gates()[static_cast<std::size_t>(gid.value)];
       if (!live[static_cast<std::size_t>(g.output.value)]) continue;
       PinList ins;
-      for (NetId in : g.inputs) {
+      for (NetId in : g.inputs()) {
         auto& slot = pmap[static_cast<std::size_t>(in.value)];
         if (!slot.valid()) slot = pruned.new_net();  // shouldn't happen
         ins.push_back(slot);

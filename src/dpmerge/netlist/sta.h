@@ -49,12 +49,10 @@ class Sta {
 ///   (b) delays/arrivals in the forward cone of the gate and of its input
 ///       nets' drivers,
 /// so `update_drive_change` walks a topologically-ordered worklist over
-/// exactly that cone and stops where arrivals (and critical-path `from`
-/// links) settle. Invariants maintained between calls:
+/// exactly that cone and stops where arrivals settle. Invariants maintained
+/// between calls (the critical path is derived from them, not stored):
 ///   - `load_[n]`    == sum of reader-pin input caps of net n
 ///   - `arrival_[n]` == from-scratch arrival of net n
-///   - `from_[n]`    == latest-arriving input of n's driver (ties broken
-///                      last input wins)
 /// The topological order is `Netlist::topo_gates()`: gate-index order while
 /// `index_topological()` holds, so the worklist is keyed by gate index and
 /// no order is built; otherwise the view's Kahn order and `topo_pos`.
@@ -83,7 +81,8 @@ class IncrementalSta {
     return load_[static_cast<std::size_t>(n.value)];
   }
 
-  /// Critical path traced on demand from the latest-arriving output bit.
+  /// Critical path traced on demand from the latest-arriving output bit
+  /// back through each driver's `latest_input`.
   std::vector<NetId> critical_path() const;
 
   /// Full report in the `Sta::analyze` format (the rvalue form moves the
@@ -93,14 +92,14 @@ class IncrementalSta {
 
  private:
   void recompute_gate(int gate_idx);
+  /// The latest-arriving input of `g`; of equally late ones, the last pin.
+  NetId latest_input(const Gate& g) const;
   void refresh_longest();
 
   const Netlist& net_;
   const CellLibrary& lib_;
   std::vector<double> arrival_;  // per net
   std::vector<double> load_;     // per net
-  std::vector<NetId> from_;      // per net: critical predecessor
-  std::vector<NetId> output_bits_;
   double longest_ = 0.0;
   NetId longest_net_{};
 

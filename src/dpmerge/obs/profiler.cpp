@@ -199,9 +199,18 @@ void node_to_json(std::string& out, const ProfileNode& n,
     out += ":" + std::to_string(v);
   }
   out += "},\"children\":[";
-  for (std::size_t i = 0; i < n.children.size(); ++i) {
+  // Children are ordered by time; with the times zeroed that order is
+  // noise, so write them by name and keep the artifact byte-stable.
+  std::vector<const ProfileNode*> kids;
+  for (const ProfileNode& c : n.children) kids.push_back(&c);
+  if (opt.zero_times) {
+    std::stable_sort(kids.begin(), kids.end(), [](auto* a, auto* b) {
+      return a->name < b->name;
+    });
+  }
+  for (std::size_t i = 0; i < kids.size(); ++i) {
     if (i) out += ",";
-    node_to_json(out, n.children[i], opt);
+    node_to_json(out, *kids[i], opt);
   }
   out += "]}";
 }

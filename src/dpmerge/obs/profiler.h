@@ -54,8 +54,8 @@ struct Profile {
 Profile build_profile(const std::vector<FrEvent>& events);
 
 struct ProfileJsonOptions {
-  /// Zeroes every duration and memory field — the `--stats-deterministic`
-  /// contract for profile artifacts.
+  /// Zeroes every duration and memory field and orders children by name —
+  /// the `--stats-deterministic` contract for profile artifacts.
   bool zero_times = false;
 };
 

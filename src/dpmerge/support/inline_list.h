@@ -11,7 +11,8 @@ namespace dpmerge::support {
 
 /// At most N values stored inline, for small fixed-arity lists (a gate's
 /// pins, a term's factors) that must not cost a heap block each. Appending
-/// past N throws `std::length_error` in every build type.
+/// past N throws `std::length_error` in every build type. Slots past
+/// `size()` hold `T{}`, so `operator[]` may read all N.
 template <typename T, int N>
 class InlineList {
   static_assert(N > 0 && N < 256, "size is stored in one byte");

@@ -100,11 +100,12 @@ TEST(FormalEquiv, DetectsInjectedNetlistBug) {
   // with a zero carry-in — and an equivalence checker rightly shrugs at
   // that; the output driver is always observable).
   const netlist::NetId msb = res.net.outputs().front().signal.msb();
-  const netlist::Gate* drv = res.net.driver(msb);
-  ASSERT_NE(drv, nullptr);
-  ASSERT_EQ(drv->type, netlist::CellType::XOR2);
-  res.net.mutable_gates()[static_cast<std::size_t>(drv->id.value)].type =
-      netlist::CellType::XNOR2;
+  const netlist::GateId drv = res.net.driver_id(msb);
+  ASSERT_TRUE(drv.valid());
+  netlist::Gate& gate =
+      res.net.mutable_gates()[static_cast<std::size_t>(drv.value)];
+  ASSERT_EQ(gate.type, netlist::CellType::XOR2);
+  gate.type = netlist::CellType::XNOR2;
   const auto r = check_netlist_vs_graph(res.net, g);
   EXPECT_EQ(r.status, EquivResult::Status::Different);
   EXPECT_NE(r.detail.find("witness"), std::string::npos);

@@ -251,8 +251,7 @@ TEST(IndexOrder, OptimiserMatchesTheKahnPath) {
         const Gate& q = by_kahn.gates()[static_cast<std::size_t>(gi)];
         ASSERT_TRUE(p.type == q.type && p.drive == q.drive &&
                     p.output == q.output &&
-                    std::equal(p.inputs.begin(), p.inputs.end(),
-                               q.inputs.begin(), q.inputs.end()))
+                    p.pins == q.pins)
             << what << " gate " << gi;
       }
       if (by_index.index_topological()) {

@@ -21,16 +21,17 @@ inline std::vector<GateId> topo_gates(const Netlist& n) {
   std::vector<GateId> order;
   order.reserve(gates.size());
   std::vector<int> ready;
-  for (const Gate& g : gates) {
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     int cnt = 0;
-    for (NetId in : g.inputs) {
+    for (NetId in : gates[gi].inputs()) {
       if (n.driver(in) != nullptr) {
         ++cnt;
-        readers[static_cast<std::size_t>(in.value)].push_back(g.id.value);
+        readers[static_cast<std::size_t>(in.value)].push_back(
+            static_cast<int>(gi));
       }
     }
-    pending[static_cast<std::size_t>(g.id.value)] = cnt;
-    if (cnt == 0) ready.push_back(g.id.value);
+    pending[gi] = cnt;
+    if (cnt == 0) ready.push_back(static_cast<int>(gi));
   }
   while (!ready.empty()) {
     const int gi = ready.back();
@@ -47,10 +48,9 @@ inline std::vector<GateId> topo_gates(const Netlist& n) {
 /// True when every gate reads only undriven nets and nets driven by
 /// earlier gates.
 inline bool index_order_is_topological(const Netlist& n) {
-  for (const Gate& g : n.gates()) {
-    for (NetId in : g.inputs) {
-      const Gate* d = n.driver(in);
-      if (d != nullptr && d->id.value >= g.id.value) return false;
+  for (int gi = 0; gi < n.gate_count(); ++gi) {
+    for (NetId in : n.gates()[static_cast<std::size_t>(gi)].inputs()) {
+      if (n.driver_id(in).value >= gi) return false;
     }
   }
   return true;

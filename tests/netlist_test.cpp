@@ -109,6 +109,20 @@ TEST(Netlist, ValidateCatchesFloatingInput) {
   EXPECT_TRUE(check::verify(ok).ok());
 }
 
+TEST(Netlist, SetDriveAndSetInputRejectWhatTheCellLacks) {
+  Netlist n;
+  const NetId a = n.new_net();
+  n.add_gate(CellType::INV, {a});
+  EXPECT_THROW(n.set_drive(GateId{0}, kDriveLevels), std::invalid_argument);
+  EXPECT_THROW(n.set_drive(GateId{0}, -1), std::invalid_argument);
+  EXPECT_THROW(n.set_input(GateId{0}, 1, a), std::invalid_argument);
+  EXPECT_THROW(n.set_input(GateId{0}, -1, a), std::invalid_argument);
+  EXPECT_EQ(n.gates()[0].drive, 0);
+  EXPECT_EQ(n.gates()[0].pins[1], NetId{});
+  n.set_drive(GateId{0}, kDriveLevels - 1);
+  EXPECT_EQ(n.gates()[0].drive, kDriveLevels - 1);
+}
+
 TEST(Netlist, TopoGatesRespectsDependencies) {
   Netlist n;
   const NetId a = n.new_net();
@@ -125,12 +139,12 @@ TEST(Netlist, TopoGatesRespectsDependencies) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     pos[static_cast<std::size_t>(order[i].value)] = static_cast<int>(i);
   }
-  for (const Gate& g : n.gates()) {
-    for (NetId gin : g.inputs) {
-      const Gate* drv = n.driver(gin);
-      if (drv) {
-        EXPECT_LT(pos[static_cast<std::size_t>(drv->id.value)],
-                  pos[static_cast<std::size_t>(g.id.value)]);
+  for (int gi = 0; gi < n.gate_count(); ++gi) {
+    for (NetId gin : n.gates()[static_cast<std::size_t>(gi)].inputs()) {
+      const GateId drv = n.driver_id(gin);
+      if (drv.valid()) {
+        EXPECT_LT(pos[static_cast<std::size_t>(drv.value)],
+                  pos[static_cast<std::size_t>(gi)]);
       }
     }
   }

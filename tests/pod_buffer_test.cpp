@@ -107,18 +107,18 @@ TEST(PodBuffer, HoldsGates) {
   PodBuffer<netlist::Gate> gates;
   for (int i = 0; i < 40; ++i) {
     netlist::Gate g;
-    g.id = netlist::GateId{i};
     g.type = netlist::CellType::MUX2;
-    g.inputs = {netlist::NetId{i}, netlist::NetId{i + 1}, netlist::NetId{2}};
+    g.drive = static_cast<std::uint8_t>(i % netlist::kDriveLevels);
+    g.pins = {netlist::NetId{i}, netlist::NetId{i + 1}, netlist::NetId{2}};
     g.output = netlist::NetId{i + 3};
     gates.push_back(g);
   }
   const PodBuffer<netlist::Gate> copy = gates;
   for (int i = 0; i < 40; ++i) {
     const netlist::Gate& g = copy[static_cast<std::size_t>(i)];
-    EXPECT_EQ(g.id.value, i);
-    ASSERT_EQ(g.inputs.size(), 3u);
-    EXPECT_EQ(g.inputs[1].value, i + 1);
+    EXPECT_EQ(g.drive, i % netlist::kDriveLevels);
+    ASSERT_EQ(g.inputs().size(), 3u);
+    EXPECT_EQ(g.inputs()[1].value, i + 1);
     EXPECT_EQ(g.output.value, i + 3);
   }
 }

@@ -200,6 +200,36 @@ TEST(ProfilerTest, ZeroTimesOptionZeroesDurationsAndOmitsRegistry) {
   EXPECT_EQ(q.peak_rss_mb, 0.0);
 }
 
+TEST(ProfilerTest, ZeroTimesOrdersChildrenByName) {
+  // Child times run against name order: time order is z, m, a. With the
+  // times zeroed the children come out by name, so two runs whose times
+  // differ write the same bytes.
+  const auto json = [](std::int64_t scale, bool zero) {
+    const std::vector<obs::FrEvent> events = {
+        ev(0, obs::FrKind::SpanBegin, "z"),
+        ev(300 * scale, obs::FrKind::SpanEnd, "z", 300 * scale),
+        ev(400, obs::FrKind::SpanBegin, "a"),
+        ev(500, obs::FrKind::SpanEnd, "a", 100),
+        ev(600, obs::FrKind::SpanBegin, "m"),
+        ev(800, obs::FrKind::SpanEnd, "m", 200),
+    };
+    std::ostringstream os;
+    obs::ProfileJsonOptions opt;
+    opt.zero_times = zero;
+    obs::write_profile_json(os, obs::build_profile(events), opt);
+    return os.str();
+  };
+  const std::string timed = json(1, false);
+  EXPECT_LT(timed.find("\"z\""), timed.find("\"m\""));
+  EXPECT_LT(timed.find("\"m\""), timed.find("\"a\""));
+
+  const std::string zeroed = json(1, true);
+  EXPECT_LT(zeroed.find("\"a\""), zeroed.find("\"m\""));
+  EXPECT_LT(zeroed.find("\"m\""), zeroed.find("\"z\""));
+  // z drops from first to last by time; the zeroed bytes stay put.
+  EXPECT_EQ(json(0, true), zeroed);
+}
+
 TEST(ProfilerTest, TextAndFoldedRenderings) {
   const std::vector<obs::FrEvent> events = {
       ev(0, obs::FrKind::SpanBegin, "a"),

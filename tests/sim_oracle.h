@@ -1,5 +1,6 @@
-// Scalar reference oracles for gate-level simulation: `netlist::Simulator`
-// evaluates every gate once, one stimulus at a time, and
+// Scalar reference oracles for gate-level simulation: `netlist::eval_cell`
+// evaluates one cell on one stimulus, `netlist::Simulator` evaluates every
+// gate once, one stimulus at a time, and
 // `synth::verify_netlist_scalar` checks a netlist against the DFG
 // interpreter with it. The library's own simulation and verification go
 // through `PackedSimulator` / `verify_netlist`; the tests hold those
@@ -18,6 +19,35 @@
 #include "dpmerge/netlist/netlist.h"
 
 namespace dpmerge::netlist {
+
+/// Evaluates the boolean function of a cell on one stimulus (the scalar
+/// counterpart of `eval_cell_packed`).
+inline bool eval_cell(CellType t, const std::vector<bool>& in) {
+  if (static_cast<int>(in.size()) != cell_input_count(t)) {
+    throw std::invalid_argument("eval_cell: pin count mismatch");
+  }
+  switch (t) {
+    case CellType::INV:
+      return !in[0];
+    case CellType::BUF:
+      return in[0];
+    case CellType::NAND2:
+      return !(in[0] && in[1]);
+    case CellType::NOR2:
+      return !(in[0] || in[1]);
+    case CellType::AND2:
+      return in[0] && in[1];
+    case CellType::OR2:
+      return in[0] || in[1];
+    case CellType::XOR2:
+      return in[0] != in[1];
+    case CellType::XNOR2:
+      return in[0] == in[1];
+    case CellType::MUX2:
+      return in[2] ? in[1] : in[0];
+  }
+  return false;
+}
 
 /// Cycle-free functional simulation of a netlist: evaluates every gate once
 /// in topological order.
@@ -52,7 +82,7 @@ class Simulator {
     for (GateId gid : net_.topo_gates()) {
       const Gate& g = net_.gates()[static_cast<std::size_t>(gid.value)];
       ins.clear();
-      for (NetId in : g.inputs) {
+      for (NetId in : g.inputs()) {
         ins.push_back(value[static_cast<std::size_t>(in.value)]);
       }
       value[static_cast<std::size_t>(g.output.value)] = eval_cell(g.type, ins);

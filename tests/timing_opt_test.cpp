@@ -122,7 +122,7 @@ TEST(Sta, CriticalPathEndsAtWorstOutput) {
     const auto* drv = flow.net.driver(rep.critical_path[i]);
     ASSERT_NE(drv, nullptr);
     bool found = false;
-    for (auto in : drv->inputs) {
+    for (auto in : drv->inputs()) {
       if (in == rep.critical_path[i - 1]) found = true;
     }
     EXPECT_TRUE(found) << "path hop " << i;
