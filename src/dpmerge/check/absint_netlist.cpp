@@ -16,62 +16,9 @@ using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
 
-/// Per-net tri-state: 0 = known 0, 1 = known 1, 2 = varies with stimulus.
-enum : unsigned char { kF = 0, kT = 1, kU = 2 };
-
-unsigned char tri_not(unsigned char a) { return a == kU ? kU : (a ^ 1); }
-
-unsigned char tri_and(unsigned char a, unsigned char b) {
-  if (a == kF || b == kF) return kF;
-  if (a == kT && b == kT) return kT;
-  return kU;
-}
-
-unsigned char tri_or(unsigned char a, unsigned char b) {
-  if (a == kT || b == kT) return kT;
-  if (a == kF && b == kF) return kF;
-  return kU;
-}
-
-unsigned char tri_xor(unsigned char a, unsigned char b) {
-  if (a == kU || b == kU) return kU;
-  return a ^ b;
-}
-
-unsigned char eval_gate(const Gate& gt,
-                        const std::vector<unsigned char>& tri) {
-  auto in = [&](int i) {
-    return tri[static_cast<std::size_t>(
-        gt.pins[static_cast<std::size_t>(i)].value)];
-  };
-  switch (gt.type) {
-    case CellType::INV:
-      return tri_not(in(0));
-    case CellType::BUF:
-      return in(0);
-    case CellType::AND2:
-      return tri_and(in(0), in(1));
-    case CellType::OR2:
-      return tri_or(in(0), in(1));
-    case CellType::NAND2:
-      return tri_not(tri_and(in(0), in(1)));
-    case CellType::NOR2:
-      return tri_not(tri_or(in(0), in(1)));
-    case CellType::XOR2:
-      return tri_xor(in(0), in(1));
-    case CellType::XNOR2:
-      return tri_not(tri_xor(in(0), in(1)));
-    case CellType::MUX2: {
-      const unsigned char sel = in(2);
-      if (sel == kF) return in(0);
-      if (sel == kT) return in(1);
-      // Unknown select still yields a known output if both data agree.
-      if (in(0) != kU && in(0) == in(1)) return in(0);
-      return kU;
-    }
-  }
-  return kU;
-}
+using tristate::kF;
+using tristate::kT;
+using tristate::kU;
 
 }  // namespace
 
@@ -95,7 +42,13 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   const std::vector<GateId> order = netlist::kahn_order(nl);
   for (GateId gid : order) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
-    tri[static_cast<std::size_t>(gt.output.value)] = eval_gate(gt, tri);
+    unsigned char ins[netlist::kMaxCellInputs];
+    std::size_t k = 0;
+    for (NetId in : gt.inputs()) {
+      ins[k++] = tri[static_cast<std::size_t>(in.value)];
+    }
+    tri[static_cast<std::size_t>(gt.output.value)] =
+        netlist::apply_cell(gt.type, ins, tristate::Ops{});
   }
 
   // Backward: observability from the output buses. A constant net blocks

@@ -1,9 +1,47 @@
 #include "dpmerge/dfg/eval.h"
 
-#include <sstream>
+#include <array>
+#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace dpmerge::dfg {
+
+BitVector deliver(const BitVector& src, const Edge& e, const Node& dst) {
+  const Sign second = dst.kind == OpKind::Extension ? dst.ext_sign : e.sign;
+  return src.resize(e.width, e.sign).resize(dst.width, second);
+}
+
+BitVector apply_op(const Node& n, std::span<const BitVector> ops) {
+  switch (n.kind) {
+    case OpKind::Input:
+      break;
+    case OpKind::Const:
+      return n.value;
+    case OpKind::Output:
+    case OpKind::Extension:
+      return ops[0];
+    case OpKind::Neg:
+      return ops[0].negate();
+    case OpKind::Add:
+      return ops[0].add(ops[1]);
+    case OpKind::Sub:
+      return ops[0].sub(ops[1]);
+    case OpKind::Mul:
+      return ops[0].mul(ops[1]);
+    case OpKind::Shl:
+      return ops[0].shl(n.shift);
+    case OpKind::LtS:
+      return BitVector::from_uint(n.width, ops[0].signed_lt(ops[1]));
+    case OpKind::LtU:
+      return BitVector::from_uint(n.width, ops[0].unsigned_lt(ops[1]));
+    case OpKind::Eq:
+      return BitVector::from_uint(n.width, ops[0] == ops[1]);
+  }
+  throw std::invalid_argument("apply_op: node " + std::to_string(n.id.value) +
+                              " (" + std::string(to_string(n.kind)) +
+                              ") has no operator");
+}
 
 // The frozen CSR view already carries the Kahn topo order; reuse it instead
 // of re-deriving one per Evaluator.
@@ -21,13 +59,8 @@ BitVector Evaluator::carried_on_edge(
 BitVector Evaluator::operand_via_edge(
     EdgeId eid, const std::vector<BitVector>& results) const {
   const Edge& e = g_.edge(eid);
-  const Node& dst = g_.node(e.dst);
-  const BitVector carried = carried_on_edge(eid, results);
-  if (dst.kind == OpKind::Extension) {
-    // Definition 5.5: the node's own width/signedness governs the resize.
-    return carried.resize(dst.width, dst.ext_sign);
-  }
-  return carried.resize(dst.width, e.sign);
+  return deliver(results[static_cast<std::size_t>(e.src.value)], e,
+                 g_.node(e.dst));
 }
 
 std::vector<BitVector> Evaluator::run(
@@ -44,54 +77,16 @@ std::vector<BitVector> Evaluator::run(
     }
     results[static_cast<std::size_t>(n.id.value)] = inputs[i];
   }
+  std::array<BitVector, 2> ops;  // every operator has at most two operands
   for (NodeId id : order_) {
     const Node& n = g_.node(id);
-    auto& out = results[static_cast<std::size_t>(id.value)];
-    switch (n.kind) {
-      case OpKind::Input:
-        break;  // already set
-      case OpKind::Const:
-        out = n.value;
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        out = operand_via_edge(n.in[0], results);
-        break;
-      case OpKind::Neg:
-        out = operand_via_edge(n.in[0], results).negate();
-        break;
-      case OpKind::Add:
-        out = operand_via_edge(n.in[0], results)
-                  .add(operand_via_edge(n.in[1], results));
-        break;
-      case OpKind::Sub:
-        out = operand_via_edge(n.in[0], results)
-                  .sub(operand_via_edge(n.in[1], results));
-        break;
-      case OpKind::Mul:
-        out = operand_via_edge(n.in[0], results)
-                  .mul(operand_via_edge(n.in[1], results));
-        break;
-      case OpKind::Shl:
-        out = operand_via_edge(n.in[0], results).shl(n.shift);
-        break;
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq: {
-        const BitVector a = operand_via_edge(n.in[0], results);
-        const BitVector b = operand_via_edge(n.in[1], results);
-        bool r = false;
-        if (n.kind == OpKind::LtS) {
-          r = a.signed_lt(b);
-        } else if (n.kind == OpKind::LtU) {
-          r = a.unsigned_lt(b);
-        } else {
-          r = a == b;
-        }
-        out = BitVector::from_uint(n.width, r ? 1 : 0);
-        break;
-      }
+    if (n.kind == OpKind::Input) continue;  // already set
+    assert(n.in.size() <= ops.size());
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      ops[p] = operand_via_edge(n.in[p], results);
     }
+    results[static_cast<std::size_t>(id.value)] =
+        apply_op(n, std::span<const BitVector>(ops.data(), n.in.size()));
   }
   return results;
 }
@@ -113,86 +108,6 @@ std::vector<BitVector> Evaluator::random_inputs(Rng& rng) const {
     v.push_back(rng.bits(g_.node(id).width));
   }
   return v;
-}
-
-namespace {
-
-std::vector<BitVector> pattern_inputs(const Graph& g, bool ones) {
-  std::vector<BitVector> v;
-  for (NodeId id : g.inputs()) {
-    BitVector b(g.node(id).width);
-    if (ones) b = b.bit_not();
-    v.push_back(b);
-  }
-  return v;
-}
-
-/// Reorders `vals` (in a-input order) into b-input order by matching names.
-std::vector<BitVector> permute_by_name(const Graph& a, const Graph& b,
-                                       const std::vector<BitVector>& vals) {
-  const auto ai = a.inputs();
-  const auto bi = b.inputs();
-  std::vector<BitVector> out;
-  out.reserve(bi.size());
-  for (NodeId bid : bi) {
-    const std::string& name = b.name(bid);
-    bool found = false;
-    for (std::size_t k = 0; k < ai.size(); ++k) {
-      if (a.name(ai[k]) == name) {
-        out.push_back(vals[k]);
-        found = true;
-        break;
-      }
-    }
-    if (!found) throw std::invalid_argument("input '" + name + "' missing");
-  }
-  return out;
-}
-
-}  // namespace
-
-bool equivalent_by_simulation(const Graph& a, const Graph& b, int trials,
-                              Rng& rng, std::string* first_mismatch) {
-  Evaluator ea(a);
-  Evaluator eb(b);
-  const auto a_outs = a.outputs();
-  const auto b_outs = b.outputs();
-  if (a_outs.size() != b_outs.size()) {
-    if (first_mismatch) *first_mismatch = "output count differs";
-    return false;
-  }
-
-  auto check = [&](const std::vector<BitVector>& stim_a) {
-    const auto ra = ea.run_outputs(stim_a);
-    const auto rb = eb.run_outputs(permute_by_name(a, b, stim_a));
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      // Match b's output by name, to tolerate node-id reordering.
-      const std::string& name = a.name(a_outs[i]);
-      std::size_t j = 0;
-      for (; j < b_outs.size(); ++j) {
-        if (b.name(b_outs[j]) == name) break;
-      }
-      if (j == b_outs.size() || ra[i] != rb[j]) {
-        if (first_mismatch) {
-          std::ostringstream os;
-          os << "output '" << name << "' differs: "
-             << ra[i].to_string() << " vs "
-             << (j == b_outs.size() ? std::string("<missing>")
-                                    : rb[j].to_string());
-          *first_mismatch = os.str();
-        }
-        return false;
-      }
-    }
-    return true;
-  };
-
-  if (!check(pattern_inputs(a, false))) return false;
-  if (!check(pattern_inputs(a, true))) return false;
-  for (int t = 0; t < trials; ++t) {
-    if (!check(ea.random_inputs(rng))) return false;
-  }
-  return true;
 }
 
 }  // namespace dpmerge::dfg

@@ -1,13 +1,29 @@
 #pragma once
 
-#include <map>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "dpmerge/dfg/graph.h"
 #include "dpmerge/support/rng.h"
 
 namespace dpmerge::dfg {
+
+/// The operand edge `e` delivers into its destination `dst`, given the
+/// result `src` of its source (Section 2.2):
+///
+///   carried(e) = resize(src, w(e), t(e))
+///   operand    = resize(carried(e), w(dst), t(e))
+///
+/// except that an Extension destination resizes with its own t(N)
+/// (Definition 5.5).
+BitVector deliver(const BitVector& src, const Edge& e, const Node& dst);
+
+/// The concrete semantics of every node kind: the result of `n` over its
+/// delivered operands, `ops[p]` for port p (each w(n) bits wide, see
+/// `deliver`), reduced mod 2^w(n). A Const yields its value; Input has no
+/// operator and throws. `Evaluator` and the constant folder both compute
+/// results here, so there is one definition of what an operator does.
+BitVector apply_op(const Node& n, std::span<const BitVector> ops);
 
 /// Bit-accurate reference interpreter for DFGs, implementing the width and
 /// signedness semantics of Section 2.2 exactly:
@@ -51,13 +67,5 @@ class Evaluator {
   std::vector<NodeId> order_;
   std::vector<NodeId> input_order_;
 };
-
-/// True iff the two graphs compute identical primary-output values on
-/// `trials` random stimuli (and on the all-zero / all-one patterns). The
-/// graphs must have the same inputs and outputs, by name, with equal widths;
-/// stimuli are paired by input name so transformed graphs with re-ordered
-/// node ids still compare correctly.
-bool equivalent_by_simulation(const Graph& a, const Graph& b, int trials,
-                              Rng& rng, std::string* first_mismatch = nullptr);
 
 }  // namespace dpmerge::dfg

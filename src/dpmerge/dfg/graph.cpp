@@ -5,77 +5,6 @@
 
 namespace dpmerge::dfg {
 
-bool is_operator(OpKind k) {
-  switch (k) {
-    case OpKind::Input:
-    case OpKind::Output:
-    case OpKind::Const:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool is_arith_operator(OpKind k) {
-  return k == OpKind::Add || k == OpKind::Sub || k == OpKind::Mul ||
-         k == OpKind::Neg || k == OpKind::Shl;
-}
-
-bool is_comparator(OpKind k) {
-  return k == OpKind::LtS || k == OpKind::LtU || k == OpKind::Eq;
-}
-
-int operand_count(OpKind k) {
-  switch (k) {
-    case OpKind::Input:
-    case OpKind::Const:
-      return 0;
-    case OpKind::Output:
-    case OpKind::Neg:
-    case OpKind::Shl:
-    case OpKind::Extension:
-      return 1;
-    case OpKind::Add:
-    case OpKind::Sub:
-    case OpKind::Mul:
-    case OpKind::LtS:
-    case OpKind::LtU:
-    case OpKind::Eq:
-      return 2;
-  }
-  return 0;
-}
-
-std::string_view to_string(OpKind k) {
-  switch (k) {
-    case OpKind::Input:
-      return "input";
-    case OpKind::Output:
-      return "output";
-    case OpKind::Const:
-      return "const";
-    case OpKind::Add:
-      return "+";
-    case OpKind::Sub:
-      return "-";
-    case OpKind::Mul:
-      return "*";
-    case OpKind::Neg:
-      return "neg";
-    case OpKind::Shl:
-      return "shl";
-    case OpKind::LtS:
-      return "lts";
-    case OpKind::LtU:
-      return "ltu";
-    case OpKind::Eq:
-      return "eq";
-    case OpKind::Extension:
-      return "ext";
-  }
-  return "?";
-}
-
 const std::string& Graph::empty_name() {
   static const std::string empty;
   return empty;

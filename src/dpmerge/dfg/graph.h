@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,11 +45,78 @@ enum class OpKind : unsigned char {
   Extension,  // explicit width adaptation (Definition 5.5)
 };
 
-bool is_operator(OpKind k);          // everything except Input/Output/Const
-bool is_arith_operator(OpKind k);    // Add/Sub/Mul/Neg/Shl (mergeable ops)
-bool is_comparator(OpKind k);        // LtS/LtU/Eq
-int operand_count(OpKind k);         // expected number of input ports
-std::string_view to_string(OpKind k);
+inline constexpr int kOpKindCount = 12;
+
+/// What an operator kind is for the passes that dispatch on it: a graph
+/// terminal (Input/Output/Const), a mergeable arithmetic operator, a 1-bit
+/// comparator, or the Definition 5.5 width adaptation.
+enum class OpClass : unsigned char { Terminal, Arith, Comparator, Resize };
+
+/// Every fact about one operator kind. `kOps` holds one row per `OpKind`
+/// in enum order, and nothing else in the code maps a kind to a name, a
+/// `.dfg` keyword or an operand count; adding a kind means one row here and
+/// one case in `apply_op` (eval.h).
+struct OpInfo {
+  OpKind kind;
+  std::string_view name;     ///< display name (`to_string`, dot, reports)
+  std::string_view keyword;  ///< `.dfg` text keyword (io.h)
+  std::uint8_t operands;     ///< number of input ports
+  OpClass cls;
+  bool commutative;          ///< the two operands may be swapped
+};
+
+inline constexpr std::array<OpInfo, kOpKindCount> kOps = {{
+    {OpKind::Input, "input", "input", 0, OpClass::Terminal, false},
+    {OpKind::Output, "output", "output", 1, OpClass::Terminal, false},
+    {OpKind::Const, "const", "const", 0, OpClass::Terminal, false},
+    {OpKind::Add, "+", "add", 2, OpClass::Arith, true},
+    {OpKind::Sub, "-", "sub", 2, OpClass::Arith, false},
+    {OpKind::Mul, "*", "mul", 2, OpClass::Arith, true},
+    {OpKind::Neg, "neg", "neg", 1, OpClass::Arith, false},
+    {OpKind::Shl, "shl", "shl", 1, OpClass::Arith, false},
+    {OpKind::LtS, "lts", "lts", 2, OpClass::Comparator, false},
+    {OpKind::LtU, "ltu", "ltu", 2, OpClass::Comparator, false},
+    {OpKind::Eq, "eq", "eq", 2, OpClass::Comparator, true},
+    {OpKind::Extension, "ext", "ext", 1, OpClass::Resize, false},
+}};
+
+constexpr bool op_table_follows_enum() {
+  for (int i = 0; i < kOpKindCount; ++i) {
+    if (static_cast<int>(kOps[static_cast<std::size_t>(i)].kind) != i) {
+      return false;
+    }
+  }
+  return static_cast<int>(OpKind::Extension) + 1 == kOpKindCount;
+}
+static_assert(op_table_follows_enum(), "kOps must list OpKind in enum order");
+
+/// What `op_info` returns for a kind outside the enum: a nameless terminal
+/// ("?", no operands), so every accessor stays total.
+inline constexpr OpInfo kUnknownOp{OpKind::Input, "?", "?", 0,
+                                   OpClass::Terminal, false};
+
+constexpr const OpInfo& op_info(OpKind k) {
+  const auto i = static_cast<std::size_t>(k);
+  return i < kOps.size() ? kOps[i] : kUnknownOp;
+}
+
+/// Everything except Input/Output/Const.
+constexpr bool is_operator(OpKind k) {
+  return op_info(k).cls != OpClass::Terminal;
+}
+/// Add/Sub/Mul/Neg/Shl: the mergeable operators.
+constexpr bool is_arith_operator(OpKind k) {
+  return op_info(k).cls == OpClass::Arith;
+}
+/// LtS/LtU/Eq.
+constexpr bool is_comparator(OpKind k) {
+  return op_info(k).cls == OpClass::Comparator;
+}
+/// Expected number of input ports.
+constexpr int operand_count(OpKind k) { return op_info(k).operands; }
+/// Add/Mul/Eq: CSE may order their operands canonically.
+constexpr bool is_commutative(OpKind k) { return op_info(k).commutative; }
+constexpr std::string_view to_string(OpKind k) { return op_info(k).name; }
 
 struct NodeId {
   int value = -1;

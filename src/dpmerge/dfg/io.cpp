@@ -16,43 +16,14 @@ std::string node_ref(const Graph& g, NodeId id) {
   return g.name(n).empty() ? "_n" + std::to_string(n.id.value) : g.name(n);
 }
 
+/// The operator kind whose `.dfg` keyword is `s` (terminals have their own
+/// directives, so only operators match).
 OpKind kind_from(const std::string& s, int line) {
-  if (s == "add") return OpKind::Add;
-  if (s == "sub") return OpKind::Sub;
-  if (s == "mul") return OpKind::Mul;
-  if (s == "neg") return OpKind::Neg;
-  if (s == "shl") return OpKind::Shl;
-  if (s == "lts") return OpKind::LtS;
-  if (s == "ltu") return OpKind::LtU;
-  if (s == "eq") return OpKind::Eq;
-  if (s == "ext") return OpKind::Extension;
+  for (const OpInfo& op : kOps) {
+    if (op.cls != OpClass::Terminal && op.keyword == s) return op.kind;
+  }
   throw std::invalid_argument("line " + std::to_string(line) +
                               ": unknown operator kind '" + s + "'");
-}
-
-std::string kind_name(OpKind k) {
-  switch (k) {
-    case OpKind::Add:
-      return "add";
-    case OpKind::Sub:
-      return "sub";
-    case OpKind::Mul:
-      return "mul";
-    case OpKind::Neg:
-      return "neg";
-    case OpKind::Shl:
-      return "shl";
-    case OpKind::LtS:
-      return "lts";
-    case OpKind::LtU:
-      return "ltu";
-    case OpKind::Eq:
-      return "eq";
-    case OpKind::Extension:
-      return "ext";
-    default:
-      return "?";
-  }
 }
 
 Sign sign_from(const std::string& s, int line) {
@@ -82,31 +53,22 @@ std::string to_text(const Graph& g) {
   std::ostringstream os;
   os << "dfg v1\n";
   for (const Node& n : g.nodes()) {
-    switch (n.kind) {
-      case OpKind::Input:
-        os << "input " << node_ref(g, n.id) << " " << n.width << " "
-           << to_string(n.ext_sign) << "\n";
-        break;
-      case OpKind::Const:
-        os << "const " << node_ref(g, n.id) << " " << n.width << " 0b"
-           << n.value.to_string() << "\n";
-        break;
-      case OpKind::Output:
-        os << "output " << node_ref(g, n.id) << " " << n.width << "\n";
-        break;
-      case OpKind::Shl:
-        os << "node " << node_ref(g, n.id) << " shl " << n.width << " "
-           << n.shift << "\n";
-        break;
-      case OpKind::Extension:
-        os << "node " << node_ref(g, n.id) << " ext " << n.width << " "
-           << to_string(n.ext_sign) << "\n";
-        break;
-      default:
-        os << "node " << node_ref(g, n.id) << " " << kind_name(n.kind) << " "
-           << n.width << "\n";
-        break;
+    // Terminals are their own directive; operators are `node` lines.
+    const std::string_view keyword = op_info(n.kind).keyword;
+    if (is_operator(n.kind)) {
+      os << "node " << node_ref(g, n.id) << " " << keyword;
+    } else {
+      os << keyword << " " << node_ref(g, n.id);
     }
+    os << " " << n.width;
+    if (n.kind == OpKind::Input || n.kind == OpKind::Extension) {
+      os << " " << to_string(n.ext_sign);
+    } else if (n.kind == OpKind::Const) {
+      os << " 0b" << n.value.to_string();
+    } else if (n.kind == OpKind::Shl) {
+      os << " " << n.shift;
+    }
+    os << "\n";
   }
   for (const Edge& e : g.edges()) {
     os << "edge " << node_ref(g, e.src) << " " << node_ref(g, e.dst) << " "

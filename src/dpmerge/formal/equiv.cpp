@@ -253,42 +253,16 @@ std::vector<std::pair<std::string, Word>> sym_eval_netlist(
           w.bits[static_cast<std::size_t>(i)];
     }
   }
+  const BddOps ops{m};
   for (netlist::GateId gid : n.topo_gates()) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
-    auto inv = [&](int k) {
-      return value[static_cast<std::size_t>(g.pins[static_cast<std::size_t>(k)].value)];
-    };
-    Bdd::Ref r = Bdd::kFalse;
-    switch (g.type) {
-      case netlist::CellType::INV:
-        r = m.bdd_not(inv(0));
-        break;
-      case netlist::CellType::BUF:
-        r = inv(0);
-        break;
-      case netlist::CellType::NAND2:
-        r = m.bdd_not(m.bdd_and(inv(0), inv(1)));
-        break;
-      case netlist::CellType::NOR2:
-        r = m.bdd_not(m.bdd_or(inv(0), inv(1)));
-        break;
-      case netlist::CellType::AND2:
-        r = m.bdd_and(inv(0), inv(1));
-        break;
-      case netlist::CellType::OR2:
-        r = m.bdd_or(inv(0), inv(1));
-        break;
-      case netlist::CellType::XOR2:
-        r = m.bdd_xor(inv(0), inv(1));
-        break;
-      case netlist::CellType::XNOR2:
-        r = m.bdd_xnor(inv(0), inv(1));
-        break;
-      case netlist::CellType::MUX2:
-        r = m.ite(inv(2), inv(1), inv(0));
-        break;
+    Bdd::Ref ins[netlist::kMaxCellInputs];
+    std::size_t k = 0;
+    for (netlist::NetId pin : g.inputs()) {
+      ins[k++] = value[static_cast<std::size_t>(pin.value)];
     }
-    value[static_cast<std::size_t>(g.output.value)] = r;
+    value[static_cast<std::size_t>(g.output.value)] =
+        netlist::apply_cell(g.type, ins, ops);
   }
   std::vector<std::pair<std::string, Word>> outs;
   for (const netlist::Bus& b : n.outputs()) {

@@ -62,6 +62,20 @@ class SymbolicInputs {
 std::vector<Word> sym_eval_graph(Bdd& m, const dfg::Graph& g,
                                  const SymbolicInputs& in);
 
+/// `netlist::apply_cell`'s connectives over BDDs: the gate function of
+/// `sym_eval_netlist`. XNOR is the manager's `bdd_xnor` and MUX one `ite`.
+struct BddOps {
+  Bdd& m;
+  Bdd::Ref not_(Bdd::Ref a) const { return m.bdd_not(a); }
+  Bdd::Ref and_(Bdd::Ref a, Bdd::Ref b) const { return m.bdd_and(a, b); }
+  Bdd::Ref or_(Bdd::Ref a, Bdd::Ref b) const { return m.bdd_or(a, b); }
+  Bdd::Ref xor_(Bdd::Ref a, Bdd::Ref b) const { return m.bdd_xor(a, b); }
+  Bdd::Ref xnor_(Bdd::Ref a, Bdd::Ref b) const { return m.bdd_xnor(a, b); }
+  Bdd::Ref mux(Bdd::Ref d0, Bdd::Ref d1, Bdd::Ref sel) const {
+    return m.ite(sel, d1, d0);
+  }
+};
+
 /// Symbolically evaluates a netlist: returns each output bus word by name.
 std::vector<std::pair<std::string, Word>> sym_eval_netlist(
     Bdd& m, const netlist::Netlist& n, const SymbolicInputs& in);

@@ -2,54 +2,6 @@
 
 namespace dpmerge::netlist {
 
-std::string_view to_string(CellType t) {
-  switch (t) {
-    case CellType::INV:
-      return "INV";
-    case CellType::BUF:
-      return "BUF";
-    case CellType::NAND2:
-      return "NAND2";
-    case CellType::NOR2:
-      return "NOR2";
-    case CellType::AND2:
-      return "AND2";
-    case CellType::OR2:
-      return "OR2";
-    case CellType::XOR2:
-      return "XOR2";
-    case CellType::XNOR2:
-      return "XNOR2";
-    case CellType::MUX2:
-      return "MUX2";
-  }
-  return "?";
-}
-
-std::uint64_t eval_cell_packed(CellType t, const std::uint64_t* in) {
-  switch (t) {
-    case CellType::INV:
-      return ~in[0];
-    case CellType::BUF:
-      return in[0];
-    case CellType::NAND2:
-      return ~(in[0] & in[1]);
-    case CellType::NOR2:
-      return ~(in[0] | in[1]);
-    case CellType::AND2:
-      return in[0] & in[1];
-    case CellType::OR2:
-      return in[0] | in[1];
-    case CellType::XOR2:
-      return in[0] ^ in[1];
-    case CellType::XNOR2:
-      return ~(in[0] ^ in[1]);
-    case CellType::MUX2:
-      return (in[0] & ~in[2]) | (in[1] & in[2]);
-  }
-  return 0;
-}
-
 namespace {
 
 /// X1 baseline for a cell; X2/X4 scale resistance down and area/cap up.

@@ -26,26 +26,90 @@ enum class CellType : unsigned char {
 constexpr int kCellTypeCount = 9;
 
 constexpr int kMaxCellInputs = 3;  ///< MUX2, the widest cell
-constexpr std::array<std::uint8_t, kCellTypeCount> kCellInputs = {
-    1, 1, 2, 2, 2, 2, 2, 2, 3};
 
-/// Input pin count per cell type: a table, since STA and the packed
-/// simulator read it for every gate.
-constexpr int cell_input_count(CellType t) {
-  return kCellInputs[static_cast<std::size_t>(t)];
+/// Every fact about one cell type but its function (`apply_cell`) and its
+/// electrical numbers (`CellLibrary`). `kCells` holds one row per
+/// `CellType` in enum order; adding a cell means one row here and one case
+/// in `apply_cell`.
+struct CellInfo {
+  CellType type;
+  std::string_view name;  ///< library/Verilog cell name
+  std::uint8_t inputs;    ///< input pin count
+  bool commutative;       ///< the two data pins may be swapped
+};
+
+inline constexpr std::array<CellInfo, kCellTypeCount> kCells = {{
+    {CellType::INV, "INV", 1, false},
+    {CellType::BUF, "BUF", 1, false},
+    {CellType::NAND2, "NAND2", 2, true},
+    {CellType::NOR2, "NOR2", 2, true},
+    {CellType::AND2, "AND2", 2, true},
+    {CellType::OR2, "OR2", 2, true},
+    {CellType::XOR2, "XOR2", 2, true},
+    {CellType::XNOR2, "XNOR2", 2, true},
+    {CellType::MUX2, "MUX2", 3, false},
+}};
+
+constexpr bool cell_table_follows_enum() {
+  for (int i = 0; i < kCellTypeCount; ++i) {
+    if (static_cast<int>(kCells[static_cast<std::size_t>(i)].type) != i) {
+      return false;
+    }
+  }
+  return static_cast<int>(CellType::MUX2) + 1 == kCellTypeCount &&
+         kCells[static_cast<std::size_t>(CellType::MUX2)].inputs ==
+             kMaxCellInputs;
 }
-// `kCellInputs` follows the enum by position; a new cell must extend both.
-static_assert(static_cast<int>(CellType::MUX2) + 1 == kCellTypeCount &&
-              cell_input_count(CellType::INV) == 1 &&
-              cell_input_count(CellType::MUX2) == kMaxCellInputs);
+static_assert(cell_table_follows_enum(),
+              "kCells must list CellType in enum order");
 
-std::string_view to_string(CellType t);
+/// Input pin count per cell type: STA and the packed simulator read it for
+/// every gate, so it is an unchecked table read (`check::verify` rejects a
+/// type outside the enum before reading any pin).
+constexpr int cell_input_count(CellType t) {
+  return kCells[static_cast<std::size_t>(t)].inputs;
+}
 
-/// Evaluates the boolean function of a cell on 64 independent stimulus
-/// lanes at once. `in` points at `cell_input_count(t)` words; bit L of
-/// every word belongs to lane L, and bit L of the result is the cell output
-/// in that lane.
-std::uint64_t eval_cell_packed(CellType t, const std::uint64_t* in);
+constexpr bool cell_commutative(CellType t) {
+  return kCells[static_cast<std::size_t>(t)].commutative;
+}
+
+/// The cell's name; a type outside the enum reads "?".
+constexpr std::string_view to_string(CellType t) {
+  const auto i = static_cast<std::size_t>(t);
+  return i < kCells.size() ? kCells[i].name : "?";
+}
+
+/// The Boolean function of a cell, the one definition every netlist
+/// evaluator shares. `in` points at `cell_input_count(t)` values and `ops`
+/// supplies the connectives over them: `not_`, `and_`, `or_`, `xor_`,
+/// `xnor_` and `mux(d0, d1, sel)`. The packed simulator instantiates it
+/// with 64-lane words, the dead-logic lint with tri-state values and the
+/// BDD checker with BDD references. A type outside the enum yields `V{}`.
+template <typename V, typename Ops>
+inline V apply_cell(CellType t, const V* in, const Ops& ops) {
+  switch (t) {
+    case CellType::INV:
+      return ops.not_(in[0]);
+    case CellType::BUF:
+      return in[0];
+    case CellType::NAND2:
+      return ops.not_(ops.and_(in[0], in[1]));
+    case CellType::NOR2:
+      return ops.not_(ops.or_(in[0], in[1]));
+    case CellType::AND2:
+      return ops.and_(in[0], in[1]);
+    case CellType::OR2:
+      return ops.or_(in[0], in[1]);
+    case CellType::XOR2:
+      return ops.xor_(in[0], in[1]);
+    case CellType::XNOR2:
+      return ops.xnor_(in[0], in[1]);
+    case CellType::MUX2:
+      return ops.mux(in[0], in[1], in[2]);
+  }
+  return V{};
+}
 
 /// One drive-strength variant of a cell. The delay model is the standard
 /// linear one: pin-to-pin delay = intrinsic + drive_resistance * load, where

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "dpmerge/obs/obs.h"
-
 namespace dpmerge::netlist {
 
 PackedSimulator::PackedSimulator(const Netlist& n) : net_(n) {
@@ -42,7 +40,7 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
       ins[k++] = value[static_cast<std::size_t>(in.value)];
     }
     value[static_cast<std::size_t>(g.output.value)] =
-        eval_cell_packed(g.type, ins);
+        apply_cell(g.type, ins, PackedOps{});
   }
 
   std::vector<PackedBus> out(net_.outputs().size());
@@ -64,9 +62,6 @@ std::vector<std::vector<BitVector>> PackedSimulator::run_batch(
   if (lanes > static_cast<std::size_t>(kLanes)) {
     throw std::invalid_argument("more than 64 lanes in one batch");
   }
-  obs::stat_add("packed_sim.batches");
-  obs::stat_add("packed_sim.lanes_used", static_cast<std::int64_t>(lanes));
-
   // Pack: word for bit b of bus i has stimuli[L][i].bit(b) in bit L.
   std::vector<PackedBus> packed(net_.inputs().size());
   for (std::size_t i = 0; i < packed.size(); ++i) {

@@ -7,6 +7,22 @@
 
 namespace dpmerge::netlist {
 
+/// `apply_cell`'s connectives over 64 stimulus lanes: bit L of every word
+/// belongs to lane L.
+struct PackedOps {
+  static std::uint64_t not_(std::uint64_t a) { return ~a; }
+  static std::uint64_t and_(std::uint64_t a, std::uint64_t b) { return a & b; }
+  static std::uint64_t or_(std::uint64_t a, std::uint64_t b) { return a | b; }
+  static std::uint64_t xor_(std::uint64_t a, std::uint64_t b) { return a ^ b; }
+  static std::uint64_t xnor_(std::uint64_t a, std::uint64_t b) {
+    return ~(a ^ b);
+  }
+  static std::uint64_t mux(std::uint64_t d0, std::uint64_t d1,
+                           std::uint64_t sel) {
+    return (d0 & ~sel) | (d1 & sel);
+  }
+};
+
 /// 64-way word-parallel netlist simulation: every net carries a `uint64_t`
 /// whose bit L is the net's Boolean value in lane L, so one topological
 /// sweep evaluates 64 independent stimulus vectors. This is the classic

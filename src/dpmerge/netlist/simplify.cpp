@@ -8,20 +8,6 @@ namespace dpmerge::netlist {
 
 namespace {
 
-bool commutative(CellType t) {
-  switch (t) {
-    case CellType::NAND2:
-    case CellType::NOR2:
-    case CellType::AND2:
-    case CellType::OR2:
-    case CellType::XOR2:
-    case CellType::XNOR2:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::uint64_t gate_key(CellType t, const PinList& ins) {
   std::uint64_t k = static_cast<std::uint64_t>(t) + 1;
   for (NetId n : ins) {
@@ -74,7 +60,7 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       assert(m.valid() && "input net not yet rebuilt");
       ins.push_back(m);
     }
-    if (commutative(g.type) && ins[0].value > ins[1].value) {
+    if (cell_commutative(g.type) && ins[0].value > ins[1].value) {
       std::swap(ins[0], ins[1]);
     }
 

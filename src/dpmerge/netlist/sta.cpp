@@ -59,8 +59,6 @@ void IncrementalSta::rebuild() {
     recompute_gate(gid.value);
   }
   refresh_longest();
-
-  queued_.assign(net_.gates().size(), 0);
 }
 
 void IncrementalSta::recompute_gate(int gate_idx) {
@@ -109,6 +107,11 @@ void IncrementalSta::update_drive_change(GateId g) {
   // dependency order (each gate at most once per update). While index
   // order is topological the position is the gate index itself.
   const bool by_index = net_.index_topological();
+  // Allocated on the first update and grown when a buffer move added gates
+  // (a full `Sta::analyze` never reads it); all zero between calls.
+  if (queued_.size() < net_.gates().size()) {
+    queued_.resize(net_.gates().size(), 0);
+  }
   std::priority_queue<int, std::vector<int>, std::greater<int>> pq;
   auto enqueue = [&](int gate_idx) {
     if (!queued_[static_cast<std::size_t>(gate_idx)]) {

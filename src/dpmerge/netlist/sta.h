@@ -103,8 +103,9 @@ class IncrementalSta {
   double longest_ = 0.0;
   NetId longest_net_{};
 
-  // Worklist scratch (persisted to avoid reallocation per update).
-  std::vector<char> queued_;  // per gate
+  // Worklist scratch, per gate: sized by `update_drive_change`, kept
+  // across updates to avoid reallocating it.
+  std::vector<char> queued_;
 };
 
 }  // namespace dpmerge::netlist

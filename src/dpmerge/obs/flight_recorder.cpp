@@ -159,10 +159,6 @@ void fr_mark(const char* name, std::int64_t value) {
   FlightRecorder::instance().record(FrKind::Mark, name, now_us(), value);
 }
 
-void fr_counter(const char* name, std::int64_t delta) {
-  FlightRecorder::instance().record(FrKind::Counter, name, now_us(), delta);
-}
-
 const char* FlightRecorder::intern(std::string_view s) {
   support::MutexLock lock(mu_);
   return arena_.emplace(s).first->c_str();

@@ -151,9 +151,8 @@ class FlightRecorder {
   std::set<std::string> arena_ DPMERGE_GUARDED_BY(mu_);
 };
 
-/// Convenience wrappers mirroring obs::stat_add's shape.
+/// Convenience wrapper mirroring obs::stat_add's shape.
 void fr_mark(const char* name, std::int64_t value = 0);
-void fr_counter(const char* name, std::int64_t delta);
 inline void fr_set_thread_context(std::string_view ctx) {
   FlightRecorder::instance().set_thread_context(ctx);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dpmerge/check/check.h"
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 
 namespace dpmerge::transform {
@@ -91,8 +92,7 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
       const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
       const auto& src = cv[static_cast<std::size_t>(e.src.value)];
       if (!src) return std::nullopt;
-      const Sign second = n.kind == OpKind::Extension ? n.ext_sign : e.sign;
-      return src->resize(e.width, e.sign).resize(n.width, second);
+      return dfg::deliver(*src, e, n);
     };
     auto make_const = [&](const BitVector& v) {
       slot = ng.add_const(v);
@@ -160,40 +160,8 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
         }
       }
       if (all_const) {
-        BitVector r;
-        switch (n.kind) {
-          case OpKind::Add:
-            r = ops[0].add(ops[1]);
-            break;
-          case OpKind::Sub:
-            r = ops[0].sub(ops[1]);
-            break;
-          case OpKind::Mul:
-            r = ops[0].mul(ops[1]);
-            break;
-          case OpKind::Neg:
-            r = ops[0].negate();
-            break;
-          case OpKind::Shl:
-            r = ops[0].shl(n.shift);
-            break;
-          case OpKind::Extension:
-            r = ops[0];
-            break;
-          case OpKind::LtS:
-            r = BitVector::from_uint(n.width, ops[0].signed_lt(ops[1]));
-            break;
-          case OpKind::LtU:
-            r = BitVector::from_uint(n.width, ops[0].unsigned_lt(ops[1]));
-            break;
-          case OpKind::Eq:
-            r = BitVector::from_uint(n.width, ops[0] == ops[1]);
-            break;
-          default:
-            break;
-        }
         ++local.constants_folded;
-        make_const(r);
+        make_const(dfg::apply_op(n, ops));
         continue;
       }
     }

@@ -17,10 +17,6 @@ using dfg::OpKind;
 
 namespace {
 
-bool commutative(OpKind k) {
-  return k == OpKind::Add || k == OpKind::Mul || k == OpKind::Eq;
-}
-
 /// Structural key of a rebuilt node: kind, width, attrs, and the mapped
 /// operand descriptors.
 using OperandKey = std::tuple<int /*src*/, int /*width*/, int /*sign*/>;
@@ -65,7 +61,7 @@ Graph share_common_subexpressions(const Graph& g, CseStats* stats) {
       ops.emplace_back(map[static_cast<std::size_t>(e.src.value)].value,
                        e.width, static_cast<int>(e.sign));
     }
-    if (shareable && commutative(n.kind) && ops.size() == 2 &&
+    if (shareable && dfg::is_commutative(n.kind) && ops.size() == 2 &&
         ops[1] < ops[0]) {
       std::swap(ops[0], ops[1]);
     }

@@ -9,6 +9,7 @@
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/netlist/netlist.h"
 #include "dpmerge/synth/flow.h"
+#include "sim_oracle.h"
 
 namespace dpmerge {
 namespace {
@@ -42,6 +43,44 @@ TEST(NetlistDeadlogic, ConstantConeIsFlagged) {
   EXPECT_EQ(st.constant_cells, 1);
   EXPECT_EQ(rep.count_rule("net.absint.constant-cell"), 1);
   EXPECT_FALSE(rep.has_rule("net.absint.unobservable-cell")) << rep.to_text();
+}
+
+TEST(NetlistDeadlogic, TriStateCellAlgebraIsSound) {
+  using check::tristate::kU;
+  for (const netlist::CellInfo& cell : netlist::kCells) {
+    const int n = cell.inputs;
+    int assignments = 1;
+    for (int k = 0; k < n; ++k) assignments *= 3;
+    for (int a = 0; a < assignments; ++a) {
+      unsigned char in[netlist::kMaxCellInputs] = {};
+      for (int k = 0, rest = a; k < n; ++k, rest /= 3) {
+        in[k] = static_cast<unsigned char>(rest % 3);
+      }
+      const unsigned char out =
+          netlist::apply_cell(cell.type, in, check::tristate::Ops{});
+      // Every completion of the unknown pins must land inside `out`.
+      for (int c = 0; c < (1 << n); ++c) {
+        std::vector<bool> concrete;
+        bool completes = true;
+        for (int k = 0; k < n; ++k) {
+          const bool bit = (c >> k) & 1;
+          if (in[k] != kU && in[k] != bit) completes = false;
+          concrete.push_back(bit);
+        }
+        if (!completes) continue;
+        const bool v = netlist::eval_cell(cell.type, concrete);
+        if (out != kU) {
+          EXPECT_EQ(out, v) << cell.name << " assignment " << a;
+        }
+      }
+      // Known inputs give a known output.
+      bool all_known = true;
+      for (int k = 0; k < n; ++k) all_known = all_known && in[k] != kU;
+      if (all_known) {
+        EXPECT_NE(out, kU) << cell.name << " assignment " << a;
+      }
+    }
+  }
 }
 
 TEST(NetlistDeadlogic, UnreferencedGateIsUnobservable) {

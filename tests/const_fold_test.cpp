@@ -9,9 +9,12 @@
 #include "dpmerge/formal/equiv.h"
 #include "dpmerge/frontend/parser.h"
 #include "dpmerge/synth/flow.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::transform {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -27,7 +30,7 @@ int count_kind(const Graph& g, OpKind k) {
 void expect_equiv(const Graph& a, const Graph& b, std::uint64_t seed) {
   Rng rng(seed);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(a, b, 32, rng, &why)) << why;
+  EXPECT_TRUE(equivalent_by_simulation(a, b, 32, rng, &why)) << why;
   EXPECT_TRUE(b.validate().empty());
 }
 
@@ -47,6 +50,40 @@ TEST(ConstFold, EvaluatesAllConstantCones) {
   EXPECT_EQ(st.constants_folded, 1);
   EXPECT_EQ(count_kind(f, OpKind::Add), 1);  // only the a + 12 remains
   expect_equiv(g, f, 1);
+}
+
+TEST(ConstFold, AgreesWithEvaluatorOnEveryOperator) {
+  // One all-constant cone per operator kind, with random node, edge and
+  // constant widths and signs, so the delivered-operand resizes vary too.
+  Rng rng(2024);
+  for (const dfg::OpInfo& op : dfg::kOps) {
+    if (!dfg::is_operator(op.kind)) continue;
+    for (int trial = 0; trial < 40; ++trial) {
+      Graph g;
+      auto width = [&rng] { return static_cast<int>(rng.uniform(1, 16)); };
+      auto sign = [&rng] {
+        return rng.chance(0.5) ? Sign::Signed : Sign::Unsigned;
+      };
+      const int w = width();
+      const dfg::NodeId n = g.add_node(op.kind, w);
+      if (op.kind == OpKind::Shl) {
+        g.set_node_shift(n, static_cast<int>(rng.uniform(0, 5)));
+      }
+      g.set_node_ext_sign(n, sign());
+      for (int p = 0; p < op.operands; ++p) {
+        g.add_edge(g.add_const(rng.bits(width())), n, p, width(), sign());
+      }
+      g.add_edge(n, g.add_node(OpKind::Output, w, "r"), 0);
+      FoldStats st;
+      const Graph f = fold_constants(g, &st);
+      EXPECT_EQ(st.constants_folded, 1) << op.name;
+      EXPECT_EQ(count_kind(f, op.kind), 0) << op.name;
+      const auto want = dfg::Evaluator(g).run_outputs({});
+      const auto got = dfg::Evaluator(f).run_outputs({});
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0], want[0]) << op.name << " trial " << trial;
+    }
+  }
 }
 
 TEST(ConstFold, MulByPowerOfTwoBecomesShift) {

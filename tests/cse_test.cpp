@@ -8,9 +8,12 @@
 #include "dpmerge/frontend/parser.h"
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/synth/verify.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::transform {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -20,7 +23,7 @@ using dfg::Operand;
 void expect_equiv(const Graph& a, const Graph& b, std::uint64_t seed) {
   Rng rng(seed);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(a, b, 32, rng, &why)) << why;
+  EXPECT_TRUE(equivalent_by_simulation(a, b, 32, rng, &why)) << why;
   EXPECT_TRUE(b.validate().empty());
 }
 

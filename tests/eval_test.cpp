@@ -4,9 +4,12 @@
 
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::dfg {
 namespace {
+
+using oracle::equivalent_by_simulation;
 
 // Helper: run a single-output graph on int64 inputs, return the output as
 // int64 (signed interpretation).

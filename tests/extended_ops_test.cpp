@@ -16,9 +16,12 @@
 #include "dpmerge/synth/verify.h"
 #include "dpmerge/transform/width_prune.h"
 #include "sim_oracle.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -189,7 +192,7 @@ TEST(Comparator, WidthIsNotPruned) {
   transform::normalize_widths(g);
   EXPECT_EQ(g.node(lt).width, 8);
   Rng rng(17);
-  EXPECT_TRUE(dfg::equivalent_by_simulation(before, g, 32, rng));
+  EXPECT_TRUE(equivalent_by_simulation(before, g, 32, rng));
 }
 
 TEST(Comparator, BreaksClusters) {

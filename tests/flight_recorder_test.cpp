@@ -62,7 +62,8 @@ TEST(FlightRecorderTest, RecordsAndDrainsInTimeOrder) {
 TEST(FlightRecorderTest, WrapperHelpersRecord) {
   obs::FlightRecorder::instance().clear();
   obs::fr_mark("fr.test.wrap_mark", 3);
-  obs::fr_counter("fr.test.wrap_counter", -42);
+  obs::FlightRecorder::instance().record(
+      obs::FrKind::Counter, "fr.test.wrap_counter", obs::now_us(), -42);
 
   const auto marks = drained_named("fr.test.wrap_mark");
   ASSERT_EQ(marks.size(), 1u);
@@ -202,7 +203,7 @@ TEST(FlightRecorderTest, EventsJsonlIsValidJsonPerLine) {
   obs::FlightRecorder& fr = obs::FlightRecorder::instance();
   fr.clear();
   obs::fr_mark("fr.test.jsonl \"quoted\"", 1);
-  obs::fr_counter("fr.test.jsonl2", 2);
+  fr.record(obs::FrKind::Counter, "fr.test.jsonl2", obs::now_us(), 2);
   std::ostringstream os;
   obs::write_events_jsonl(os, fr.drain());
   std::istringstream is(os.str());

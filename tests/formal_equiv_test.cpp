@@ -11,6 +11,7 @@
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/transform/rebalance.h"
 #include "dpmerge/transform/width_prune.h"
+#include "sim_oracle.h"
 
 namespace dpmerge::formal {
 namespace {
@@ -47,6 +48,22 @@ TEST(SymbolicWords, ArithmeticMatchesBitVector) {
       EXPECT_EQ(as_bits(sym_resize(m, wa, w + 3, s)), a.resize(w + 3, s));
       EXPECT_EQ(as_bits(sym_resize(m, wa, std::max(1, w - 2), s)),
                 a.resize(std::max(1, w - 2), s));
+    }
+  }
+}
+
+TEST(SymbolicWords, CellAlgebraMatchesTruthTables) {
+  for (const netlist::CellInfo& cell : netlist::kCells) {
+    Bdd m;
+    Bdd::Ref vars[netlist::kMaxCellInputs] = {};
+    for (int k = 0; k < cell.inputs; ++k) vars[k] = m.var(k);
+    const Bdd::Ref f = netlist::apply_cell(cell.type, vars, BddOps{m});
+    for (int a = 0; a < (1 << cell.inputs); ++a) {
+      std::vector<bool> assignment;
+      for (int k = 0; k < cell.inputs; ++k) assignment.push_back((a >> k) & 1);
+      EXPECT_EQ(m.eval(f, assignment),
+                netlist::eval_cell(cell.type, assignment))
+          << cell.name << " assignment " << a;
     }
   }
 }

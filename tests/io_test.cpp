@@ -7,9 +7,12 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::dfg {
 namespace {
+
+using oracle::equivalent_by_simulation;
 
 TEST(Io, ParseMinimalGraph) {
   const std::string text = R"(dfg v1
@@ -27,6 +30,29 @@ edge t r 0 9 signed
   EXPECT_EQ(g.edge_count(), 3);
   EXPECT_TRUE(g.validate().empty());
   EXPECT_EQ(g.node(g.inputs()[1]).ext_sign, Sign::Unsigned);
+}
+
+TEST(Io, EveryOperatorKindRoundTripsThroughItsKeyword) {
+  for (const OpInfo& op : kOps) {
+    if (!is_operator(op.kind)) continue;
+    Graph g;
+    const NodeId n = g.add_node(op.kind, 8, "n");
+    if (op.kind == OpKind::Shl) g.set_node_shift(n, 2);
+    for (int p = 0; p < op.operands; ++p) {
+      g.add_edge(g.add_node(OpKind::Input, 8, "a" + std::to_string(p)), n, p);
+    }
+    g.add_edge(n, g.add_node(OpKind::Output, 8, "r"), 0);
+    const std::string text = to_text(g);
+    EXPECT_NE(text.find("node n " + std::string(op.keyword) + " 8"),
+              std::string::npos)
+        << text;
+    const Graph back = parse_graph(text);
+    EXPECT_EQ(back.node(n).kind, op.kind) << op.keyword;
+    EXPECT_EQ(to_text(back), text);
+  }
+  // Names stay total over kinds outside the enum.
+  EXPECT_EQ(to_string(static_cast<OpKind>(200)), "?");
+  EXPECT_EQ(operand_count(static_cast<OpKind>(200)), 0);
 }
 
 TEST(Io, ParseShlExtConst) {

@@ -11,9 +11,12 @@
 #include "dpmerge/synth/flow.h"
 #include "dpmerge/transform/rebalance.h"
 #include "dpmerge/transform/width_prune.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -105,7 +108,7 @@ TEST(KernelCoverage, RebalanceKernelsEquivalent) {
     ASSERT_TRUE(r.validate().empty()) << k.name;
     Rng rng(3000);
     std::string why;
-    EXPECT_TRUE(dfg::equivalent_by_simulation(k.graph, r, 16, rng, &why))
+    EXPECT_TRUE(equivalent_by_simulation(k.graph, r, 16, rng, &why))
         << k.name << ": " << why;
   }
 }
@@ -124,7 +127,7 @@ TEST(EvalCoverage, EquivalenceRejectsMissingInput) {
     b.output("r", 4, Operand{x});
   }
   Rng rng(1);
-  EXPECT_THROW(dfg::equivalent_by_simulation(g1, g2, 4, rng),
+  EXPECT_THROW(equivalent_by_simulation(g1, g2, 4, rng),
                std::invalid_argument);
 }
 

@@ -113,7 +113,8 @@ TEST_F(TracerTest, ExportIsValidChromeTraceJson) {
     obs::Span outer("outer");
     { obs::Span inner("inner \"quoted\"\n"); }
     obs::fr_mark("marker", 7);
-    obs::fr_counter("counter", -3);
+    obs::FlightRecorder::instance().record(obs::FrKind::Counter, "counter",
+                                           obs::now_us(), -3);
   }
   const auto events = stop_and_drain();
   EXPECT_EQ(events.size(), 6u);  // 2 begins, 2 ends, a mark and a counter

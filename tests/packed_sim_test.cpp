@@ -46,7 +46,8 @@ TEST(PackedSim, EvalCellPackedMatchesScalar) {
         words[k] |= static_cast<std::uint64_t>((L >> k) & 1) << L;
       }
     }
-    const std::uint64_t out = netlist::eval_cell_packed(t, words);
+    const std::uint64_t out =
+        netlist::apply_cell(t, words, netlist::PackedOps{});
     for (int L = 0; L < combos; ++L) {
       std::vector<bool> ins;
       for (int k = 0; k < n; ++k) ins.push_back((L >> k) & 1);

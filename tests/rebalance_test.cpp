@@ -8,9 +8,12 @@
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/synth/flow.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::transform {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -40,7 +43,7 @@ TEST(Rebalance, ChainBecomesLogDepth) {
   EXPECT_EQ(st.clusters_rebuilt, 1);
   Rng rng(1);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(g, r, 32, rng, &why)) << why;
+  EXPECT_TRUE(equivalent_by_simulation(g, r, 32, rng, &why)) << why;
 }
 
 TEST(Rebalance, PreservesInterface) {
@@ -71,7 +74,7 @@ TEST(Rebalance, SubtractionsAndNegations) {
   EXPECT_TRUE(r.validate().empty());
   Rng rng(2);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(g, r, 48, rng, &why)) << why;
+  EXPECT_TRUE(equivalent_by_simulation(g, r, 48, rng, &why)) << why;
 }
 
 TEST(Rebalance, KeepsMultipliersAsLeaves) {
@@ -83,7 +86,7 @@ TEST(Rebalance, KeepsMultipliersAsLeaves) {
   EXPECT_EQ(muls_g, muls_r);
   Rng rng(3);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(g, r, 32, rng, &why)) << why;
+  EXPECT_TRUE(equivalent_by_simulation(g, r, 32, rng, &why)) << why;
 }
 
 TEST(Rebalance, ImprovesNoMergeDelayOnSkewedChain) {
@@ -106,7 +109,7 @@ TEST(Rebalance, DesignsStayEquivalent) {
     ASSERT_TRUE(errs.empty()) << tc.name << ": " << errs.front();
     Rng rng(static_cast<std::uint64_t>(seed++));
     std::string why;
-    EXPECT_TRUE(dfg::equivalent_by_simulation(tc.graph, r, 24, rng, &why))
+    EXPECT_TRUE(equivalent_by_simulation(tc.graph, r, 24, rng, &why))
         << tc.name << ": " << why;
   }
 }
@@ -122,7 +125,7 @@ TEST_P(RebalanceRandom, Equivalent) {
     ASSERT_TRUE(errs.empty()) << errs.front();
     Rng vr(GetParam() * 17 + t);
     std::string why;
-    ASSERT_TRUE(dfg::equivalent_by_simulation(g, r, 24, vr, &why)) << why;
+    ASSERT_TRUE(equivalent_by_simulation(g, r, 24, vr, &why)) << why;
     // The Huffman order optimises the information-content bound, not depth,
     // so mixed-width terms can cost a level or two — but never a blowup.
     EXPECT_LE(arith_depth(r), arith_depth(g) + 2);

@@ -6,9 +6,12 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::analysis {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -112,7 +115,7 @@ TEST_P(RpSoundness, HighBitsAreSuperfluous) {
       ASSERT_TRUE(m.validate().empty());
       Rng stim_rng(GetParam() ^ 0x9e3779b9);
       std::string why;
-      EXPECT_TRUE(dfg::equivalent_by_simulation(g, m, 24, stim_rng, &why))
+      EXPECT_TRUE(equivalent_by_simulation(g, m, 24, stim_rng, &why))
           << "node " << n.id.value << " r=" << r << " w=" << n.width << ": "
           << why;
     }

@@ -20,8 +20,8 @@
 
 namespace dpmerge::netlist {
 
-/// Evaluates the boolean function of a cell on one stimulus (the scalar
-/// counterpart of `eval_cell_packed`).
+/// Evaluates the boolean function of a cell on one stimulus: an independent
+/// truth table that the library's `apply_cell` algebras are held against.
 inline bool eval_cell(CellType t, const std::vector<bool>& in) {
   if (static_cast<int>(in.size()) != cell_input_count(t)) {
     throw std::invalid_argument("eval_cell: pin count mismatch");

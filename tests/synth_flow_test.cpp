@@ -9,9 +9,12 @@
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/synth/verify.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::synth {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -153,7 +156,7 @@ TEST(SynthFlow, PrepareNewMergeShrinksD4ToContent) {
   Rng rng(4242);
   std::string why;
   EXPECT_TRUE(
-      dfg::equivalent_by_simulation(designs::make_d4(), g, 24, rng, &why))
+      equivalent_by_simulation(designs::make_d4(), g, 24, rng, &why))
       << why;
 }
 

@@ -8,9 +8,12 @@
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge::transform {
 namespace {
+
+using dfg::oracle::equivalent_by_simulation;
 
 using dfg::Builder;
 using dfg::Graph;
@@ -21,7 +24,7 @@ void expect_equivalent(const Graph& before, const Graph& after,
                        std::uint64_t seed, const char* what) {
   Rng rng(seed);
   std::string why;
-  EXPECT_TRUE(dfg::equivalent_by_simulation(before, after, 32, rng, &why))
+  EXPECT_TRUE(equivalent_by_simulation(before, after, 32, rng, &why))
       << what << ": " << why;
   EXPECT_TRUE(after.validate().empty());
 }
