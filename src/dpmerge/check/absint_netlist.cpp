@@ -40,16 +40,8 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   tri[static_cast<std::size_t>(nl.const0().value)] = kF;
   tri[static_cast<std::size_t>(nl.const1().value)] = kT;
   const std::vector<GateId> order = netlist::kahn_order(nl);
-  for (GateId gid : order) {
-    const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
-    unsigned char ins[netlist::kMaxCellInputs];
-    std::size_t k = 0;
-    for (NetId in : gt.inputs()) {
-      ins[k++] = tri[static_cast<std::size_t>(in.value)];
-    }
-    tri[static_cast<std::size_t>(gt.output.value)] =
-        netlist::apply_cell(gt.type, ins, tristate::Ops{});
-  }
+  netlist::eval_gates(nl, order, tri, tristate::Ops{});
+  netlist::OutputCursor outs(nl);
 
   // Backward: observability from the output buses. A constant net blocks
   // influence (its value cannot change, whatever its cone does), and a MUX
@@ -62,7 +54,7 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   }
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(it->value)];
-    const auto out_idx = static_cast<std::size_t>(gt.output.value);
+    const auto out_idx = static_cast<std::size_t>(outs(*it).value);
     if (!obs_net[out_idx]) continue;
     if (tri[out_idx] != kU) continue;  // constant output: influence stops
     if (gt.type == CellType::MUX2) {
@@ -87,7 +79,7 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   };
   for (GateId gid : order) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
-    const auto out_idx = static_cast<std::size_t>(gt.output.value);
+    const auto out_idx = static_cast<std::size_t>(outs(gid).value);
     if (tri[out_idx] != kU) {
       ++st.constant_cells;
       if (max_findings < 0 ||

@@ -115,21 +115,18 @@ CheckReport verify(const dfg::Graph& g);
 ///   net.gate.drive       drive-strength index outside the library's variants
 ///   net.gate.type        cell type outside `CellType` (only `mutable_gates()`
 ///                        edits cause it); the gate's pins are not read
-///   net.driver-index     the netlist's driver index does not name the gate
-///                        that drives the net (only `mutable_gates()` edits
-///                        can cause this; the cached view would be stale)
-///   net.multi-driven     more than one gate drives a net
-///   net.const-driven     a gate drives one of the designated constant nets
-///   net.input-driven     a gate drives a primary-input bit
-///   net.floating-input   gate input net with no driver that is neither a
-///                        primary input nor a constant
-///   net.undriven-output  primary-output bit with no driver (and not PI/const)
+///   net.input-driven     an input-bus bit is a gate's output
+///   net.floating-input   gate input net that is neither a constant, an
+///                        input-bus bit nor a gate's output
+///   net.undriven-output  primary-output bit that is none of those either
 ///   net.comb-loop        combinational cycle (one finding per Tarjan SCC)
+/// A net is a source or exactly one gate's output by construction, so
+/// there is no multi-driven, driven-constant or stale-driver rule.
 /// While `index_topological()` holds there is no loop and no loop check.
 /// Otherwise loops come from the cached `view()` (the one STA builds then
 /// anyway): gates its Kahn order leaves out are the only ones the SCC sweep
 /// visits, so a loop-free netlist pays one comparison. That sweep runs only
-/// after a census free of `net.range`/`net.driver-index`/`net.gate.type`.
+/// when no `net.range`/`net.gate.type` finding was made.
 /// Dead logic is `lint_netlist_deadlogic`'s job (absint_netlist.h).
 CheckReport verify(const netlist::Netlist& n);
 

@@ -33,7 +33,7 @@ struct Locus {
 };
 
 /// One structured finding. `rule` is a stable dotted identifier from the rule
-/// catalog (DESIGN.md §9), e.g. "dfg.graph.cycle" or "net.multi-driven" —
+/// catalog (DESIGN.md §9), e.g. "dfg.graph.cycle" or "net.comb-loop" —
 /// tests and tooling match on it, so existing ids never change meaning.
 struct Diagnostic {
   Severity severity = Severity::Error;

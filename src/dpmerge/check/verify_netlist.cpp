@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@ using netlist::Netlist;
 /// Tarjan SCC over just those gates (successor = any gate reading my output)
 /// appends one finding per non-trivial SCC; self-loops (a gate reading its
 /// own output) count as non-trivial. The view is only read once the census
-/// found every net id in range and the driver index current.
+/// found every pin in range and every cell type known.
 void check_comb_loops(const Netlist& n, CheckReport& rep) {
   const netlist::NetlistView& v = n.view();
   const int ng = n.gate_count();
@@ -52,7 +51,7 @@ void check_comb_loops(const Netlist& n, CheckReport& rep) {
         stack.push_back(f.gate);
         on_stack[gi] = true;
       }
-      const auto readers = v.readers_of(n.gates()[gi].output);
+      const auto readers = v.readers_of(n.output(netlist::GateId{f.gate}));
       if (f.child < readers.size()) {
         const int s = readers[f.child++];
         const auto si = static_cast<std::size_t>(s);
@@ -108,33 +107,39 @@ CheckReport verify(const Netlist& n) {
   const int nets = n.net_count();
   const int ng = n.gate_count();
   auto net_ok = [&](NetId id) { return id.value >= 0 && id.value < nets; };
-  // A type outside `CellType` has no pin count: its pins are never read.
-  auto type_ok = [](const Gate& g) {
-    return static_cast<int>(g.type) < netlist::kCellTypeCount;
-  };
 
-  // Byte flags, not vector<bool>: the census sweep is the whole cost of the
-  // Errors-policy boundary check and bit RMWs show up at this scale.
-  std::vector<int> drivers(static_cast<std::size_t>(nets), 0);
-  std::vector<unsigned char> is_pi(static_cast<std::size_t>(nets), 0);
-  std::vector<unsigned char> is_read(static_cast<std::size_t>(nets), 0);
-  if (nets >= 2) is_pi[0] = is_pi[1] = 1;  // designated constants
+  // Nets with a value: the constants, the input-bus bits and every gate
+  // output. Byte flags, not vector<bool>: bit RMWs show up at this scale.
+  std::vector<unsigned char> has_value(static_cast<std::size_t>(nets), 0);
+  has_value[0] = has_value[1] = 1;  // designated constants
+  netlist::OutputCursor outs(n);
+  for (int gi = 0; gi < ng; ++gi) {
+    has_value[static_cast<std::size_t>(outs(netlist::GateId{gi}).value)] = 1;
+  }
 
   for (const Bus& b : n.inputs()) {
-    for (NetId bit : b.signal.bits) {
-      if (!net_ok(bit)) {
+    for (std::size_t bit = 0; bit < b.signal.bits.size(); ++bit) {
+      const NetId id = b.signal.bits[bit];
+      if (!net_ok(id)) {
         rep.add(Severity::Error, "net.range",
                 "input bus '" + b.name + "' references net " +
-                    std::to_string(bit.value) + " out of range",
-                Locus{"net", bit.value, -1, b.name});
+                    std::to_string(id.value) + " out of range",
+                Locus{"net", id.value, -1, b.name});
         continue;
       }
-      is_pi[static_cast<std::size_t>(bit.value)] = 1;
+      has_value[static_cast<std::size_t>(id.value)] = 1;
+      if (const netlist::GateId drv = n.driver_id(id); drv.valid()) {
+        rep.add(Severity::Error, "net.input-driven",
+                "input bus '" + b.name + "' bit " + std::to_string(bit) +
+                    " (net " + std::to_string(id.value) +
+                    ") is the output of gate " + std::to_string(drv.value),
+                Locus{"net", id.value, static_cast<int>(bit), b.name});
+      }
     }
   }
 
-  // First sweep: structural gate checks + driver census. The Locus is built
-  // lazily — constructing one per gate shows up on the enforce hot path.
+  // One gate sweep. The Locus is built lazily — constructing one per gate
+  // shows up on the enforce hot path.
   for (int gi = 0; gi < ng; ++gi) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
     auto at = [gi] { return Locus{"gate", gi, -1, {}}; };
@@ -145,85 +150,28 @@ CheckReport verify(const Netlist& n) {
                   std::to_string(netlist::kDriveLevels) + " variants",
               at());
     }
-    if (!type_ok(g)) {
+    // A type outside `CellType` has no pin count: its pins are not read.
+    if (static_cast<int>(g.type) >= netlist::kCellTypeCount) {
       rep.add(Severity::Error, "net.gate.type",
               "gate " + std::to_string(gi) + ": cell type " +
                   std::to_string(static_cast<int>(g.type)) +
                   " outside the library's " +
                   std::to_string(netlist::kCellTypeCount) + " types",
               at());
+      continue;
     }
-    for (NetId in : type_ok(g) ? g.inputs() : std::span<const NetId>{}) {
+    for (std::size_t pin = 0; pin < g.inputs().size(); ++pin) {
+      const NetId in = g.inputs()[pin];
       if (!net_ok(in)) {
         rep.add(Severity::Error, "net.range",
                 "gate " + std::to_string(gi) + " reads net " +
                     std::to_string(in.value) + " out of range",
                 at());
-        continue;
-      }
-      is_read[static_cast<std::size_t>(in.value)] = 1;
-    }
-    if (!net_ok(g.output)) {
-      rep.add(Severity::Error, "net.range",
-              "gate " + std::to_string(gi) + " drives net " +
-                  std::to_string(g.output.value) + " out of range",
-              at());
-      continue;
-    }
-    ++drivers[static_cast<std::size_t>(g.output.value)];
-    if (n.driver(g.output) != &g) {
-      rep.add(Severity::Error, "net.driver-index",
-              "gate " + std::to_string(gi) + " drives net " +
-                  std::to_string(g.output.value) +
-                  " but the netlist's driver index does not name it",
-              at());
-    }
-    if (n.is_const(g.output)) {
-      rep.add(Severity::Error, "net.const-driven",
-              "gate " + std::to_string(gi) + " drives constant net " +
-                  std::to_string(g.output.value),
-              at());
-    } else if (is_pi[static_cast<std::size_t>(g.output.value)]) {
-      rep.add(Severity::Error, "net.input-driven",
-              "gate " + std::to_string(gi) + " drives primary-input net " +
-                  std::to_string(g.output.value),
-              at());
-    }
-  }
-
-  // Per-net sweep (needs the full driver census): multi-driven nets and
-  // floating-input *detection*. The first sweep already recorded which nets
-  // gates read, so the clean path never re-walks the gates; the precise
-  // (gate, pin) loci are recovered with a second gate sweep only when a
-  // floating net actually exists.
-  auto undriven = [&](NetId id) {
-    return drivers[static_cast<std::size_t>(id.value)] == 0 &&
-           !is_pi[static_cast<std::size_t>(id.value)];
-  };
-  bool any_floating = false;
-  for (int net = 0; net < nets; ++net) {
-    const auto ni = static_cast<std::size_t>(net);
-    if (drivers[ni] > 1) {
-      rep.add(Severity::Error, "net.multi-driven",
-              "net " + std::to_string(net) + " has " +
-                  std::to_string(drivers[ni]) + " drivers",
-              Locus{"net", net, -1, {}});
-    }
-    if (is_read[ni] && drivers[ni] == 0 && !is_pi[ni]) any_floating = true;
-  }
-  if (any_floating) {
-    for (int gi = 0; gi < ng; ++gi) {
-      const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
-      if (!type_ok(g)) continue;
-      for (std::size_t pin = 0; pin < g.inputs().size(); ++pin) {
-        const NetId in = g.inputs()[pin];
-        if (net_ok(in) && undriven(in)) {
-          rep.add(Severity::Error, "net.floating-input",
-                  "gate " + std::to_string(gi) + " pin " +
-                      std::to_string(pin) + " reads floating net " +
-                      std::to_string(in.value),
-                  Locus{"gate", gi, static_cast<int>(pin), {}});
-        }
+      } else if (!has_value[static_cast<std::size_t>(in.value)]) {
+        rep.add(Severity::Error, "net.floating-input",
+                "gate " + std::to_string(gi) + " pin " + std::to_string(pin) +
+                    " reads floating net " + std::to_string(in.value),
+                Locus{"gate", gi, static_cast<int>(pin), {}});
       }
     }
   }
@@ -238,7 +186,7 @@ CheckReport verify(const Netlist& n) {
                 Locus{"net", id.value, static_cast<int>(bit), b.name});
         continue;
       }
-      if (undriven(id)) {
+      if (!has_value[static_cast<std::size_t>(id.value)]) {
         rep.add(Severity::Error, "net.undriven-output",
                 "output bus '" + b.name + "' bit " + std::to_string(bit) +
                     " (net " + std::to_string(id.value) + ") is undriven",
@@ -250,7 +198,7 @@ CheckReport verify(const Netlist& n) {
   // Index order topological means every gate reads only earlier gates: no
   // loop, and no view to build.
   if (!n.index_topological() && !rep.has_rule("net.range") &&
-      !rep.has_rule("net.driver-index") && !rep.has_rule("net.gate.type")) {
+      !rep.has_rule("net.gate.type")) {
     check_comb_loops(n, rep);
   }
 

@@ -12,7 +12,6 @@ using dfg::Graph;
 using dfg::Node;
 using dfg::NodeId;
 using dfg::OpKind;
-using netlist::Gate;
 using netlist::Netlist;
 
 Word sym_const(Bdd& m, const BitVector& v) {
@@ -253,17 +252,7 @@ std::vector<std::pair<std::string, Word>> sym_eval_netlist(
           w.bits[static_cast<std::size_t>(i)];
     }
   }
-  const BddOps ops{m};
-  for (netlist::GateId gid : n.topo_gates()) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
-    Bdd::Ref ins[netlist::kMaxCellInputs];
-    std::size_t k = 0;
-    for (netlist::NetId pin : g.inputs()) {
-      ins[k++] = value[static_cast<std::size_t>(pin.value)];
-    }
-    value[static_cast<std::size_t>(g.output.value)] =
-        netlist::apply_cell(g.type, ins, ops);
-  }
+  netlist::eval_gates(n, n.topo_gates(), value, BddOps{m});
   std::vector<std::pair<std::string, Word>> outs;
   for (const netlist::Bus& b : n.outputs()) {
     Word w;

@@ -29,11 +29,16 @@ PathAttribution attribute_critical_path(const Netlist& n,
 std::map<int, OwnerCensus> census_by_owner(const Netlist& n,
                                            const CellLibrary& lib) {
   std::map<int, OwnerCensus> out;
-  for (int gi = 0; gi < n.gate_count(); ++gi) {
-    const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
-    OwnerCensus& c = out[n.provenance_owner(GateId{gi})];
-    c.gates += 1;
-    c.area += lib.variant(g.type, g.drive).area;
+  const auto runs = n.owner_runs();
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const int end =
+        r + 1 < runs.size() ? runs[r + 1].first_gate : n.gate_count();
+    OwnerCensus& c = out[runs[r].owner];
+    c.gates += end - runs[r].first_gate;
+    for (int gi = runs[r].first_gate; gi < end; ++gi) {
+      const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
+      c.area += lib.variant(g.type, g.drive).area;
+    }
   }
   return out;
 }

@@ -1,5 +1,8 @@
 #include "dpmerge/netlist/netlist.h"
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -7,15 +10,15 @@
 
 namespace dpmerge::netlist {
 
-Netlist::Netlist() {
-  new_net();  // net 0: constant 0
-  new_net();  // net 1: constant 1
-}
-
 NetId Netlist::new_net() {
-  driver_of_.push_back(-1);
+  const int gi = gate_count();
+  if (sources_.back().gates_before == gi) {
+    ++sources_.back().sources_end;
+  } else {
+    sources_.push_back({gi, sources_.back().sources_end + 1});
+  }
   ++version_;
-  return NetId{net_count_++};
+  return NetId{net_count() - 1};
 }
 
 NetId Netlist::add_gate(CellType t, PinList inputs) {
@@ -23,18 +26,18 @@ NetId Netlist::add_gate(CellType t, PinList inputs) {
     throw std::invalid_argument("add_gate: wrong pin count for " +
                                 std::string(to_string(t)));
   }
-  const NetId out = new_net();
-  const int gi = static_cast<int>(gates_.size());
+  const int gi = gate_count();
   Gate g;
   g.type = t;
   // All three slots (unused ones hold NetId{}): a size()-long copy compiles
   // to a variable-length memcpy that costs more than the gate store itself.
   for (std::size_t k = 0; k < g.pins.size(); ++k) g.pins[k] = inputs[k];
-  g.output = out;
-  driver_of_[static_cast<std::size_t>(out.value)] = gi;
   gates_.push_back(g);
-  gate_owner_.push_back(current_owner_);
-  return out;
+  if (owners_.empty() || owners_.back().owner != current_owner_) {
+    owners_.push_back({gi, current_owner_});
+  }
+  ++version_;
+  return NetId{gi + sources_.back().sources_end};
 }
 
 void Netlist::set_input(GateId g, int pin, NetId n) {
@@ -44,10 +47,27 @@ void Netlist::set_input(GateId g, int pin, NetId n) {
   }
   gate.pins[static_cast<std::size_t>(pin)] = n;
   ++version_;
-  if (n.value < 0 || n.value >= net_count_ ||
-      driver_of_[static_cast<std::size_t>(n.value)] >= g.value) {
-    index_topological_ = false;
-  }
+  // A net past the last one reads as a gate output past the last gate.
+  if (n.value < 0 || driver_id(n).value >= g.value) index_topological_ = false;
+}
+
+int Netlist::provenance_owner(GateId g) const {
+  if (g.value < 0 || g.value >= gate_count()) return -1;
+  // The last run starting at or before g; the first starts at gate 0.
+  const auto it = std::upper_bound(
+      owners_.begin(), owners_.end(), g.value,
+      [](int gi, const OwnerRun& r) { return gi < r.first_gate; });
+  return std::prev(it)->owner;
+}
+
+void OutputCursor::seek(int g) {
+  // The last run created before gate g: the first one has none before it.
+  const auto it = std::upper_bound(
+      runs_.begin() + 1, runs_.end(), g,
+      [](int gi, const Netlist::SourceRun& r) { return gi < r.gates_before; });
+  lo_ = std::prev(it)->gates_before;
+  hi_ = it == runs_.end() ? std::numeric_limits<int>::max() : it->gates_before;
+  shift_ = std::prev(it)->sources_end;
 }
 
 NetId Netlist::inv(NetId a) {
@@ -154,33 +174,31 @@ Signal Netlist::invert(const Signal& s) {
   // Replicated fill nets (from sign extension) get one shared inverter.
   NetId last_in{-1}, last_out{-1};
   for (NetId n : s.bits) {
-    if (n == last_in) {
-      r.bits.push_back(last_out);
-      continue;
+    if (n != last_in) {
+      last_in = n;
+      last_out = inv(n);
     }
-    last_in = n;
-    last_out = inv(n);
     r.bits.push_back(last_out);
   }
   return r;
-}
-
-void Netlist::add_input(const std::string& name, const Signal& s) {
-  inputs_.push_back(Bus{name, s});
-}
-
-void Netlist::add_output(const std::string& name, const Signal& s) {
-  outputs_.push_back(Bus{name, s});
 }
 
 namespace {
 
 /// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
 /// its positions; otherwise `topo` and `topo_pos` are left empty.
-void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
-                bool with_topo, NetlistView& v) {
-  const std::size_t nets = driver_of.size();
+void build_view(const Netlist& n, bool with_topo, NetlistView& v) {
+  const std::span<const Gate> gates = n.gates();
+  const auto nets = static_cast<std::size_t>(n.net_count());
   const std::size_t ng = gates.size();
+
+  // Kahn counts only the pins that read a gate output: flag those nets in
+  // one index-order walk rather than searching the source runs per pin.
+  OutputCursor outs(n);
+  std::vector<unsigned char> driven(with_topo ? nets : 0, 0);
+  for (int gi = 0; with_topo && gi < n.gate_count(); ++gi) {
+    driven[static_cast<std::size_t>(outs(GateId{gi}).value)] = 1;
+  }
 
   // One pass over the pins: reader counts per net, and per gate the number
   // of driven inputs (Kahn's pending count, kept in `topo_pos` until the
@@ -194,7 +212,7 @@ void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
     for (NetId in : gates[gi].inputs()) {
       const auto ni = static_cast<std::size_t>(in.value);
       ++v.reader_begin[ni];
-      if (with_topo && driver_of[ni] >= 0) ++cnt;
+      if (with_topo && driven[ni]) ++cnt;
     }
     if (!with_topo) continue;
     pending[gi] = cnt;
@@ -227,9 +245,7 @@ void build_view(std::span<const Gate> gates, std::span<const int> driver_of,
     const std::int32_t gi = ready.back();
     ready.pop_back();
     v.topo.push_back(GateId{gi});
-    const NetId out = gates[static_cast<std::size_t>(gi)].output;
-    if (driver_of[static_cast<std::size_t>(out.value)] < 0) continue;
-    for (std::int32_t r : v.readers_of(out)) {
+    for (std::int32_t r : v.readers_of(outs(GateId{gi}))) {
       if (--pending[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
     }
   }
@@ -247,7 +263,7 @@ const NetlistView& Netlist::view() const {
   if (view_version_ != version_) {
     obs::Span span("netlist.view");
     obs::stat_add("netlist.view_builds");
-    build_view(gates(), driver_of_.span(), !index_topological_, view_);
+    build_view(*this, !index_topological_, view_);
     view_version_ = version_;
   }
   return view_;
@@ -258,7 +274,7 @@ std::vector<GateId> kahn_order(const Netlist& n) {
   // A private build: the cached view keeps no order while index order is
   // topological, and this leaves it untouched.
   NetlistView v;
-  build_view(n.gates(), n.driver_of_.span(), true, v);
+  build_view(n, true, v);
   return std::move(v.topo);
 }
 

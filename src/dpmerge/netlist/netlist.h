@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -35,19 +38,19 @@ struct GateId {
 /// build type.
 using PinList = support::InlineList<NetId, kMaxCellInputs>;
 
-/// One cell instance. Its id is its index in the gate array and its pin
-/// count is `cell_input_count(type)`; neither is stored.
+/// One cell instance. Its id is its index in the gate array, its pin count
+/// is `cell_input_count(type)` and its output net is `Netlist::output(id)`;
+/// none of them is stored.
 struct Gate {
   CellType type = CellType::INV;
   std::uint8_t drive = 0;  ///< drive-strength variant index (0 = X1)
   std::array<NetId, kMaxCellInputs> pins{};  ///< unused slots: NetId{}
-  NetId output;
 
   std::span<const NetId> inputs() const {
     return {pins.data(), static_cast<std::size_t>(cell_input_count(type))};
   }
 };
-static_assert(sizeof(Gate) <= 20, "gates are stored flat; keep them small");
+static_assert(sizeof(Gate) == 16, "gates are stored flat; keep them small");
 static_assert(std::is_trivially_copyable_v<Gate>,
               "the gate array grows by realloc (support::PodBuffer)");
 
@@ -146,6 +149,13 @@ struct Bus {
 /// inputs are the constant nets — width adaptation and masked partial
 /// products generate many of those.
 ///
+/// Nets: every net is a *source* (a constant or a `new_net()`) or the
+/// output of exactly one gate, numbered in creation order. Only the runs of
+/// consecutive sources are stored, so gate g drives net g + (sources created
+/// before g), and net n is driven by gate n - (sources below n) unless n is
+/// a source. `output` and `driver_id` binary-search the runs; a walk over
+/// many gates uses an `OutputCursor`.
+///
 /// Index order: `add_gate` appends a gate whose output is a fresh net no
 /// gate reads yet, so a netlist built by it alone lists every gate after the
 /// drivers of its inputs. `index_topological()` records that. Two mutators
@@ -161,8 +171,6 @@ struct Bus {
 /// threads builds the view once up front when it needs it.
 class Netlist {
  public:
-  Netlist();
-
   NetId new_net();
   NetId const0() const { return NetId{0}; }
   NetId const1() const { return NetId{1}; }
@@ -208,8 +216,12 @@ class Netlist {
   Signal invert(const Signal& s);
 
   // Primary interface buses.
-  void add_input(const std::string& name, const Signal& s);
-  void add_output(const std::string& name, const Signal& s);
+  void add_input(const std::string& name, const Signal& s) {
+    inputs_.push_back(Bus{name, s});
+  }
+  void add_output(const std::string& name, const Signal& s) {
+    outputs_.push_back(Bus{name, s});
+  }
   const std::vector<Bus>& inputs() const { return inputs_; }
   const std::vector<Bus>& outputs() const { return outputs_; }
 
@@ -226,7 +238,7 @@ class Netlist {
     return gates_.span();
   }
   int gate_count() const { return static_cast<int>(gates_.size()); }
-  int net_count() const { return net_count_; }
+  int net_count() const { return gate_count() + sources_.back().sources_end; }
 
   // ---- provenance tags (dpmerge::obs) ----
   // Side metadata only: the DFG node whose synthesis created each gate.
@@ -236,24 +248,40 @@ class Netlist {
   /// (-1 = untagged). The synthesizer scopes this around each node's turn.
   void set_provenance_owner(int dfg_node) { current_owner_ = dfg_node; }
 
+  /// Gates [first_gate, next run's first_gate) share `owner`. Consecutive
+  /// runs differ in owner.
+  struct OwnerRun {
+    int first_gate;
+    int owner;
+  };
+  std::span<const OwnerRun> owner_runs() const { return owners_; }
+
   /// Owner DFG node of a gate, or -1 (untagged).
-  int provenance_owner(GateId g) const {
-    const auto i = static_cast<std::size_t>(g.value);
-    return i < gate_owner_.size() ? gate_owner_[i] : -1;
-  }
+  int provenance_owner(GateId g) const;
 
   /// True when at least one gate carries an owner tag.
   bool has_provenance() const {
-    for (int o : gate_owner_) {
-      if (o >= 0) return true;
-    }
-    return false;
+    return std::any_of(owners_.begin(), owners_.end(),
+                       [](const OwnerRun& r) { return r.owner >= 0; });
   }
 
-  /// Driver gate of a net (its id, its gate), or invalid / nullptr for
-  /// primary inputs and constants.
+  /// The net gate `g` drives.
+  NetId output(GateId g) const;
+  /// Driver gate of net `n` (its id, its gate), or invalid / nullptr for
+  /// sources (constants, primary inputs, other `new_net()` nets). `n` must
+  /// be a net of this netlist.
   GateId driver_id(NetId n) const {
-    return GateId{driver_of_[static_cast<std::size_t>(n.value)]};
+    // The first run whose sources do not all lie below n: n is one of its
+    // sources, or a gate output created before it.
+    const auto it = std::partition_point(
+        sources_.begin(), sources_.end(), [&](const SourceRun& r) {
+          return r.gates_before + r.sources_end <= n.value;
+        });
+    const int below = it == sources_.begin() ? 0 : std::prev(it)->sources_end;
+    if (it != sources_.end() && n.value >= it->gates_before + below) {
+      return GateId{};
+    }
+    return GateId{n.value - below};
   }
   const Gate* driver(NetId n) const {
     const GateId g = driver_id(n);
@@ -275,22 +303,80 @@ class Netlist {
   }
 
  private:
-  friend std::vector<GateId> kahn_order(const Netlist& n);
+  friend class OutputCursor;
 
-  // Per-gate and per-net arrays grow by realloc, not by vector regrowth
-  // (DESIGN.md §5b).
-  int net_count_ = 0;
+  /// Sources created after the first `gates_before` gates, with no gate
+  /// between them; `sources_end` counts the sources up to and including
+  /// this run. Both fields increase from run to run.
+  struct SourceRun {
+    int gates_before;
+    int sources_end;
+  };
+
+  // The gate array grows by realloc, not by vector regrowth (DESIGN.md §5b).
+  // The run lists grow once per source run / owner switch: a few thousand
+  // entries even on million-gate netlists.
   support::PodBuffer<Gate> gates_;
-  support::PodBuffer<int> driver_of_;  // net -> gate index, -1 if none
+  std::vector<SourceRun> sources_{{0, 2}};  // nets 0/1: the constants
   std::vector<Bus> inputs_;
   std::vector<Bus> outputs_;
   std::uint64_t version_ = 0;  ///< Structural mutation counter (view key).
   bool index_topological_ = true;
   mutable NetlistView view_;
   mutable std::uint64_t view_version_ = ~std::uint64_t{0};
-  support::PodBuffer<int> gate_owner_;  // parallel to gates_; -1 = untagged
+  std::vector<OwnerRun> owners_;
   int current_owner_ = -1;
 };
+
+/// Output nets of the gates a walk visits: O(1) per gate while successive
+/// gates lie between the same two source runs (it starts at the last run),
+/// so an index-order walk crosses each run once; a binary search on any
+/// other jump. Valid until the next `new_net`.
+class OutputCursor {
+ public:
+  explicit OutputCursor(const Netlist& n)
+      : runs_(n.sources_),
+        lo_(runs_.back().gates_before),
+        shift_(runs_.back().sources_end) {}
+
+  NetId operator()(GateId g) {
+    if (g.value < lo_ || g.value >= hi_) seek(g.value);
+    return NetId{g.value + shift_};
+  }
+
+ private:
+  void seek(int g);
+
+  std::span<const Netlist::SourceRun> runs_;
+  int lo_;  ///< gates [lo_, hi_) are preceded by `shift_` sources
+  int hi_ = std::numeric_limits<int>::max();
+  int shift_;
+};
+
+inline NetId Netlist::output(GateId g) const {
+  return OutputCursor(*this)(g);
+}
+
+/// Evaluates the gates in `order`, a topological order, over `value` (one
+/// entry per net, the sources already set) with `apply_cell` over `ops`:
+/// the one gate walk of the packed simulator, the dead-logic lint and the
+/// BDD checker.
+template <typename Order, typename V, typename Ops>
+void eval_gates(const Netlist& n, const Order& order, std::vector<V>& value,
+                const Ops& ops) {
+  const std::span<const Gate> gates = n.gates();
+  OutputCursor outs(n);
+  V ins[kMaxCellInputs]{};
+  for (GateId gid : order) {
+    const Gate& g = gates[static_cast<std::size_t>(gid.value)];
+    std::size_t k = 0;
+    for (NetId in : g.inputs()) {
+      ins[k++] = value[static_cast<std::size_t>(in.value)];
+    }
+    value[static_cast<std::size_t>(outs(gid).value)] =
+        apply_cell(g.type, ins, ops);
+  }
+}
 
 /// The Kahn-LIFO topological order (inputs first; gates on or downstream
 /// of a cycle left out), from the same code as `NetlistView::topo`, whatever

@@ -31,17 +31,7 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     }
   }
 
-  const Gate* gates = net_.gates().data();
-  std::uint64_t ins[kMaxCellInputs];
-  for (GateId gid : net_.topo_gates()) {
-    const Gate& g = gates[static_cast<std::size_t>(gid.value)];
-    std::size_t k = 0;
-    for (NetId in : g.inputs()) {
-      ins[k++] = value[static_cast<std::size_t>(in.value)];
-    }
-    value[static_cast<std::size_t>(g.output.value)] =
-        apply_cell(g.type, ins, PackedOps{});
-  }
+  eval_gates(net_, net_.topo_gates(), value, PackedOps{});
 
   std::vector<PackedBus> out(net_.outputs().size());
   for (std::size_t i = 0; i < out.size(); ++i) {

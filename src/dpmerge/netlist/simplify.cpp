@@ -16,6 +16,34 @@ std::uint64_t gate_key(CellType t, const PinList& ins) {
   return k;
 }
 
+/// Adds `from`'s input buses to `to` through `map` (old net -> new net),
+/// giving each bit not mapped yet a fresh source net.
+void copy_inputs(const Netlist& from, Netlist& to, std::vector<NetId>& map) {
+  for (const Bus& b : from.inputs()) {
+    Signal s;
+    for (NetId bit : b.signal.bits) {
+      NetId& slot = map[static_cast<std::size_t>(bit.value)];
+      if (!slot.valid()) slot = to.new_net();
+      s.bits.push_back(slot);
+    }
+    to.add_input(b.name, s);
+  }
+}
+
+/// Adds `from`'s output buses to `to` through `map`; a bit that was never
+/// rebuilt is tied to 0.
+void copy_outputs(const Netlist& from, Netlist& to,
+                  const std::vector<NetId>& map) {
+  for (const Bus& b : from.outputs()) {
+    Signal s;
+    for (NetId bit : b.signal.bits) {
+      const NetId m = map[static_cast<std::size_t>(bit.value)];
+      s.bits.push_back(m.valid() ? m : to.const0());
+    }
+    to.add_output(b.name, s);
+  }
+}
+
 }  // namespace
 
 Netlist simplify(const Netlist& n, SimplifyStats* stats) {
@@ -23,35 +51,15 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
   if (stats) stats->gates_before = n.gate_count();
 
   // old net id -> new net id.
-  std::vector<NetId> map(static_cast<std::size_t>(n.net_count()), NetId{});
+  std::vector<NetId> map(static_cast<std::size_t>(n.net_count()));
   map[0] = out.const0();
   map[1] = out.const1();
-  for (const Bus& b : n.inputs()) {
-    Bus nb{b.name, {}};
-    for (NetId bit : b.signal.bits) {
-      auto& slot = map[static_cast<std::size_t>(bit.value)];
-      if (!slot.valid()) slot = out.new_net();
-      nb.signal.bits.push_back(slot);
-    }
-    out.add_input(nb.name, nb.signal);
-  }
+  copy_inputs(n, out, map);
 
-  // Structural hash of already-built gates and inverter pairs.
+  // Structural hash of already-built gates (inverters included).
   std::unordered_map<std::uint64_t, NetId> cse;
-  std::vector<NetId> inverter_of(1, NetId{});  // new net -> its INV output
-  auto remember_inv = [&](NetId in, NetId inv_out) {
-    if (inverter_of.size() <= static_cast<std::size_t>(in.value)) {
-      inverter_of.resize(static_cast<std::size_t>(in.value) + 1, NetId{});
-    }
-    inverter_of[static_cast<std::size_t>(in.value)] = inv_out;
-  };
-  auto known_inv = [&](NetId in) -> NetId {
-    if (static_cast<std::size_t>(in.value) < inverter_of.size()) {
-      return inverter_of[static_cast<std::size_t>(in.value)];
-    }
-    return NetId{};
-  };
 
+  OutputCursor n_outs(n);
   for (GateId gid : kahn_order(n)) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gid.value)];
     PinList ins;
@@ -65,16 +73,11 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
     }
 
     NetId result{};
-    // Double-inverter collapse.
+    // Double-inverter collapse, INV(INV(x)) -> x: if ins[0] is itself some
+    // INV output, find its source cheaply via the driver in `out`.
     if (g.type == CellType::INV) {
-      const NetId prior = known_inv(ins[0]);
-      if (prior.valid()) result = prior;
-      // INV(INV(x)) -> x: if ins[0] is itself some INV output, find its
-      // source cheaply via the driver in `out`.
-      if (!result.valid()) {
-        const Gate* d = out.driver(ins[0]);
-        if (d && d->type == CellType::INV) result = d->inputs()[0];
-      }
+      const Gate* d = out.driver(ins[0]);
+      if (d && d->type == CellType::INV) result = d->inputs()[0];
     }
     if (!result.valid()) {
       const auto key = gate_key(g.type, ins);
@@ -114,25 +117,18 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
             break;
         }
         cse.emplace(key, result);
-        if (g.type == CellType::INV) remember_inv(ins[0], result);
       }
     }
-    map[static_cast<std::size_t>(g.output.value)] = result;
+    map[static_cast<std::size_t>(n_outs(gid).value)] = result;
   }
 
-  for (const Bus& b : n.outputs()) {
-    Bus nb{b.name, {}};
-    for (NetId bit : b.signal.bits) {
-      const NetId m = map[static_cast<std::size_t>(bit.value)];
-      nb.signal.bits.push_back(m.valid() ? m : out.const0());
-    }
-    out.add_output(nb.name, nb.signal);
-  }
+  copy_outputs(n, out, map);
 
   // Dead-gate sweep: rebuild once more keeping only the cone of the
   // outputs. (Gates were only created on demand above, but CSE can leave
   // stale drivers when an output got folded away.)
   std::vector<bool> live(static_cast<std::size_t>(out.net_count()), false);
+  int live_gates = 0;
   {
     std::vector<NetId> stack;
     for (const Bus& b : out.outputs()) {
@@ -144,32 +140,22 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       if (live[static_cast<std::size_t>(cur.value)]) continue;
       live[static_cast<std::size_t>(cur.value)] = true;
       if (const Gate* d = out.driver(cur)) {
+        ++live_gates;
         for (NetId in : d->inputs()) stack.push_back(in);
       }
     }
   }
-  int live_gates = 0;
-  for (const Gate& g : out.gates()) {
-    if (live[static_cast<std::size_t>(g.output.value)]) ++live_gates;
-  }
   if (live_gates != out.gate_count()) {
     Netlist pruned;
-    std::vector<NetId> pmap(static_cast<std::size_t>(out.net_count()),
-                            NetId{});
+    std::vector<NetId> pmap(static_cast<std::size_t>(out.net_count()));
     pmap[0] = pruned.const0();
     pmap[1] = pruned.const1();
-    for (const Bus& b : out.inputs()) {
-      Bus nb{b.name, {}};
-      for (NetId bit : b.signal.bits) {
-        auto& slot = pmap[static_cast<std::size_t>(bit.value)];
-        if (!slot.valid()) slot = pruned.new_net();
-        nb.signal.bits.push_back(slot);
-      }
-      pruned.add_input(nb.name, nb.signal);
-    }
+    copy_inputs(out, pruned, pmap);
+    OutputCursor out_outs(out);
     for (GateId gid : kahn_order(out)) {
       const Gate& g = out.gates()[static_cast<std::size_t>(gid.value)];
-      if (!live[static_cast<std::size_t>(g.output.value)]) continue;
+      const NetId g_out = out_outs(gid);
+      if (!live[static_cast<std::size_t>(g_out.value)]) continue;
       PinList ins;
       for (NetId in : g.inputs()) {
         auto& slot = pmap[static_cast<std::size_t>(in.value)];
@@ -178,16 +164,9 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       }
       const NetId o = pruned.add_gate(g.type, ins);
       pruned.set_drive(GateId{pruned.gate_count() - 1}, g.drive);
-      pmap[static_cast<std::size_t>(g.output.value)] = o;
+      pmap[static_cast<std::size_t>(g_out.value)] = o;
     }
-    for (const Bus& b : out.outputs()) {
-      Bus nb{b.name, {}};
-      for (NetId bit : b.signal.bits) {
-        const NetId m = pmap[static_cast<std::size_t>(bit.value)];
-        nb.signal.bits.push_back(m.valid() ? m : pruned.const0());
-      }
-      pruned.add_output(nb.name, nb.signal);
-    }
+    copy_outputs(out, pruned, pmap);
     out = std::move(pruned);
   }
 

@@ -55,20 +55,21 @@ void IncrementalSta::rebuild() {
   const std::size_t nets = static_cast<std::size_t>(net_.net_count());
   accumulate_loads(net_, lib_, load_);
   arrival_.assign(nets, 0.0);
+  OutputCursor outs(net_);
   for (GateId gid : net_.topo_gates()) {
-    recompute_gate(gid.value);
+    recompute_gate(gid.value, outs(gid));
   }
   refresh_longest();
 }
 
-void IncrementalSta::recompute_gate(int gate_idx) {
+void IncrementalSta::recompute_gate(int gate_idx, NetId out) {
   const Gate& g = net_.gates()[static_cast<std::size_t>(gate_idx)];
   const CellVariant& v = lib_.variant(g.type, g.drive);
   const double d =
       v.intrinsic_ns +
-      v.drive_res_ns * load_[static_cast<std::size_t>(g.output.value)];
+      v.drive_res_ns * load_[static_cast<std::size_t>(out.value)];
   // Every cell has a pin and arrivals are >= 0, so the latest input is valid.
-  arrival_[static_cast<std::size_t>(g.output.value)] =
+  arrival_[static_cast<std::size_t>(out.value)] =
       arrival_[static_cast<std::size_t>(latest_input(g).value)] + d;
 }
 
@@ -142,6 +143,7 @@ void IncrementalSta::update_drive_change(GateId g) {
   enqueue(g.value);
 
   int cone_gates = 0;
+  OutputCursor outs(net_);  // pops come in increasing order while by_index
   while (!pq.empty()) {
     const int pos = pq.top();
     pq.pop();
@@ -149,9 +151,9 @@ void IncrementalSta::update_drive_change(GateId g) {
         by_index ? pos : view.topo[static_cast<std::size_t>(pos)].value;
     queued_[static_cast<std::size_t>(gi)] = 0;
     ++cone_gates;
-    const NetId out = net_.gates()[static_cast<std::size_t>(gi)].output;
+    const NetId out = outs(GateId{gi});
     const double before = arrival_[static_cast<std::size_t>(out.value)];
-    recompute_gate(gi);
+    recompute_gate(gi, out);
     if (arrival_[static_cast<std::size_t>(out.value)] != before) {
       for (std::int32_t reader : view.readers_of(out)) {
         enqueue(reader);
@@ -178,14 +180,6 @@ std::vector<NetId> IncrementalSta::critical_path() const {
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-TimingReport IncrementalSta::report() const& {
-  TimingReport rep;
-  rep.longest_path_ns = longest_;
-  rep.arrival = arrival_;
-  rep.critical_path = critical_path();
-  return rep;
 }
 
 TimingReport IncrementalSta::report() && {

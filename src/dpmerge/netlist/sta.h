@@ -85,13 +85,13 @@ class IncrementalSta {
   /// back through each driver's `latest_input`.
   std::vector<NetId> critical_path() const;
 
-  /// Full report in the `Sta::analyze` format (the rvalue form moves the
-  /// arrival array out instead of copying it).
-  TimingReport report() const&;
+  /// Full report in the `Sta::analyze` format; moves the arrival array out
+  /// instead of copying it.
   TimingReport report() &&;
 
  private:
-  void recompute_gate(int gate_idx);
+  /// Re-times gate `gate_idx`, whose output net is `out`.
+  void recompute_gate(int gate_idx, NetId out);
   /// The latest-arriving input of `g`; of equally late ones, the last pin.
   NetId latest_input(const Gate& g) const;
   void refresh_longest();

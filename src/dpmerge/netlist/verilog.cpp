@@ -46,6 +46,7 @@ std::string to_verilog(const Netlist& n, const std::string& module_name) {
     }
   }
 
+  OutputCursor outs(n);
   for (int gi = 0; gi < n.gate_count(); ++gi) {
     const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
     os << "  " << to_string(g.type)
@@ -54,7 +55,7 @@ std::string to_verilog(const Netlist& n, const std::string& module_name) {
     for (std::size_t i = 0; NetId in : g.inputs()) {
       os << "." << kPinNames[i++] << "(n[" << in.value << "]), ";
     }
-    os << ".Y(n[" << g.output.value << "]));\n";
+    os << ".Y(n[" << outs(GateId{gi}).value << "]));\n";
   }
 
   for (const Bus& b : n.outputs()) {

@@ -161,13 +161,19 @@ TEST(VerifyNetlist, CleanNetlistPasses) {
   EXPECT_TRUE(rep.ok()) << rep.to_text();
 }
 
-TEST(VerifyNetlist, MultiDrivenNet) {
+TEST(VerifyNetlist, InputBusNamesGateOutput) {
+  // Every net is a source or a gate's output, so a gate cannot drive an
+  // input bit; an input bus can still name a gate's output.
   netlist::Netlist n = small_netlist();
-  const auto out0 = n.gates()[0].output;
-  n.add_gate(netlist::CellType::INV, {n.inputs()[0].signal.bit(0)});
-  n.mutable_gates()[1].output = out0;  // second driver for the AND output
+  const netlist::NetId y = n.outputs()[0].signal.bit(0);
+  n.add_input("z", netlist::Signal{{n.new_net(), y}});
   const CheckReport rep = check::verify(n);
-  EXPECT_EQ(rep.count_rule("net.multi-driven"), 1) << rep.to_text();
+  ASSERT_EQ(rep.count_rule("net.input-driven"), 1) << rep.to_text();
+  EXPECT_EQ(rep.diagnostics().size(), 1u) << rep.to_text();
+  const check::Diagnostic& d = rep.diagnostics()[0];
+  EXPECT_EQ(d.message, "input bus 'z' bit 1 (net 4) is the output of gate 0");
+  EXPECT_EQ(d.locus.id, y.value);
+  EXPECT_EQ(d.locus.aux, 1);
 }
 
 TEST(VerifyNetlist, CombinationalLoop) {
@@ -176,8 +182,8 @@ TEST(VerifyNetlist, CombinationalLoop) {
   n.add_gate(netlist::CellType::INV, {n.new_net()});
   const auto gates = n.mutable_gates();
   // inv1 reads inv2's output and vice versa.
-  gates[1].pins[0] = gates[2].output;
-  gates[2].pins[0] = gates[1].output;
+  gates[1].pins[0] = n.output(netlist::GateId{2});
+  gates[2].pins[0] = n.output(netlist::GateId{1});
   const CheckReport rep = check::verify(n);
   EXPECT_EQ(rep.count_rule("net.comb-loop"), 1) << rep.to_text();
 }
@@ -238,15 +244,6 @@ TEST(VerifyNetlist, CellTypeOutsideLibrary) {
   EXPECT_EQ(rep.count_rule("net.gate.type"), 1) << rep.to_text();
   EXPECT_FALSE(rep.has_rule("net.comb-loop")) << rep.to_text();
   EXPECT_FALSE(rep.has_rule("net.undriven-output")) << rep.to_text();
-}
-
-TEST(VerifyNetlist, StaleDriverIndex) {
-  netlist::Netlist n = small_netlist();
-  const netlist::NetId fresh = n.new_net();
-  n.mutable_gates()[0].output = fresh;  // the driver index still names net 4
-  const CheckReport rep = check::verify(n);
-  EXPECT_EQ(rep.count_rule("net.driver-index"), 1) << rep.to_text();
-  EXPECT_FALSE(rep.has_rule("net.comb-loop")) << rep.to_text();
 }
 
 TEST(VerifyNetlist, UnreadGateIsDeadLogic) {
@@ -315,7 +312,8 @@ TEST(Boundaries, ErrorsPolicyRejectsLoopClosedBySetInput) {
   n.inv(x);
   PolicyScope scope(CheckPolicy::Errors);
   check::enforce(n, "test.site");  // loop-free: no throw
-  n.set_input(netlist::GateId{1}, 0, n.gates()[2].output);  // inv1 <-> inv2
+  // inv1 <-> inv2
+  n.set_input(netlist::GateId{1}, 0, n.output(netlist::GateId{2}));
   try {
     check::enforce(n, "test.site");
     FAIL() << "enforce did not throw";

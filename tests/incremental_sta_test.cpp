@@ -80,10 +80,13 @@ TEST(IncrementalSta, RebuildRestoresInvariantsAfterTopologyEdit) {
   }
   ASSERT_TRUE(worst.valid());
   const NetId buffered = flow.net.buf(worst);
+  const GateId buffer = flow.net.driver_id(buffered);
+  ASSERT_EQ(flow.net.output(buffer), buffered);
   bool first = true;
-  for (auto& g : flow.net.mutable_gates()) {
-    if (g.output == buffered) continue;
-    for (NetId& in : g.pins) {  // unused slots hold NetId{}
+  const auto gates = flow.net.mutable_gates();
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    if (GateId{static_cast<int>(gi)} == buffer) continue;
+    for (NetId& in : gates[gi].pins) {  // unused slots hold NetId{}
       if (in == worst) {
         if (first) {
           first = false;  // keep one reader on the original net
@@ -124,7 +127,7 @@ TEST(IncrementalSta, ReportMatchesAnalyzeFormat) {
   auto flow = synth::run_flow(designs::make_d2(), synth::Flow::NewMerge);
   IncrementalSta ista(flow.net, lib);
   const auto full = sta.analyze(flow.net);
-  const auto rep = ista.report();
+  const auto rep = std::move(ista).report();
   EXPECT_EQ(full.critical_path, rep.critical_path);
   EXPECT_NEAR(full.longest_path_ns, rep.longest_path_ns, 1e-12);
   ASSERT_EQ(full.arrival.size(), rep.arrival.size());

@@ -250,7 +250,8 @@ TEST(IndexOrder, OptimiserMatchesTheKahnPath) {
         const Gate& p = by_index.gates()[static_cast<std::size_t>(gi)];
         const Gate& q = by_kahn.gates()[static_cast<std::size_t>(gi)];
         ASSERT_TRUE(p.type == q.type && p.drive == q.drive &&
-                    p.output == q.output &&
+                    by_index.output(GateId{gi}) ==
+                        by_kahn.output(GateId{gi}) &&
                     p.pins == q.pins)
             << what << " gate " << gi;
       }

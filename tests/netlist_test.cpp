@@ -4,6 +4,7 @@
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/support/rng.h"
+#include "netlist_oracle.h"
 #include "sim_oracle.h"
 
 namespace dpmerge::netlist {
@@ -147,6 +148,65 @@ TEST(Netlist, TopoGatesRespectsDependencies) {
                   pos[static_cast<std::size_t>(gi)]);
       }
     }
+  }
+}
+
+TEST(Netlist, DerivedLookupsMatchRecordedMaps) {
+  // Random interleavings of source nets, gates, owner switches, rewires and
+  // optimiser-style buffer moves; after each batch every derived lookup
+  // must agree with the maps the recorder kept while replaying the calls.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    Netlist n;
+    oracle::Recorder rec(n);
+    auto any_net = [&] {
+      return NetId{static_cast<int>(rng.uniform(0, n.net_count() - 1))};
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::int64_t op = rng.uniform(0, 99);
+      if (op < 15 || n.net_count() < 4) {
+        const NetId a = rec.new_net();
+        if (rng.chance(0.5)) n.add_input("i" + std::to_string(step), {{a}});
+      } else if (op < 70) {
+        const auto t =
+            static_cast<CellType>(rng.uniform(0, kCellTypeCount - 1));
+        PinList ins;
+        for (int k = 0; k < cell_input_count(t); ++k) ins.push_back(any_net());
+        rec.add_gate(t, ins);
+      } else if (op < 80) {
+        rec.set_provenance_owner(static_cast<int>(rng.uniform(-1, 4)));
+      } else if (op < 88 && n.gate_count() > 0) {
+        const GateId g{static_cast<int>(rng.uniform(0, n.gate_count() - 1))};
+        const int arity =
+            cell_input_count(n.gates()[static_cast<std::size_t>(g.value)].type);
+        const auto pin = static_cast<int>(rng.uniform(0, arity - 1));
+        rec.set_input(g, pin, any_net());
+      } else if (const NetId worst = any_net(); !n.is_const(worst)) {
+        // A buffer move: a BUF on a net, and all but its first reader moved
+        // behind it.
+        const NetId buffered = rec.add_gate(CellType::BUF, {worst});
+        bool first = true;
+        for (int gi = 0; gi + 1 < n.gate_count(); ++gi) {
+          const Gate& g = n.gates()[static_cast<std::size_t>(gi)];
+          for (std::size_t pin = 0; pin < g.inputs().size(); ++pin) {
+            if (g.inputs()[pin] != worst) continue;
+            if (!first) {
+              rec.set_input(GateId{gi}, static_cast<int>(pin), buffered);
+            }
+            first = false;
+          }
+        }
+      }
+      if (step % 50 == 49) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                     std::to_string(step));
+        rec.expect_matches();
+        if (n.index_topological()) {
+          EXPECT_TRUE(oracle::index_order_is_topological(n));
+        }
+      }
+    }
+    rec.expect_matches();
   }
 }
 

@@ -170,7 +170,7 @@ TEST(NetlistView, BuiltOncePerStructureVersion) {
   EXPECT_EQ(in_flow + sink.get(kBuilds), 0);
 
   n.set_drive(GateId{0}, 1);
-  const NetId extra = n.add_gate(CellType::INV, {n.gates()[0].output});
+  const NetId extra = n.add_gate(CellType::INV, {n.output(GateId{0})});
   (void)n.topo_gates();
   (void)netlist::Sta(lib).analyze(n);
   EXPECT_TRUE(n.index_topological());
@@ -187,7 +187,7 @@ TEST(NetlistView, BuiltOncePerStructureVersion) {
   // A buffer move as the optimiser makes it: a new BUF, and an earlier
   // reader rewired behind it. The bit clears, and STA, the order and the
   // checker share one Kahn view for the new version.
-  const NetId buffered = n.buf(n.gates()[0].output);
+  const NetId buffered = n.buf(n.output(GateId{0}));
   n.set_input(GateId{n.gate_count() - 2}, 0, buffered);
   EXPECT_FALSE(n.index_topological());
   (void)netlist::Sta(lib).analyze(n);

@@ -109,8 +109,7 @@ TEST(PodBuffer, HoldsGates) {
     netlist::Gate g;
     g.type = netlist::CellType::MUX2;
     g.drive = static_cast<std::uint8_t>(i % netlist::kDriveLevels);
-    g.pins = {netlist::NetId{i}, netlist::NetId{i + 1}, netlist::NetId{2}};
-    g.output = netlist::NetId{i + 3};
+    g.pins = {netlist::NetId{i}, netlist::NetId{i + 1}, netlist::NetId{i + 3}};
     gates.push_back(g);
   }
   const PodBuffer<netlist::Gate> copy = gates;
@@ -119,7 +118,7 @@ TEST(PodBuffer, HoldsGates) {
     EXPECT_EQ(g.drive, i % netlist::kDriveLevels);
     ASSERT_EQ(g.inputs().size(), 3u);
     EXPECT_EQ(g.inputs()[1].value, i + 1);
-    EXPECT_EQ(g.output.value, i + 3);
+    EXPECT_EQ(g.inputs()[2].value, i + 3);
   }
 }
 

@@ -1,12 +1,20 @@
 // Regression locks: pins the exact cluster counts, iteration counts and
-// width outcomes of the five testcases under every flow, so any change to
-// the analyses or break conditions that shifts the Table 1/2 shapes fails
-// loudly here rather than silently degrading the reproduction.
+// width outcomes of the five testcases under every flow, and the exact
+// gate-level netlists (net ids included) they synthesise to, so any change
+// to the analyses, break conditions or netlist numbering that shifts the
+// Table 1/2 results fails loudly here rather than silently degrading the
+// reproduction.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/netlist/sta.h"
+#include "dpmerge/netlist/verilog.h"
+#include "dpmerge/opt/timing_opt.h"
 #include "dpmerge/synth/flow.h"
 
 namespace dpmerge {
@@ -97,6 +105,73 @@ TEST(RegressionLock, Table1ShapeBands) {
       EXPECT_LT(sta.area(neu.net), 0.45 * sta.area(old.net)) << tc.name;
     }
   }
+}
+
+/// 64-bit FNV-1a of the netlist's structural Verilog, as a hex string.
+std::string verilog_digest(const netlist::Netlist& n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : netlist::to_verilog(n, "top")) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RegressionLock, VerilogDigestPerFlow) {
+  // Every gate, drive and net id of the synthesised netlists. Net ids are
+  // derived from creation order (a net is a source or its gate's output),
+  // so a change to how they are numbered shows here even when every
+  // functional and timing result stays the same.
+  struct Digests {
+    const char* name;
+    const char* none;
+    const char* old_merge;
+    const char* new_merge;
+  };
+  constexpr Digests kDigests[] = {
+      {"D1", "7421f2e7a7fe6a83", "861e6082a5636235", "195475ed7afb0a30"},
+      {"D2", "f7fcc10936d78ce3", "364f0db2d09f98b4", "3e89ce9f049df106"},
+      {"D3", "1f9502d6bd9f9fea", "daf22e5f737cba3e", "f18284f946da5ec8"},
+      {"D4", "70b10f99a10dd7ac", "b061eac8e2ab19e1", "d308f29b2f5255a1"},
+      {"D5", "46d55d3e1fc4171d", "e323dbb5dc32518e", "cdd6a88a08316456"},
+  };
+  const auto cases = designs::all_testcases();
+  ASSERT_EQ(cases.size(), std::size(kDigests));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& tc = cases[i];
+    const Digests& d = kDigests[i];
+    ASSERT_EQ(tc.name, d.name);
+    EXPECT_EQ(verilog_digest(
+                  synth::run_flow(tc.graph, synth::Flow::NoMerge).net),
+              d.none)
+        << tc.name << " no-merge";
+    EXPECT_EQ(verilog_digest(
+                  synth::run_flow(tc.graph, synth::Flow::OldMerge).net),
+              d.old_merge)
+        << tc.name << " old-merge";
+    EXPECT_EQ(verilog_digest(
+                  synth::run_flow(tc.graph, synth::Flow::NewMerge).net),
+              d.new_merge)
+        << tc.name << " new-merge";
+  }
+
+  // Table 2's D4 old-merge cell: the optimiser appends buffers after every
+  // source net and rewires earlier readers behind them.
+  const auto& lib = netlist::CellLibrary::tsmc025();
+  const auto d4 = designs::make_d4();
+  auto fr = synth::run_flow(d4, synth::Flow::OldMerge);
+  opt::TimingOptOptions o;
+  o.target_ns = netlist::Sta(lib)
+                    .analyze(synth::run_flow(d4, synth::Flow::NewMerge).net)
+                    .longest_path_ns *
+                0.93;
+  o.max_moves = 5000;
+  const int gates_before = fr.net.gate_count();
+  opt::TimingOptimizer(lib).optimize(fr.net, o);
+  EXPECT_GT(fr.net.gate_count(), gates_before);  // buffers were inserted
+  EXPECT_EQ(verilog_digest(fr.net), "3d659a61f21e4bb6")
+      << "D4 old-merge optimised";
 }
 
 }  // namespace

@@ -79,13 +79,14 @@ class Simulator {
       }
     }
     std::vector<bool> ins;
+    OutputCursor outs(net_);
     for (GateId gid : net_.topo_gates()) {
       const Gate& g = net_.gates()[static_cast<std::size_t>(gid.value)];
       ins.clear();
       for (NetId in : g.inputs()) {
         ins.push_back(value[static_cast<std::size_t>(in.value)]);
       }
-      value[static_cast<std::size_t>(g.output.value)] = eval_cell(g.type, ins);
+      value[static_cast<std::size_t>(outs(gid).value)] = eval_cell(g.type, ins);
     }
     std::vector<BitVector> out;
     out.reserve(net_.outputs().size());
