@@ -9,6 +9,8 @@
 //   --booth            radix-4 Booth partial products
 //   --simplify         netlist clean-up (CSE + constant sweep) at the end
 //   --adder=<arch>     ripple | kogge-stone | brent-kung | carry-select
+//   --help, -h         print the usage line and exit
+// Any other argument starting with "--" is rejected (exit 2).
 
 #include <cstdio>
 #include <cstring>
@@ -37,6 +39,10 @@ output y : s14 = acc - k
 output sat : u1 = acc < k
 )";
 
+constexpr const char* kUsage =
+    "usage: dpc [file] [--verilog] [--fold] [--booth] [--simplify] "
+    "[--adder=ripple|kogge-stone|brent-kung|carry-select]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,7 +53,11 @@ int main(int argc, char** argv) {
   synth::SynthOptions sopt;
   std::string name = "demo";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verilog") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (std::strcmp(argv[i], "--verilog") == 0) {
       emit_verilog = true;
     } else if (std::strcmp(argv[i], "--fold") == 0) {
       fold = true;
@@ -65,6 +75,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown adder '%s'\n", a.c_str());
         return 2;
       }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown argument '%s'\n%s", argv[i], kUsage);
+      return 2;
     } else {
       std::ifstream f(argv[i]);
       if (!f) {

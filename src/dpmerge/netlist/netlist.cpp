@@ -183,59 +183,67 @@ Signal Netlist::invert(const Signal& s) {
   return r;
 }
 
+void build_reader_csr(const Netlist& n, std::vector<std::int32_t>& begin,
+                      std::vector<std::int32_t>& readers) {
+  const std::span<const Gate> gates = n.gates();
+  const auto nets = static_cast<std::size_t>(n.net_count());
+  // Reader counts per net, turned into end offsets; then entries are placed
+  // back to front so each net's readers come out in gate (and pin) order
+  // and the offsets end up as begin offsets.
+  begin.assign(nets + 1, 0);
+  for (const Gate& g : gates) {
+    for (NetId in : g.inputs()) ++begin[static_cast<std::size_t>(in.value)];
+  }
+  for (std::size_t i = 1; i <= nets; ++i) begin[i] += begin[i - 1];
+  readers.resize(static_cast<std::size_t>(begin[nets]));
+  for (std::size_t gi = gates.size(); gi-- > 0;) {
+    const std::span<const NetId> ins = gates[gi].inputs();
+    for (std::size_t k = ins.size(); k-- > 0;) {
+      const auto ni = static_cast<std::size_t>(ins[k].value);
+      readers[static_cast<std::size_t>(--begin[ni])] =
+          static_cast<std::int32_t>(gi);
+    }
+  }
+}
+
 namespace {
 
 /// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
 /// its positions; otherwise `topo` and `topo_pos` are left empty.
 void build_view(const Netlist& n, bool with_topo, NetlistView& v) {
+  build_reader_csr(n, v.reader_begin, v.readers);
+  if (!with_topo) {
+    v.topo.clear();
+    v.topo_pos.clear();
+    return;
+  }
   const std::span<const Gate> gates = n.gates();
-  const auto nets = static_cast<std::size_t>(n.net_count());
   const std::size_t ng = gates.size();
 
   // Kahn counts only the pins that read a gate output: flag those nets in
   // one index-order walk rather than searching the source runs per pin.
   OutputCursor outs(n);
-  std::vector<unsigned char> driven(with_topo ? nets : 0, 0);
-  for (int gi = 0; with_topo && gi < n.gate_count(); ++gi) {
+  std::vector<unsigned char> driven(static_cast<std::size_t>(n.net_count()),
+                                    0);
+  for (int gi = 0; gi < n.gate_count(); ++gi) {
     driven[static_cast<std::size_t>(outs(GateId{gi}).value)] = 1;
   }
 
-  // One pass over the pins: reader counts per net, and per gate the number
-  // of driven inputs (Kahn's pending count, kept in `topo_pos` until the
-  // sort is done). Gates with none seed the ready stack in gate order.
-  v.reader_begin.assign(nets + 1, 0);
+  // Per gate the number of driven inputs (Kahn's pending count, kept in
+  // `topo_pos` until the sort is done). Gates with none seed the ready
+  // stack in gate order.
   std::vector<std::int32_t>& pending = v.topo_pos;
-  pending.resize(with_topo ? ng : 0);
+  pending.resize(ng);
   std::vector<std::int32_t> ready;
   for (std::size_t gi = 0; gi < ng; ++gi) {
     std::int32_t cnt = 0;
     for (NetId in : gates[gi].inputs()) {
-      const auto ni = static_cast<std::size_t>(in.value);
-      ++v.reader_begin[ni];
-      if (with_topo && driven[ni]) ++cnt;
+      if (driven[static_cast<std::size_t>(in.value)]) ++cnt;
     }
-    if (!with_topo) continue;
     pending[gi] = cnt;
     if (cnt == 0) ready.push_back(static_cast<std::int32_t>(gi));
   }
 
-  // Reader CSR: turn the counts into end offsets, then place entries back
-  // to front so each net's readers come out in gate (and pin) order and the
-  // offsets end up as begin offsets.
-  for (std::size_t n = 1; n <= nets; ++n) {
-    v.reader_begin[n] += v.reader_begin[n - 1];
-  }
-  v.readers.resize(static_cast<std::size_t>(v.reader_begin[nets]));
-  for (std::size_t gi = ng; gi-- > 0;) {
-    const std::span<const NetId> ins = gates[gi].inputs();
-    for (std::size_t k = ins.size(); k-- > 0;) {
-      const auto ni = static_cast<std::size_t>(ins[k].value);
-      v.readers[static_cast<std::size_t>(--v.reader_begin[ni])] =
-          static_cast<std::int32_t>(gi);
-    }
-  }
-
-  if (!with_topo) return;
   // Kahn-LIFO over the driven pins. Must stay element-for-element
   // identical to the original per-call sort (tests/netlist_oracle.h):
   // simplify and Verilog numbering follow this order.

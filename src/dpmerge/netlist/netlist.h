@@ -81,6 +81,14 @@ struct NetlistView {
   }
 };
 
+class Netlist;
+
+/// Builds the reader CSR of `NetlistView` (`reader_begin`, `readers`) over
+/// `n`: the view's own builder, shared with the incremental timer, which
+/// keeps a patchable copy of its own.
+void build_reader_csr(const Netlist& n, std::vector<std::int32_t>& begin,
+                      std::vector<std::int32_t>& readers);
+
 /// Gates in topological order (inputs first), as returned by
 /// `Netlist::topo_gates()`: gate-index order `0..n` while the netlist's
 /// index-order bit holds (nothing is built or stored), otherwise the view's

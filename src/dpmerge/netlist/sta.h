@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,26 +54,64 @@ class Sta {
 /// so `update_drive_change` walks a topologically-ordered worklist over
 /// exactly that cone and stops where arrivals settle. Invariants maintained
 /// between calls (the critical path is derived from them, not stored):
-///   - `load_[n]`    == sum of reader-pin input caps of net n
+///   - `load_[n]`    == sum of reader-pin input caps of net n, added in
+///                      gate order (the order of a full pass)
 ///   - `arrival_[n]` == from-scratch arrival of net n
-/// The topological order is `Netlist::topo_gates()`: gate-index order while
-/// `index_topological()` holds, so the worklist is keyed by gate index and
-/// no order is built; otherwise the view's Kahn order and `topo_pos`.
-/// Reader lists come from the netlist's cached `NetlistView`, fetched afresh
-/// on every call (no pointer into it is kept). Any structural edit (adding
-/// gates, rewiring inputs) invalidates the timing state; call `rebuild()`
-/// afterwards.
+///
+/// Cone updates run over state the timer owns, built on the first update
+/// (or `readers` call) and never by the constructor, so `Sta::analyze`
+/// builds none of it:
+///   - a dense topological order of the gates: gate-index order while the
+///     netlist is index-topological (nothing stored until a buffer
+///     insertion moves a gate out of it), otherwise the view's Kahn order
+///     (`order_`, and `pos_`, its inverse);
+///   - a reader CSR over every net in the `NetlistView` layout (one entry
+///     per reading pin, in gate order), from the view's builder;
+///   - the worklist, a bitset over order positions that is all clear
+///     between updates. An update sets the seeds' bits and sweeps upward
+///     from the lowest set word, so cone gates are re-timed in topological
+///     order, each at most once;
+///   - an undo log: every load an update writes and every arrival it
+///     changes, with the old value, and the old longest path, so
+///     `undo_last_update` restores the state before a rejected trial bit
+///     for bit.
+/// A buffer insertion is a cone update too (`update_buffer_insertion`): it
+/// places the buffer in the order and patches two reader lists, so neither
+/// the netlist's view nor a full pass is needed. Any other structural edit
+/// invalidates the timing state; call `rebuild()` afterwards.
 class IncrementalSta {
  public:
   IncrementalSta(const Netlist& n, const CellLibrary& lib);
 
-  /// Recomputes everything from scratch (use after topology changes).
+  /// Recomputes everything from scratch (use after topology changes) and
+  /// drops the owned order and reader lists, to be rebuilt on the next
+  /// update.
   void rebuild();
 
   /// Call after changing gate `g`'s drive. Recomputes the loads of `g`'s
   /// input nets from their reader lists and re-propagates arrivals over
   /// the affected forward cone only.
   void update_drive_change(GateId g);
+
+  /// Restores the loads, arrivals and longest path to their values before
+  /// the last `update_drive_change`, after the caller has restored the
+  /// drive. Valid once, right after that update; throws
+  /// `std::logic_error` otherwise.
+  void undo_last_update();
+
+  /// Call after `buffer`, the netlist's last gate, was appended on a net w
+  /// (its input) and some of w's reader pins were rewired onto the
+  /// buffer's output, the netlist's last net; no other edit since the last
+  /// update. Inserts the buffer into the order after w's driver, patches
+  /// the reader lists of w and of the new net, recomputes both loads and
+  /// re-propagates arrivals from w's driver and the buffer.
+  void update_buffer_insertion(GateId buffer);
+
+  /// Gates reading net `n`, one entry per reading pin, in gate order. Valid
+  /// until the next update or rebuild.
+  std::span<const std::int32_t> readers(NetId n);
+  /// Gate `g`'s position in the timer's topological order (-1: on a cycle).
+  std::int32_t order_position(GateId g);
 
   double longest_path_ns() const { return longest_; }
   double arrival(NetId n) const {
@@ -96,6 +137,28 @@ class IncrementalSta {
   NetId latest_input(const Gate& g) const;
   void refresh_longest();
 
+  /// Builds the order, reader lists and worklist on first use.
+  void ensure_structure();
+  /// Sets `pos_` from `order_[from..]`.
+  void index_positions(std::size_t from);
+  /// Gate `g`'s position in the order (-1: on a cycle).
+  std::int32_t position(int g) const {
+    return order_.empty() ? g : pos_[static_cast<std::size_t>(g)];
+  }
+  /// Net `n`'s reader list; the structure must be built.
+  std::span<const std::int32_t> readers_of(NetId n) const {
+    const auto i = static_cast<std::size_t>(n.value);
+    return {readers_.data() + reader_begin_[i],
+            readers_.data() + reader_begin_[i + 1]};
+  }
+  /// Sets net `n`'s load from its reader list, logging the old one.
+  void reload(NetId n);
+  /// Puts gate `gate_idx` on the worklist.
+  void enqueue(int gate_idx);
+  /// Re-times the queued gates in order, queueing the readers of every net
+  /// whose arrival changed; logs each changed arrival.
+  void propagate();
+
   const Netlist& net_;
   const CellLibrary& lib_;
   std::vector<double> arrival_;  // per net
@@ -103,9 +166,27 @@ class IncrementalSta {
   double longest_ = 0.0;
   NetId longest_net_{};
 
-  // Worklist scratch, per gate: sized by `update_drive_change`, kept
-  // across updates to avoid reallocating it.
-  std::vector<char> queued_;
+  // Owned structure, empty until the first update.
+  // Position -> gate and gate -> position (-1: on a cycle); both empty
+  // while gate-index order is the order.
+  std::vector<std::int32_t> order_;
+  std::vector<std::int32_t> pos_;
+  // Reader CSR in the `NetlistView` layout (`build_reader_csr`).
+  std::vector<std::int32_t> reader_begin_;
+  std::vector<std::int32_t> readers_;
+  std::vector<std::uint64_t> pending_;  // worklist bit per position
+  std::size_t lo_word_ = std::numeric_limits<std::size_t>::max();
+  std::size_t hi_word_ = 0;  // set words lie in [lo_word_, hi_word_]
+
+  // Undo log of the last update.
+  struct Old {
+    std::int32_t net;
+    double value;
+  };
+  std::vector<Old> old_loads_, old_arrivals_;
+  double old_longest_ = 0.0;
+  NetId old_longest_net_{};
+  bool undoable_ = false;
 };
 
 }  // namespace dpmerge::netlist

@@ -102,7 +102,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
       } else {
         // Revert: the larger input cap hurt upstream more.
         net.set_drive(best_gate, drive);
-        ista.update_drive_change(best_gate);
+        ista.undo_last_update();
         check();
         locked_upsize.insert(best_gate.value);
         move = "opt.upsize.reject";
@@ -136,10 +136,9 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
         const double before_ns = ista.longest_path_ns();
         // `worst`'s readers, taken before the buffer becomes one of them.
         // One entry per pin in gate order, so a gate reading `worst` on
-        // several pins appears in a run of equal entries.
-        const auto view_readers = net.view().readers_of(worst);
-        const std::vector<std::int32_t> readers(view_readers.begin(),
-                                                view_readers.end());
+        // several pins appears in a run of equal entries. The timer's list
+        // stays put until it is told about the buffer.
+        const auto readers = ista.readers(worst);
         const NetId buffered = net.buf(worst);
         int rewired = 0;
         for (std::size_t i = 0; i < readers.size(); ++i) {
@@ -153,9 +152,8 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
             }
           }
         }
-        // Topology changed: incremental state is stale, rebuild from
-        // scratch (buffer moves are rare next to drive changes).
-        ista.rebuild();
+        // The buffer is the last gate: a cone update from `worst`'s driver.
+        ista.update_buffer_insertion(GateId{net.gate_count() - 1});
         check();
         const double delta_ns = before_ns - ista.longest_path_ns();
         const std::int64_t delta_ps = std::llround(delta_ns * 1e3);
@@ -206,7 +204,7 @@ TimingOptResult TimingOptimizer::optimize(Netlist& net,
           obs::stat_add("opt.downsize.accept");
         } else {
           net.set_drive(id, drive);
-          ista.update_drive_change(id);
+          ista.undo_last_update();
           check();
           break;
         }

@@ -12,12 +12,15 @@ namespace dpmerge::opt {
 /// the longest path toward a target delay by
 ///   (a) upsizing cells on the critical path (X1 -> X2 -> X4), and
 ///   (b) buffering heavily loaded critical nets.
-/// Timing is maintained incrementally (`netlist::IncrementalSta`): a drive
-/// change re-propagates arrivals over the affected forward cone only; only
-/// topology-changing buffer moves pay for a full rebuild. Runtime therefore
-/// grows with netlist size and with the distance from the target — the
-/// property Table 2 measures (smaller, faster initial netlists need far less
-/// optimisation effort).
+/// Timing is maintained incrementally (`netlist::IncrementalSta`): every
+/// move costs its timing cone. A drive change re-propagates arrivals over
+/// the affected forward cone only, a rejected sizing trial is reverted from
+/// the timer's undo log, and a buffer move is a cone update from the
+/// buffered net's driver (the timer keeps its own order and reader lists,
+/// so no move builds the netlist's view or re-times the whole netlist).
+/// Runtime therefore grows with the number of moves and the size of their
+/// cones — the property Table 2 measures (smaller, faster initial netlists
+/// need far less optimisation effort).
 struct TimingOptOptions {
   double target_ns = 0.0;
   int max_moves = 200000;

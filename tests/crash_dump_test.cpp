@@ -164,10 +164,18 @@ TEST(CrashDumpTest, UncaughtExceptionDumpCarriesWhat) {
         obs::install_crash_handlers(o);
         obs::set_run_context("crash-test", 7);
         // Throw across a noexcept boundary so the exception reaches
-        // std::terminate even under gtest's own exception guard.
+        // std::terminate even under gtest's own exception guard; the
+        // compiler's warning that it will is the point of the test.
+#pragma GCC diagnostic push
+#if defined(__clang__)
+#pragma GCC diagnostic ignored "-Wexceptions"
+#else
+#pragma GCC diagnostic ignored "-Wterminate"
+#endif
         const auto boom = []() noexcept {
           throw std::runtime_error("boom: width mismatch in cluster 3");
         };
+#pragma GCC diagnostic pop
         boom();
       },
       &status, &doc);

@@ -80,7 +80,9 @@ edge k r2 0 8 signed
       found_ext = true;
       EXPECT_EQ(n.ext_sign, Sign::Signed);
     }
-    if (n.kind == OpKind::Const) EXPECT_EQ(n.value.to_int64(), -3);
+    if (n.kind == OpKind::Const) {
+      EXPECT_EQ(n.value.to_int64(), -3);
+    }
   }
   EXPECT_TRUE(found_shl);
   EXPECT_TRUE(found_ext);

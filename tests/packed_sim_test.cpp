@@ -162,7 +162,9 @@ TEST(PackedVerify, AgreesWithScalarOracle) {
         const bool bad_scalar =
             synth::verify_netlist_scalar(flow.net, g, 100, r4, &why2);
         EXPECT_EQ(bad_packed, bad_scalar);
-        if (!bad_packed && !bad_scalar) EXPECT_EQ(why1, why2);
+        if (!bad_packed && !bad_scalar) {
+          EXPECT_EQ(why1, why2);
+        }
         gate.type = orig;
         break;
       }

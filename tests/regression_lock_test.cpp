@@ -14,6 +14,7 @@
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/netlist/verilog.h"
+#include "dpmerge/obs/obs.h"
 #include "dpmerge/opt/timing_opt.h"
 #include "dpmerge/synth/flow.h"
 
@@ -172,6 +173,76 @@ TEST(RegressionLock, VerilogDigestPerFlow) {
   EXPECT_GT(fr.net.gate_count(), gates_before);  // buffers were inserted
   EXPECT_EQ(verilog_digest(fr.net), "3d659a61f21e4bb6")
       << "D4 old-merge optimised";
+}
+
+TEST(RegressionLock, Table2OptimiserDecisions) {
+  // Every move decision of the Table 2 protocol (target 0.93x the design's
+  // new-merge delay, 5000 moves): the optimiser's counters and the final
+  // delay and area, exact. A timer change that alters one arrival bit on
+  // the way shows here.
+  struct Decisions {
+    const char* name;
+    const char* flow;
+    std::int64_t upsize_accept, upsize_reject, buffer_accept, buffer_reject,
+        downsize_accept, slack_recovered_ps;
+    double final_ns, final_area;
+  };
+  constexpr Decisions kDecisions[] = {
+      {"D1", "old", 7, 35, 0, 0, 0, 11,
+       4.1776000000000009, 23.689999999999991},
+      {"D1", "new", 1, 24, 0, 0, 0, 18,
+       2.8752, 16.052},
+      {"D2", "old", 16, 58, 0, 0, 0, 69,
+       6.51919, 69.719999999999999},
+      {"D2", "new", 12, 35, 0, 0, 0, 70,
+       3.5664000000000007, 44.776000000000003},
+      {"D3", "old", 73, 15, 0, 4, 4, 697,
+       4.8348479999999991, 104.97359999999999},
+      {"D3", "new", 7, 0, 0, 0, 0, 415,
+       4.7850000000000001, 67.435999999999993},
+      {"D4", "old", 256, 57, 0, 39, 0, 12686,
+       6.1668819999999984, 65.167600000000164},
+      {"D4", "new", 18, 1, 0, 1, 1, 214,
+       2.8210359999999999, 21.029999999999994},
+      {"D5", "old", 255, 60, 0, 30, 0, 7006,
+       5.4945899999999979, 79.608000000000118},
+      {"D5", "new", 118, 25, 0, 10, 0, 1785,
+       2.7042500000000005, 21.531999999999975},
+  };
+  const auto& lib = netlist::CellLibrary::tsmc025();
+  const auto cases = designs::all_testcases();
+  ASSERT_EQ(cases.size() * 2, std::size(kDecisions));
+  for (std::size_t i = 0; i < std::size(kDecisions); ++i) {
+    const Decisions& d = kDecisions[i];
+    const auto& tc = cases[i / 2];
+    ASSERT_EQ(tc.name, d.name);
+    const synth::Flow f =
+        i % 2 == 0 ? synth::Flow::OldMerge : synth::Flow::NewMerge;
+    const std::string what = tc.name + " " + d.flow;
+    opt::TimingOptOptions o;
+    o.target_ns =
+        netlist::Sta(lib)
+            .analyze(synth::run_flow(tc.graph, synth::Flow::NewMerge).net)
+            .longest_path_ns *
+        0.93;
+    o.max_moves = 5000;
+    auto fr = synth::run_flow(tc.graph, f);
+    obs::StatSink sink;
+    opt::TimingOptResult res;
+    {
+      obs::StatScope scope(&sink);
+      res = opt::TimingOptimizer(lib).optimize(fr.net, o);
+    }
+    EXPECT_EQ(sink.get("opt.upsize.accept"), d.upsize_accept) << what;
+    EXPECT_EQ(sink.get("opt.upsize.reject"), d.upsize_reject) << what;
+    EXPECT_EQ(sink.get("opt.buffer.accept"), d.buffer_accept) << what;
+    EXPECT_EQ(sink.get("opt.buffer.reject"), d.buffer_reject) << what;
+    EXPECT_EQ(sink.get("opt.downsize.accept"), d.downsize_accept) << what;
+    EXPECT_EQ(sink.get("opt.slack_recovered_ps"), d.slack_recovered_ps)
+        << what;
+    EXPECT_EQ(res.final_ns, d.final_ns) << what;
+    EXPECT_EQ(res.final_area, d.final_area) << what;
+  }
 }
 
 }  // namespace
