@@ -459,21 +459,6 @@ std::string kb_to_string(const KnownBits& kb) {
   return s;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      out += ' ';
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // ------------------------------------------------------- public types --
@@ -735,9 +720,9 @@ std::string absint_facts_json(const Graph& g, const AbsintResult& r) {
     const AbsFact& f = r.out(n.id);
     if (!first) out += ",";
     first = false;
-    out += "{\"id\": " + std::to_string(n.id.value) + ", \"name\": \"" +
-           json_escape(g.name(n)) + "\", \"kind\": \"" +
-           std::string(dfg::to_string(n.kind)) +
+    out += "{\"id\": " + std::to_string(n.id.value) + ", \"name\": ";
+    obs::json_append_quoted(out, g.name(n));
+    out += ", \"kind\": \"" + std::string(dfg::to_string(n.kind)) +
            "\", \"width\": " + std::to_string(n.width);
     out += ", \"known\": \"" + kb_to_string(f.bits) + "\"";
     if (f.range.valid) {

@@ -8,7 +8,7 @@
 ///     acyclicity, arity, port bookkeeping, sign-annotation legality,
 ///     constant canonicality).
 ///   - `verify(netlist::Netlist)`: structural netlist checks (multiply-driven
-///     nets, floating cell inputs, combinational loops from the cached view,
+///     nets, floating cell inputs, combinational loops from a Kahn sort,
 ///     undriven primary outputs, cell-pin arity).
 ///   - absint_engine.h: abstract-interpretation soundness lint
 ///     (`lint_absint`) cross-checking `analysis::info_content` /
@@ -21,8 +21,8 @@
 ///   - `Off`      (default): one relaxed atomic load and return — exactly
 ///                zero checking work, so production flows pay nothing.
 ///   - `Errors`   : structural verifiers run at pass boundaries (netlist
-///                loops included: they come from the cached view); any
-///                Error finding throws `CheckFailure`.
+///                loops included, off index order); any Error finding
+///                throws `CheckFailure`.
 ///   - `Paranoid` : additionally re-verifies pass *inputs* and runs the
 ///                abstract-interpretation soundness lint wherever analysis
 ///                results cross a pass boundary.
@@ -123,10 +123,10 @@ CheckReport verify(const dfg::Graph& g);
 /// A net is a source or exactly one gate's output by construction, so
 /// there is no multi-driven, driven-constant or stale-driver rule.
 /// While `index_topological()` holds there is no loop and no loop check.
-/// Otherwise loops come from the cached `view()` (the one STA builds then
-/// anyway): gates its Kahn order leaves out are the only ones the SCC sweep
-/// visits, so a loop-free netlist pays one comparison. That sweep runs only
-/// when no `net.range`/`net.gate.type` finding was made.
+/// Otherwise loops come from one `kahn_order` sort: gates it leaves out are
+/// the only ones the SCC sweep visits, so a loop-free netlist pays the sort
+/// alone. That check runs only when no `net.range`/`net.gate.type` finding
+/// was made.
 /// Dead logic is `lint_netlist_deadlogic`'s job (absint_netlist.h).
 CheckReport verify(const netlist::Netlist& n);
 

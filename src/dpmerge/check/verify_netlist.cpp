@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,16 +17,22 @@ using netlist::Gate;
 using netlist::NetId;
 using netlist::Netlist;
 
-/// Combinational loops, from the cached view: Kahn leaves every gate on or
-/// downstream of a cycle out of `topo` (`topo_pos == -1`). An iterative
-/// Tarjan SCC over just those gates (successor = any gate reading my output)
-/// appends one finding per non-trivial SCC; self-loops (a gate reading its
-/// own output) count as non-trivial. The view is only read once the census
-/// found every pin in range and every cell type known.
+/// Combinational loops: `kahn_order` leaves every gate on or downstream of
+/// a cycle out. An iterative Tarjan SCC over just those gates (successor =
+/// any gate reading my output, from a reader CSR built only then) appends
+/// one finding per non-trivial SCC; self-loops (a gate reading its own
+/// output) count as non-trivial. Runs only once the census found every pin
+/// in range and every cell type known.
 void check_comb_loops(const Netlist& n, CheckReport& rep) {
-  const netlist::NetlistView& v = n.view();
+  const std::vector<netlist::GateId> order = netlist::kahn_order(n);
   const int ng = n.gate_count();
-  if (v.topo.size() == static_cast<std::size_t>(ng)) return;
+  if (order.size() == static_cast<std::size_t>(ng)) return;
+  std::vector<char> sorted(static_cast<std::size_t>(ng), 0);
+  for (netlist::GateId g : order) {
+    sorted[static_cast<std::size_t>(g.value)] = 1;
+  }
+  std::vector<std::int32_t> reader_begin, reader;
+  netlist::build_reader_csr(n, reader_begin, reader);
   constexpr int kUnvisited = -1;
   std::vector<int> index(static_cast<std::size_t>(ng), kUnvisited);
   std::vector<int> lowlink(static_cast<std::size_t>(ng), 0);
@@ -41,7 +49,7 @@ void check_comb_loops(const Netlist& n, CheckReport& rep) {
 
   for (int root = 0; root < ng; ++root) {
     const auto ri = static_cast<std::size_t>(root);
-    if (v.topo_pos[ri] != -1 || index[ri] != kUnvisited) continue;
+    if (sorted[ri] || index[ri] != kUnvisited) continue;
     dfs.push_back({root, 0});
     while (!dfs.empty()) {
       Frame& f = dfs.back();
@@ -51,7 +59,11 @@ void check_comb_loops(const Netlist& n, CheckReport& rep) {
         stack.push_back(f.gate);
         on_stack[gi] = true;
       }
-      const auto readers = v.readers_of(n.output(netlist::GateId{f.gate}));
+      const auto out =
+          static_cast<std::size_t>(n.output(netlist::GateId{f.gate}).value);
+      const std::span<const std::int32_t> readers(
+          reader.data() + reader_begin[out],
+          reader.data() + reader_begin[out + 1]);
       if (f.child < readers.size()) {
         const int s = readers[f.child++];
         const auto si = static_cast<std::size_t>(s);
@@ -196,7 +208,7 @@ CheckReport verify(const Netlist& n) {
   }
 
   // Index order topological means every gate reads only earlier gates: no
-  // loop, and no view to build.
+  // loop, and no sort.
   if (!n.index_topological() && !rep.has_rule("net.range") &&
       !rep.has_rule("net.gate.type")) {
     check_comb_loops(n, rep);

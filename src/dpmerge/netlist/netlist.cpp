@@ -17,7 +17,6 @@ NetId Netlist::new_net() {
   } else {
     sources_.push_back({gi, sources_.back().sources_end + 1});
   }
-  ++version_;
   return NetId{net_count() - 1};
 }
 
@@ -36,7 +35,6 @@ NetId Netlist::add_gate(CellType t, PinList inputs) {
   if (owners_.empty() || owners_.back().owner != current_owner_) {
     owners_.push_back({gi, current_owner_});
   }
-  ++version_;
   return NetId{gi + sources_.back().sources_end};
 }
 
@@ -46,7 +44,6 @@ void Netlist::set_input(GateId g, int pin, NetId n) {
     throw std::invalid_argument("set_input: no pin " + std::to_string(pin));
   }
   gate.pins[static_cast<std::size_t>(pin)] = n;
-  ++version_;
   // A net past the last one reads as a gate output past the last gate.
   if (n.value < 0 || driver_id(n).value >= g.value) index_topological_ = false;
 }
@@ -206,17 +203,10 @@ void build_reader_csr(const Netlist& n, std::vector<std::int32_t>& begin,
   }
 }
 
-namespace {
-
-/// Builds the reader CSR and, when `with_topo`, the Kahn-LIFO order and
-/// its positions; otherwise `topo` and `topo_pos` are left empty.
-void build_view(const Netlist& n, bool with_topo, NetlistView& v) {
-  build_reader_csr(n, v.reader_begin, v.readers);
-  if (!with_topo) {
-    v.topo.clear();
-    v.topo_pos.clear();
-    return;
-  }
+std::vector<GateId> kahn_order(const Netlist& n) {
+  obs::stat_add("netlist.kahn_sorts");
+  std::vector<std::int32_t> reader_begin, readers;
+  build_reader_csr(n, reader_begin, readers);
   const std::span<const Gate> gates = n.gates();
   const std::size_t ng = gates.size();
 
@@ -229,11 +219,9 @@ void build_view(const Netlist& n, bool with_topo, NetlistView& v) {
     driven[static_cast<std::size_t>(outs(GateId{gi}).value)] = 1;
   }
 
-  // Per gate the number of driven inputs (Kahn's pending count, kept in
-  // `topo_pos` until the sort is done). Gates with none seed the ready
-  // stack in gate order.
-  std::vector<std::int32_t>& pending = v.topo_pos;
-  pending.resize(ng);
+  // Per gate the number of driven inputs (Kahn's pending count). Gates with
+  // none seed the ready stack in gate order.
+  std::vector<std::int32_t> pending(ng);
   std::vector<std::int32_t> ready;
   for (std::size_t gi = 0; gi < ng; ++gi) {
     std::int32_t cnt = 0;
@@ -245,45 +233,21 @@ void build_view(const Netlist& n, bool with_topo, NetlistView& v) {
   }
 
   // Kahn-LIFO over the driven pins. Must stay element-for-element
-  // identical to the original per-call sort (tests/netlist_oracle.h):
-  // simplify and Verilog numbering follow this order.
-  v.topo.clear();
-  v.topo.reserve(ng);
+  // identical to the reference sort (tests/netlist_oracle.h): simplify and
+  // Verilog numbering follow this order.
+  std::vector<GateId> order;
+  order.reserve(ng);
   while (!ready.empty()) {
     const std::int32_t gi = ready.back();
     ready.pop_back();
-    v.topo.push_back(GateId{gi});
-    for (std::int32_t r : v.readers_of(outs(GateId{gi}))) {
+    order.push_back(GateId{gi});
+    const auto net = static_cast<std::size_t>(outs(GateId{gi}).value);
+    for (std::int32_t i = reader_begin[net]; i < reader_begin[net + 1]; ++i) {
+      const std::int32_t r = readers[static_cast<std::size_t>(i)];
       if (--pending[static_cast<std::size_t>(r)] == 0) ready.push_back(r);
     }
   }
-
-  v.topo_pos.assign(ng, -1);
-  for (std::size_t p = 0; p < v.topo.size(); ++p) {
-    v.topo_pos[static_cast<std::size_t>(v.topo[p].value)] =
-        static_cast<std::int32_t>(p);
-  }
-}
-
-}  // namespace
-
-const NetlistView& Netlist::view() const {
-  if (view_version_ != version_) {
-    obs::Span span("netlist.view");
-    obs::stat_add("netlist.view_builds");
-    build_view(*this, !index_topological_, view_);
-    view_version_ = version_;
-  }
-  return view_;
-}
-
-std::vector<GateId> kahn_order(const Netlist& n) {
-  if (!n.index_topological()) return n.view().topo;
-  // A private build: the cached view keeps no order while index order is
-  // topological, and this leaves it untouched.
-  NetlistView v;
-  build_view(n, true, v);
-  return std::move(v.topo);
+  return order;
 }
 
 }  // namespace dpmerge::netlist

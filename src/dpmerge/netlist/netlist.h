@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dpmerge/netlist/cell.h"
@@ -54,46 +55,28 @@ static_assert(sizeof(Gate) == 16, "gates are stored flat; keep them small");
 static_assert(std::is_trivially_copyable_v<Gate>,
               "the gate array grows by realloc (support::PodBuffer)");
 
-/// Cached structural view of a Netlist, built by `Netlist::view()` and kept
-/// until the next structural mutation (new net, new gate, rewired pin,
-/// `mutable_gates`). Drive changes do not invalidate it. Mirrors `dfg::Csr`:
-/// build once, then share read-only. While `Netlist::index_topological()`
-/// holds, gate-index order is the topological order and the view holds only
-/// the reader CSR (`topo` and `topo_pos` stay empty).
-struct NetlistView {
-  /// Kahn-LIFO topological order (inputs first), built only while the
-  /// index-order bit is clear. A combinational cycle leaves its gates out,
-  /// so `topo.size() < gate_count()` flags one.
-  std::vector<GateId> topo;
-  /// Gate index -> position in `topo` (-1 for gates left out by a cycle);
-  /// empty while `topo` is.
-  std::vector<std::int32_t> topo_pos;
-  /// Reader CSR over every net (constants and primary inputs included):
-  /// the gates reading net n are readers[reader_begin[n]..reader_begin[n+1]),
-  /// one entry per reading pin, in gate order.
-  std::vector<std::int32_t> reader_begin;
-  std::vector<std::int32_t> readers;
-
-  std::span<const std::int32_t> readers_of(NetId n) const {
-    const auto i = static_cast<std::size_t>(n.value);
-    return {readers.data() + reader_begin[i],
-            readers.data() + reader_begin[i + 1]};
-  }
-};
-
 class Netlist;
 
-/// Builds the reader CSR of `NetlistView` (`reader_begin`, `readers`) over
-/// `n`: the view's own builder, shared with the incremental timer, which
-/// keeps a patchable copy of its own.
+/// Builds the reader CSR of `n`: the gates reading net i are
+/// readers[begin[i]..begin[i+1]), one entry per reading pin, in gate order,
+/// for every net (constants and primary inputs included).
 void build_reader_csr(const Netlist& n, std::vector<std::int32_t>& begin,
                       std::vector<std::int32_t>& readers);
 
+/// The Kahn-LIFO topological order (inputs first; gates on or downstream
+/// of a cycle left out, so a result shorter than `gate_count()` flags one),
+/// whatever the index-order bit. Sorts on every call (counted as
+/// `netlist.kahn_sorts`) over a reader CSR of its own. Artifacts whose text
+/// follows this order call it directly (the gate numbering of `simplify`,
+/// the finding order of `check::lint_netlist_deadlogic`); walkers that need
+/// any topological order take `Netlist::topo_gates()` once and keep it.
+std::vector<GateId> kahn_order(const Netlist& n);
+
 /// Gates in topological order (inputs first), as returned by
 /// `Netlist::topo_gates()`: gate-index order `0..n` while the netlist's
-/// index-order bit holds (nothing is built or stored), otherwise the view's
-/// Kahn-LIFO order. A range of `GateId`s; valid until the next structural
-/// mutation.
+/// index-order bit holds (nothing is allocated), otherwise the Kahn-LIFO
+/// order of `kahn_order`, owned. A range of `GateId`s that describes the
+/// netlist as it was when taken.
 class GateOrder {
  public:
   class iterator {
@@ -122,15 +105,20 @@ class GateOrder {
 
   std::size_t size() const { return static_cast<std::size_t>(size_); }
   GateId operator[](std::size_t i) const {
-    return order_ ? order_[i] : GateId{static_cast<int>(i)};
+    return kahn_.empty() ? GateId{static_cast<int>(i)} : kahn_[i];
   }
-  iterator begin() const { return {order_, 0}; }
-  iterator end() const { return {order_, size_}; }
+  iterator begin() const { return {data(), 0}; }
+  iterator end() const { return {data(), size_}; }
 
  private:
   friend class Netlist;
-  GateOrder(const GateId* order, int size) : order_(order), size_(size) {}
-  const GateId* order_;  ///< null: index order
+  /// Index order over `gates` gates.
+  explicit GateOrder(int gates) : size_(gates) {}
+  explicit GateOrder(std::vector<GateId> kahn)
+      : kahn_(std::move(kahn)), size_(static_cast<int>(kahn_.size())) {}
+  const GateId* data() const { return kahn_.empty() ? nullptr : kahn_.data(); }
+
+  std::vector<GateId> kahn_;  ///< empty: index order
   int size_;
 };
 
@@ -170,13 +158,8 @@ struct Bus {
 /// can break it, and clear it for good: `set_input` to a net whose driver
 /// is not earlier than the gate, and `mutable_gates()`.
 ///
-/// Thread-safety: const accessors are safe to call concurrently EXCEPT
-/// `view()` (and, while the index-order bit is clear, `kahn_order` and
-/// `check::verify`, which read the view) while the view is stale: the first
-/// call after a structural mutation builds the cache. `topo_gates()` builds
-/// nothing while the bit is set, so it is safe to call concurrently then;
-/// with the bit clear it reads the view. Code that shares a netlist across
-/// threads builds the view once up front when it needs it.
+/// Thread-safety: a const Netlist holds no cache, so every const accessor
+/// (and every pass over a const Netlist) is safe to call concurrently.
 class Netlist {
  public:
   NetId new_net();
@@ -189,7 +172,8 @@ class Netlist {
   /// build type) on a pin count, drive or pin the cell does not have.
   NetId add_gate(CellType t, PinList inputs);
 
-  /// Sets a gate's drive-strength variant. Not structural: the view stays.
+  /// Sets a gate's drive-strength variant. Not structural: the index-order
+  /// bit stays.
   void set_drive(GateId g, int drive) {
     if (drive < 0 || drive >= kDriveLevels) {
       throw std::invalid_argument("set_drive: no such drive");
@@ -236,12 +220,8 @@ class Netlist {
   /// The gates, by index. Valid until the next `add_gate`.
   std::span<const Gate> gates() const { return gates_.span(); }
   /// Unchecked write access for the verifier tests' corruption cases; real
-  /// transforms use `set_drive` / `set_input`. Counts as a structural
-  /// mutation at the call, and clears the index-order bit: a span obtained
-  /// here must not be used to change structure after the next view build
-  /// (the view would go stale).
+  /// transforms use `set_drive` / `set_input`. Clears the index-order bit.
   std::span<Gate> mutable_gates() {
-    ++version_;
     index_topological_ = false;
     return gates_.span();
   }
@@ -299,15 +279,11 @@ class Netlist {
   /// True while gate-index order is topological (see the class comment).
   bool index_topological() const { return index_topological_; }
 
-  /// Cached structural view (see `NetlistView`); rebuilt lazily on the
-  /// first call after a structural mutation.
-  const NetlistView& view() const;
   /// Gates in topological order (inputs first): index order while
-  /// `index_topological()`, else `view().topo`.
+  /// `index_topological()`, else a `kahn_order` sort made by this call.
   GateOrder topo_gates() const {
-    if (index_topological_) return {nullptr, gate_count()};
-    const NetlistView& v = view();
-    return {v.topo.data(), static_cast<int>(v.topo.size())};
+    if (index_topological_) return GateOrder(gate_count());
+    return GateOrder(kahn_order(*this));
   }
 
  private:
@@ -328,10 +304,7 @@ class Netlist {
   std::vector<SourceRun> sources_{{0, 2}};  // nets 0/1: the constants
   std::vector<Bus> inputs_;
   std::vector<Bus> outputs_;
-  std::uint64_t version_ = 0;  ///< Structural mutation counter (view key).
   bool index_topological_ = true;
-  mutable NetlistView view_;
-  mutable std::uint64_t view_version_ = ~std::uint64_t{0};
   std::vector<OwnerRun> owners_;
   int current_owner_ = -1;
 };
@@ -385,12 +358,5 @@ void eval_gates(const Netlist& n, const Order& order, std::vector<V>& value,
         apply_cell(g.type, ins, ops);
   }
 }
-
-/// The Kahn-LIFO topological order (inputs first; gates on or downstream
-/// of a cycle left out), from the same code as `NetlistView::topo`, whatever
-/// the index-order bit. For artifacts whose text follows that order (the
-/// gate numbering of `simplify`, the finding order of
-/// `check::lint_netlist_deadlogic`); everything else iterates `topo_gates()`.
-std::vector<GateId> kahn_order(const Netlist& n);
 
 }  // namespace dpmerge::netlist

@@ -4,11 +4,8 @@
 
 namespace dpmerge::netlist {
 
-PackedSimulator::PackedSimulator(const Netlist& n) : net_(n) {
-  // With the index-order bit clear `run` walks the view's order: build it
-  // here, so concurrent runs only read it.
-  if (!n.index_topological()) (void)n.view();
-}
+PackedSimulator::PackedSimulator(const Netlist& n)
+    : net_(n), order_(n.topo_gates()) {}
 
 std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     const std::vector<PackedBus>& inputs) const {
@@ -31,7 +28,7 @@ std::vector<PackedSimulator::PackedBus> PackedSimulator::run(
     }
   }
 
-  eval_gates(net_, net_.topo_gates(), value, PackedOps{});
+  eval_gates(net_, order_, value, PackedOps{});
 
   std::vector<PackedBus> out(net_.outputs().size());
   for (std::size_t i = 0; i < out.size(); ++i) {

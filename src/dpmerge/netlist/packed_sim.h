@@ -34,6 +34,9 @@ class PackedSimulator {
  public:
   static constexpr int kLanes = 64;
 
+  /// Takes the netlist's topological order once (`Netlist::topo_gates()`);
+  /// every `run` walks it. The netlist must not change structurally while
+  /// the simulator is in use.
   explicit PackedSimulator(const Netlist& n);
 
   /// One word per bit of each bus, buses in `Netlist::inputs()` /
@@ -57,6 +60,7 @@ class PackedSimulator {
 
  private:
   const Netlist& net_;
+  GateOrder order_;
 };
 
 }  // namespace dpmerge::netlist

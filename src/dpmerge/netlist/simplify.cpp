@@ -158,9 +158,11 @@ Netlist simplify(const Netlist& n, SimplifyStats* stats) {
       if (!live[static_cast<std::size_t>(g_out.value)]) continue;
       PinList ins;
       for (NetId in : g.inputs()) {
-        auto& slot = pmap[static_cast<std::size_t>(in.value)];
-        if (!slot.valid()) slot = pruned.new_net();  // shouldn't happen
-        ins.push_back(slot);
+        // Every source of `out` is a constant or a mapped input bit, and a
+        // live gate's drivers are live and come earlier in Kahn order.
+        const NetId m = pmap[static_cast<std::size_t>(in.value)];
+        assert(m.valid() && "input net not yet rebuilt");
+        ins.push_back(m);
       }
       const NetId o = pruned.add_gate(g.type, ins);
       pruned.set_drive(GateId{pruned.gate_count() - 1}, g.drive);

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "dpmerge/obs/obs.h"
@@ -59,11 +58,17 @@ void IncrementalSta::rebuild() {
   accumulate_loads(net_, lib_, load_);
   arrival_.assign(nets, 0.0);
   OutputCursor outs(net_);
-  for (GateId gid : net_.topo_gates()) {
-    recompute_gate(gid.value, outs(gid));
+  if (net_.index_topological()) {
+    order_.clear();
+    for (int gi = 0; gi < net_.gate_count(); ++gi) {
+      recompute_gate(gi, outs(GateId{gi}));
+    }
+  } else {
+    // The one sort for this netlist: cone updates reuse it.
+    order_ = kahn_order(net_);
+    for (GateId gid : order_) recompute_gate(gid.value, outs(gid));
   }
   refresh_longest();
-  order_.clear();
   pos_.clear();
   reader_begin_.clear();
   readers_.clear();
@@ -111,25 +116,16 @@ void IncrementalSta::refresh_longest() {
 
 void IncrementalSta::ensure_structure() {
   if (!reader_begin_.empty()) return;
-  if (net_.index_topological()) {
-    // Gate-index order is the order: nothing to store until a buffer moves
-    // a gate out of it.
-    build_reader_csr(net_, reader_begin_, readers_);
-  } else {
-    const NetlistView& v = net_.view();
-    order_.clear();
-    for (GateId g : v.topo) order_.push_back(g.value);
-    index_positions(0);
-    reader_begin_ = v.reader_begin;
-    readers_ = v.readers;
-  }
+  build_reader_csr(net_, reader_begin_, readers_);
+  if (!order_.empty()) index_positions(0);
   pending_.assign((static_cast<std::size_t>(net_.gate_count()) + 63) / 64, 0);
 }
 
 void IncrementalSta::index_positions(std::size_t from) {
   pos_.resize(static_cast<std::size_t>(net_.gate_count()), -1);
   for (std::size_t p = from; p < order_.size(); ++p) {
-    pos_[static_cast<std::size_t>(order_[p])] = static_cast<std::int32_t>(p);
+    pos_[static_cast<std::size_t>(order_[p].value)] =
+        static_cast<std::int32_t>(p);
   }
 }
 
@@ -174,7 +170,7 @@ void IncrementalSta::propagate() {
       const int bit = std::countr_zero(pending_[w]);
       pending_[w] &= pending_[w] - 1;
       const std::size_t p = w * 64 + static_cast<std::size_t>(bit);
-      const int gi = order_.empty() ? static_cast<int>(p) : order_[p];
+      const int gi = order_.empty() ? static_cast<int>(p) : order_[p].value;
       ++cone_gates;
       const NetId out = outs(GateId{gi});
       const double before = arrival_[static_cast<std::size_t>(out.value)];
@@ -237,8 +233,9 @@ void IncrementalSta::undo_last_update() {
 }
 
 void IncrementalSta::update_buffer_insertion(GateId buffer) {
-  // Built before the edit, the owned structure needs patching; built now,
-  // it already describes the edited netlist.
+  // Built before the edit, the reader lists need patching; built now, they
+  // already describe the edited netlist. The order, taken before the edit,
+  // always lacks the buffer.
   const bool patch = !reader_begin_.empty();
   ensure_structure();
   const std::span<const Gate> gates = net_.gates();
@@ -252,23 +249,20 @@ void IncrementalSta::update_buffer_insertion(GateId buffer) {
   arrival_.push_back(arrival_[static_cast<std::size_t>(w.value)]);
   load_.push_back(0.0);
 
-  if (patch) {
-    // Right after w's driver (first for a source) is before every reader
-    // of w, the buffer's readers included.
-    const std::size_t at =
-        drv.valid() ? static_cast<std::size_t>(position(drv.value)) + 1 : 0;
-    std::size_t moved = at;  // positions from here on change
-    if (order_.empty()) {
-      order_.resize(static_cast<std::size_t>(buffer.value));
-      std::iota(order_.begin(), order_.end(), 0);
-      moved = 0;
-    }
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at),
-                  buffer.value);
-    index_positions(moved);
-    pending_.resize((static_cast<std::size_t>(net_.gate_count()) + 63) / 64,
-                    0);
+  // Right after w's driver (first for a source) is before every reader of
+  // w, the buffer's readers included.
+  const std::size_t at =
+      drv.valid() ? static_cast<std::size_t>(position(drv.value)) + 1 : 0;
+  std::size_t moved = at;  // positions from here on change
+  if (order_.empty()) {
+    for (int gi = 0; gi < buffer.value; ++gi) order_.push_back(GateId{gi});
+    moved = 0;
+  }
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), buffer);
+  index_positions(moved);
+  pending_.resize((static_cast<std::size_t>(net_.gate_count()) + 63) / 64, 0);
 
+  if (patch) {
     // w's old readers, in gate order, split by the net each pin now reads.
     // w's new list, ended by the buffer (the last gate), replaces the old
     // one in the CSR; the new net is the last, so its list goes last.

@@ -58,15 +58,16 @@ class Sta {
 ///                      gate order (the order of a full pass)
 ///   - `arrival_[n]` == from-scratch arrival of net n
 ///
-/// Cone updates run over state the timer owns, built on the first update
-/// (or `readers` call) and never by the constructor, so `Sta::analyze`
-/// builds none of it:
+/// Off index order, the constructor (and `rebuild()`) sorts the netlist
+/// once (`kahn_order`) and keeps that order for the cone updates. The rest
+/// of their state is built on the first update (or `readers` call) and
+/// never by the constructor, so `Sta::analyze` builds none of it:
 ///   - a dense topological order of the gates: gate-index order while the
 ///     netlist is index-topological (nothing stored until a buffer
-///     insertion moves a gate out of it), otherwise the view's Kahn order
+///     insertion moves a gate out of it), otherwise the Kahn order
 ///     (`order_`, and `pos_`, its inverse);
-///   - a reader CSR over every net in the `NetlistView` layout (one entry
-///     per reading pin, in gate order), from the view's builder;
+///   - a reader CSR over every net (one entry per reading pin, in gate
+///     order), from `build_reader_csr`;
 ///   - the worklist, a bitset over order positions that is all clear
 ///     between updates. An update sets the seeds' bits and sweeps upward
 ///     from the lowest set word, so cone gates are re-timed in topological
@@ -77,14 +78,14 @@ class Sta {
 ///     for bit.
 /// A buffer insertion is a cone update too (`update_buffer_insertion`): it
 /// places the buffer in the order and patches two reader lists, so neither
-/// the netlist's view nor a full pass is needed. Any other structural edit
+/// a new sort nor a full pass is needed. Any other structural edit
 /// invalidates the timing state; call `rebuild()` afterwards.
 class IncrementalSta {
  public:
   IncrementalSta(const Netlist& n, const CellLibrary& lib);
 
-  /// Recomputes everything from scratch (use after topology changes) and
-  /// drops the owned order and reader lists, to be rebuilt on the next
+  /// Recomputes everything from scratch (use after topology changes): takes
+  /// the order anew and drops the reader lists, to be rebuilt on the next
   /// update.
   void rebuild();
 
@@ -166,12 +167,13 @@ class IncrementalSta {
   double longest_ = 0.0;
   NetId longest_net_{};
 
+  // Position -> gate, set by `rebuild()`; empty while gate-index order is
+  // the order.
+  std::vector<GateId> order_;
   // Owned structure, empty until the first update.
-  // Position -> gate and gate -> position (-1: on a cycle); both empty
-  // while gate-index order is the order.
-  std::vector<std::int32_t> order_;
+  // Gate -> position (-1: on a cycle); empty while `order_` is.
   std::vector<std::int32_t> pos_;
-  // Reader CSR in the `NetlistView` layout (`build_reader_csr`).
+  // Reader CSR (`build_reader_csr`).
   std::vector<std::int32_t> reader_begin_;
   std::vector<std::int32_t> readers_;
   std::vector<std::uint64_t> pending_;  // worklist bit per position

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/analysis/required_precision.h"
 #include "dpmerge/check/absint_engine.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
+#include "dpmerge/dfg/io.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dpmerge/obs/json.h"
 
 namespace dpmerge {
 namespace {
@@ -171,6 +176,31 @@ TEST(AbsintEngineUnit, FactReportsAreWellFormed) {
   EXPECT_EQ(json.find('\n'), std::string::npos);  // one line per lint file
   EXPECT_NE(json.find("\"demanded_width\""), std::string::npos);
   EXPECT_NE(json.find("\"rounds\""), std::string::npos);
+}
+
+TEST(AbsintEngineUnit, FactJsonIsValidUtf8WhateverTheNames) {
+  // The .dfg reader takes any non-whitespace token as a name: an invalid
+  // UTF-8 byte and a control character reach the fact JSON escaped, a
+  // valid multi-byte character as it is.
+  const Graph g = dfg::parse_graph(
+      "dfg v1\n"
+      "input a\xff\x01\xc3\xa9 8\n"
+      "output r 8\n"
+      "edge a\xff\x01\xc3\xa9 r 0 8 signed\n");
+  const std::string json =
+      check::absint_facts_json(g, check::compute_absint(g));
+  std::string why;
+  EXPECT_TRUE(obs::json_valid(json, &why)) << why;
+  EXPECT_NE(json.find("\"name\": \"a\\ufffd\\u0001\xc3\xa9\""),
+            std::string::npos)
+      << json;
+  // No raw byte >= 0x80 but the two of the valid character.
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) >= 0x80;
+                          }),
+            2)
+      << json;
 }
 
 }  // namespace

@@ -384,9 +384,11 @@ TEST(IncrementalSta, BufferAsTheFirstUpdateBuildsFromTheEditedNetlist) {
   IncrementalSta ista(net, CellLibrary::tsmc025());
   const NetId w = net.output(GateId{0});
   const NetId b = net.buf(w);
-  const auto& v = net.view();
-  const auto readers = v.readers_of(w);
-  const std::vector<std::int32_t> moved(readers.begin(), readers.end());
+  std::vector<std::int32_t> begin, readers;
+  netlist::build_reader_csr(net, begin, readers);
+  const auto wi = static_cast<std::size_t>(w.value);
+  const std::vector<std::int32_t> moved(readers.begin() + begin[wi],
+                                        readers.begin() + begin[wi + 1]);
   for (std::int32_t gi : moved) {
     if (gi == net.gate_count() - 1) continue;  // the buffer itself
     const Gate& g = net.gates()[static_cast<std::size_t>(gi)];

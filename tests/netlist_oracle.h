@@ -1,6 +1,7 @@
 // Reference oracles for the netlist: the original per-call Kahn-LIFO
 // topological sort over a freshly built vector-of-vectors reader list
-// (`NetlistView::topo` and `kahn_order` must equal it element for element),
+// (`kahn_order` and `topo_gates()` off index order must equal it element
+// for element),
 // a linear check that gate-index order is topological (what
 // `Netlist::index_topological()` claims), and `Recorder`, which replays
 // construction calls onto a netlist while keeping the gate -> net,

@@ -1,18 +1,20 @@
-// Flat netlist storage and its cached structural view: inline pin lists
-// refuse a fourth pin; on netlists from all three flows and after random
-// rewires the topological order is index order while the index-order bit
-// holds and the cached Kahn-LIFO order otherwise, `kahn_order` equals the
-// reference oracle either way, and the reader CSR lists every pin in gate
-// order; the view is built only when a consumer needs it, once per
-// structure version.
+// Flat netlist storage and its topological orders: inline pin lists refuse
+// a fourth pin; on netlists from all three flows and after random rewires
+// `topo_gates()` is index order while the index-order bit holds and the
+// Kahn-LIFO order otherwise, `kahn_order` equals the reference oracle
+// either way, and the reader CSR lists every pin in gate order; a pass
+// sorts only when the bit is clear, once per pass, and a packed simulator
+// once for all its batches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/random_graph.h"
+#include "dpmerge/netlist/packed_sim.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/obs/obs.h"
 #include "dpmerge/support/rng.h"
@@ -31,32 +33,27 @@ using netlist::Netlist;
 using netlist::PinList;
 using synth::Flow;
 
-constexpr const char* kBuilds = "netlist.view_builds";
+constexpr const char* kSorts = "netlist.kahn_sorts";
 
-/// The view and both orders against the oracles and a direct scan of every
-/// gate's pins.
-void expect_view_matches(const Netlist& n, const char* when) {
-  const auto& v = n.view();
+/// Both orders against the oracles, and the reader CSR against a direct
+/// scan of every gate's pins.
+void expect_orders_match(const Netlist& n, const char* when) {
   const auto kahn = netlist::oracle::topo_gates(n);
   ASSERT_EQ(netlist::kahn_order(n), kahn) << when;
   const auto order = n.topo_gates();
   const std::vector<GateId> walked(order.begin(), order.end());
+  ASSERT_EQ(walked.size(), order.size()) << when;
+  for (std::size_t i = 0; i < walked.size(); ++i) {
+    ASSERT_EQ(order[i], walked[i]) << when;
+  }
   if (n.index_topological()) {
     ASSERT_TRUE(netlist::oracle::index_order_is_topological(n)) << when;
-    ASSERT_TRUE(v.topo.empty() && v.topo_pos.empty()) << when;
     ASSERT_EQ(walked.size(), n.gates().size()) << when;
     for (std::size_t i = 0; i < walked.size(); ++i) {
       ASSERT_EQ(walked[i].value, static_cast<int>(i)) << when;
     }
   } else {
-    ASSERT_EQ(v.topo, kahn) << when;
     ASSERT_EQ(walked, kahn) << when;
-    ASSERT_EQ(v.topo_pos.size(), n.gates().size()) << when;
-    for (std::size_t p = 0; p < v.topo.size(); ++p) {
-      ASSERT_EQ(v.topo_pos[static_cast<std::size_t>(v.topo[p].value)],
-                static_cast<std::int32_t>(p))
-          << when;
-    }
   }
   std::vector<std::vector<std::int32_t>> readers(
       static_cast<std::size_t>(n.net_count()));
@@ -65,10 +62,14 @@ void expect_view_matches(const Netlist& n, const char* when) {
       readers[static_cast<std::size_t>(in.value)].push_back(gi);
     }
   }
+  std::vector<std::int32_t> begin, csr;
+  netlist::build_reader_csr(n, begin, csr);
+  ASSERT_EQ(begin.size(), static_cast<std::size_t>(n.net_count()) + 1) << when;
   for (int net = 0; net < n.net_count(); ++net) {
-    const auto span = v.readers_of(NetId{net});
-    ASSERT_EQ(std::vector<std::int32_t>(span.begin(), span.end()),
-              readers[static_cast<std::size_t>(net)])
+    const auto ni = static_cast<std::size_t>(net);
+    ASSERT_EQ(std::vector<std::int32_t>(csr.begin() + begin[ni],
+                                        csr.begin() + begin[ni + 1]),
+              readers[ni])
         << when << " net " << net;
   }
 }
@@ -99,7 +100,7 @@ TEST(NetlistView, TopoMatchesOracleOnAllFlowsAndAfterRewires) {
       auto flow = synth::run_flow(g, f);
       Netlist& n = flow.net;
       ASSERT_TRUE(n.index_topological());
-      expect_view_matches(n, "synthesised");
+      expect_orders_match(n, "synthesised");
       if (n.gate_count() == 0) continue;
       // Random acyclic rewires: a pin moves to a constant, a primary input
       // or the output of a gate earlier in the current Kahn order, which
@@ -121,7 +122,7 @@ TEST(NetlistView, TopoMatchesOracleOnAllFlowsAndAfterRewires) {
           continue;
         }
         n.set_input(GateId{gi}, pin, to);
-        expect_view_matches(n, "after rewire");
+        expect_orders_match(n, "after rewire");
         ASSERT_EQ(n.topo_gates().size(), n.gates().size());
       }
       if (!n.index_topological()) ++cleared;
@@ -139,24 +140,25 @@ TEST(NetlistView, CycleLeavesGatesOutLikeTheOracle) {
   const NetId z = n.and2(x, y);
   n.add_output("r", {{z}});
   n.set_input(GateId{0}, 0, y);  // inv0 <- inv1 <- inv0
-  expect_view_matches(n, "cycle");
+  expect_orders_match(n, "cycle");
   EXPECT_LT(n.topo_gates().size(), n.gates().size());
-  EXPECT_EQ(n.view().topo_pos[0], -1);
+  const auto kahn = netlist::kahn_order(n);
+  EXPECT_EQ(std::count(kahn.begin(), kahn.end(), GateId{0}), 0);
   EXPECT_EQ(check::verify(n).count_rule("net.comb-loop"), 1);
 }
 
-TEST(NetlistView, BuiltOncePerStructureVersion) {
+TEST(NetlistView, SortsOnlyOffIndexOrderOncePerPass) {
   const auto g = designs::make_d1();
   const auto& lib = netlist::CellLibrary::tsmc025();
   check::PolicyScope policy(check::CheckPolicy::Off);
   obs::StatSink sink;
   obs::StatScope scope(&sink);
 
-  // Flow, order, STA and verification all walk index order: no view.
+  // Flow, order, STA and verification all walk index order: no sort.
   auto flow = synth::run_flow(g, Flow::NewMerge);
   std::int64_t in_flow = 0;
   for (const auto& stage : flow.report.stages) {
-    const auto it = stage.stats.find(kBuilds);
+    const auto it = stage.stats.find(kSorts);
     if (it != stage.stats.end()) in_flow += it->second;
   }
   Netlist& n = flow.net;
@@ -167,34 +169,47 @@ TEST(NetlistView, BuiltOncePerStructureVersion) {
   std::string why;
   EXPECT_TRUE(synth::verify_netlist(n, g, 64, rng, &why)) << why;
   EXPECT_TRUE(check::verify(n).ok());
-  EXPECT_EQ(in_flow + sink.get(kBuilds), 0);
+  EXPECT_EQ(in_flow + sink.get(kSorts), 0);
 
+  // A drive change and an appended gate keep index order.
   n.set_drive(GateId{0}, 1);
   const NetId extra = n.add_gate(CellType::INV, {n.output(GateId{0})});
   (void)n.topo_gates();
   (void)netlist::Sta(lib).analyze(n);
   EXPECT_TRUE(n.index_topological());
-  EXPECT_EQ(sink.get(kBuilds), 0);
-
-  // A reader of the CSR builds it once per version.
-  (void)n.view();
-  (void)n.view();
-  EXPECT_EQ(sink.get(kBuilds), 1);
-  n.set_drive(GateId{0}, 2);
-  (void)n.view();
-  EXPECT_EQ(sink.get(kBuilds), 1);
+  EXPECT_EQ(sink.get(kSorts), 0);
 
   // A buffer move as the optimiser makes it: a new BUF, and an earlier
-  // reader rewired behind it. The bit clears, and STA, the order and the
-  // checker share one Kahn view for the new version.
+  // reader rewired behind it. The bit clears, and each pass sorts once.
   const NetId buffered = n.buf(n.output(GateId{0}));
   n.set_input(GateId{n.gate_count() - 2}, 0, buffered);
   EXPECT_FALSE(n.index_topological());
-  (void)netlist::Sta(lib).analyze(n);
-  (void)n.topo_gates();
-  EXPECT_TRUE(check::verify(n).ok());
-  EXPECT_TRUE(synth::verify_netlist(n, g, 64, rng, &why)) << why;
-  EXPECT_EQ(sink.get(kBuilds), 2);
+  auto sorts_in = [&](auto&& pass) {
+    const std::int64_t before = sink.get(kSorts);
+    pass();
+    return sink.get(kSorts) - before;
+  };
+  EXPECT_EQ(sorts_in([&] { (void)netlist::Sta(lib).analyze(n); }), 1);
+  EXPECT_EQ(sorts_in([&] { (void)n.topo_gates(); }), 1);
+  EXPECT_EQ(sorts_in([&] { EXPECT_TRUE(check::verify(n).ok()); }), 1);
+  EXPECT_EQ(sorts_in([&] {
+              EXPECT_TRUE(synth::verify_netlist(n, g, 64, rng, &why)) << why;
+            }),
+            1);
+
+  // One simulator serving two batches sorts once, when it is built.
+  std::vector<std::vector<BitVector>> stim(netlist::PackedSimulator::kLanes);
+  for (auto& lane : stim) {
+    for (const auto& bus : n.inputs()) {
+      lane.push_back(rng.bits(bus.signal.width()));
+    }
+  }
+  EXPECT_EQ(sorts_in([&] {
+              const netlist::PackedSimulator sim(n);
+              const auto first = sim.run_batch(stim);
+              EXPECT_EQ(sim.run_batch(stim), first);
+            }),
+            1);
   EXPECT_TRUE(extra.valid());
 }
 

@@ -53,11 +53,8 @@ inline bool eval_cell(CellType t, const std::vector<bool>& in) {
 /// in topological order.
 class Simulator {
  public:
-  explicit Simulator(const Netlist& n) : net_(n) {
-    // With the index-order bit clear `run` walks the view's order: build
-    // it here, so concurrent runs only read it.
-    if (!n.index_topological()) (void)n.view();
-  }
+  /// Takes the netlist's topological order once; every `run` walks it.
+  explicit Simulator(const Netlist& n) : net_(n), order_(n.topo_gates()) {}
 
   /// Positional form: `inputs[i]` supplies the value of the i-th bus in
   /// `Netlist::inputs()` order (width must match).
@@ -80,7 +77,7 @@ class Simulator {
     }
     std::vector<bool> ins;
     OutputCursor outs(net_);
-    for (GateId gid : net_.topo_gates()) {
+    for (GateId gid : order_) {
       const Gate& g = net_.gates()[static_cast<std::size_t>(gid.value)];
       ins.clear();
       for (NetId in : g.inputs()) {
@@ -125,6 +122,7 @@ class Simulator {
 
  private:
   const Netlist& net_;
+  GateOrder order_;
 };
 
 }  // namespace dpmerge::netlist
