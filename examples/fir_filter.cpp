@@ -28,8 +28,9 @@ int main() {
   dfg::Builder b(g);
   dfg::NodeId acc{};
   for (int k = 0; k < 8; ++k) {
-    const auto x = b.input("x" + std::to_string(k), kSample);
-    const auto h = b.constant(8, taps[k], "h" + std::to_string(k));
+    const std::string tap = std::to_string(k);
+    const auto x = b.input(std::string("x").append(tap), kSample);
+    const auto h = b.constant(8, taps[k], std::string("h").append(tap));
     const auto m = b.mul(kAcc, Operand{x, kAcc, Sign::Signed},
                          Operand{h, kAcc, Sign::Signed});
     acc = k == 0 ? m

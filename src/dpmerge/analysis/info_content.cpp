@@ -1,9 +1,11 @@
 #include "dpmerge/analysis/info_content.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <span>
 
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 
 namespace dpmerge::analysis {
@@ -16,8 +18,8 @@ using dfg::NodeId;
 using dfg::OpKind;
 
 std::string InfoContent::to_string() const {
-  return "<" + std::to_string(width) + ", " +
-         (sign == Sign::Signed ? "s" : "u") + ">";
+  return std::string("<").append(std::to_string(width)).append(
+      sign == Sign::Signed ? ", s>" : ", u>");
 }
 
 namespace {
@@ -100,6 +102,8 @@ InfoContent ic_resize(InfoContent ic, int from_width, int to_width, Sign ext) {
 
 namespace {
 
+/// The exact claim of a constant: the narrower of its unsigned and signed
+/// minimal extensions (ties unsigned).
 InfoContent const_info(const BitVector& v) {
   const int iu = v.min_extension_width(Sign::Unsigned);
   const int is = v.min_extension_width(Sign::Signed);
@@ -108,6 +112,55 @@ InfoContent const_info(const BitVector& v) {
 }
 
 }  // namespace
+
+EdgeClaims ic_edge(InfoContent src, int src_width, const Edge& e,
+                   const Node& dst) {
+  const InfoContent carried = ic_resize(src, src_width, e.width, e.sign);
+  return {carried, ic_resize(carried, e.width, dst.width,
+                             dfg::delivery_sign(e, dst))};
+}
+
+InfoContent ic_intrinsic(const Node& n, std::span<const InfoContent> operands,
+                         const InfoRefinements* refinements) {
+  InfoContent intrinsic;
+  switch (n.kind) {
+    case OpKind::Input:
+      intrinsic = {n.width, n.ext_sign};
+      break;
+    case OpKind::Const:
+      intrinsic = const_info(n.value);
+      break;
+    case OpKind::Output:
+    case OpKind::Extension:
+      intrinsic = operands[0];
+      break;
+    case OpKind::Neg:
+      intrinsic = ic_neg(operands[0]);
+      break;
+    case OpKind::Add:
+      intrinsic = ic_add(operands[0], operands[1]);
+      break;
+    case OpKind::Sub:
+      intrinsic = ic_sub(operands[0], operands[1]);
+      break;
+    case OpKind::Mul:
+      intrinsic = ic_mul(operands[0], operands[1]);
+      break;
+    case OpKind::Shl:
+      intrinsic = {operands[0].width + n.shift, operands[0].sign};
+      break;
+    case OpKind::LtS:
+    case OpKind::LtU:
+    case OpKind::Eq:
+      intrinsic = {1, Sign::Unsigned};
+      break;
+  }
+  const auto idx = static_cast<std::size_t>(n.id.value);
+  if (refinements && idx < refinements->size() && (*refinements)[idx]) {
+    return ic_meet(intrinsic, *(*refinements)[idx]);
+  }
+  return intrinsic;
+}
 
 InfoAnalysis compute_info_content(const Graph& g,
                                   const InfoRefinements& refinements,
@@ -121,73 +174,23 @@ InfoAnalysis compute_info_content(const Graph& g,
   ia.at_edge.assign(static_cast<std::size_t>(g.edge_count()), {});
   ia.at_operand.assign(static_cast<std::size_t>(g.edge_count()), {});
 
-  auto refined = [&](NodeId n, InfoContent intrinsic) {
-    const auto idx = static_cast<std::size_t>(n.value);
-    if (idx < refinements.size() && refinements[idx].has_value()) {
-      return ic_meet(intrinsic, *refinements[idx]);
-    }
-    return intrinsic;
-  };
-
   for (NodeId id : c.topo) {
     const Node& n = g.node(id);
-    const auto idx = static_cast<std::size_t>(id.value);
     const std::span<const std::int32_t> ins = c.in(id);
-
-    auto operand_ic = [&](int port) {
-      const EdgeId eid{ins[static_cast<std::size_t>(port)]};
-      const Edge& e = g.edge(eid);
-      const InfoContent src_ic =
-          ia.at_output_port[static_cast<std::size_t>(e.src.value)];
-      const int src_w = g.node(e.src).width;
-      const InfoContent on_edge = ic_resize(src_ic, src_w, e.width, e.sign);
-      ia.at_edge[static_cast<std::size_t>(eid.value)] = on_edge;
-      const Sign second_ext =
-          n.kind == OpKind::Extension ? n.ext_sign : e.sign;
-      const int dst_w = n.width;
-      const InfoContent op = ic_resize(on_edge, e.width, dst_w, second_ext);
-      ia.at_operand[static_cast<std::size_t>(eid.value)] = op;
-      return op;
-    };
-
-    InfoContent intrinsic;
-    switch (n.kind) {
-      case OpKind::Input:
-        intrinsic = {n.width, n.ext_sign};
-        break;
-      case OpKind::Const:
-        intrinsic = const_info(n.value);
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        intrinsic = operand_ic(0);
-        break;
-      case OpKind::Neg:
-        intrinsic = ic_neg(operand_ic(0));
-        break;
-      case OpKind::Add:
-        intrinsic = ic_add(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Sub:
-        intrinsic = ic_sub(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Mul:
-        intrinsic = ic_mul(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Shl: {
-        const InfoContent op = operand_ic(0);
-        intrinsic = {op.width + n.shift, op.sign};
-        break;
-      }
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq:
-        operand_ic(0);
-        operand_ic(1);
-        intrinsic = {1, Sign::Unsigned};
-        break;
+    const auto arity = static_cast<std::size_t>(dfg::operand_count(n.kind));
+    std::array<InfoContent, 2> operands;
+    for (std::size_t p = 0; p < arity; ++p) {
+      const Edge& e = g.edge(EdgeId{ins[p]});
+      const EdgeClaims ec = ic_edge(
+          ia.at_output_port[static_cast<std::size_t>(e.src.value)],
+          g.node(e.src).width, e, n);
+      ia.at_edge[static_cast<std::size_t>(ins[p])] = ec.carried;
+      ia.at_operand[static_cast<std::size_t>(ins[p])] = ec.delivered;
+      operands[p] = ec.delivered;
     }
-    intrinsic = refined(id, intrinsic);
+    const InfoContent intrinsic = ic_intrinsic(
+        n, std::span(operands).first(arity), &refinements);
+    const auto idx = static_cast<std::size_t>(id.value);
     ia.intrinsic[idx] = intrinsic;
     ia.at_output_port[idx] = ic_clip(intrinsic, n.width);
   }

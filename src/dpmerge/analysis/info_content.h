@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,9 +84,37 @@ struct InfoAnalysis {
 };
 
 /// Per-node refinements of intrinsic information content, produced by the
-/// cluster rebalancing step (Section 5.2); `compute_info_content` meets each
-/// node's intrinsic bound with its refinement, if present.
+/// cluster rebalancing step (Section 5.2); `ic_intrinsic` meets each node's
+/// intrinsic bound with its refinement, if present.
 using InfoRefinements = std::vector<std::optional<InfoContent>>;
+
+/// The claims an edge puts on its operand (Section 2.2): `carried` after the
+/// first resize to <w(e), t(e)>, `delivered` after the second resize to the
+/// destination width with `dfg::delivery_sign` (Definition 5.5 for an
+/// Extension destination).
+struct EdgeClaims {
+  InfoContent carried;
+  InfoContent delivered;
+};
+
+/// The per-node information-content transfer, in two steps. The analysis
+/// (`compute_info_content`) and the width transformations that act on its
+/// claims (`transform::prune_info_content`) both take exactly these steps.
+///
+/// Step 1, per in-edge: what edge `e` carries and delivers into `dst`,
+/// given the claim `src` at its source's output port, `src_width` wide.
+EdgeClaims ic_edge(InfoContent src, int src_width, const dfg::Edge& e,
+                   const dfg::Node& dst);
+
+/// Step 2: the intrinsic claim of node `n` from the claims delivered into
+/// its ports (`operands[p]` for port p): <w(N), t(N)> for an Input, the
+/// exact claim of a Const, Lemma 5.4 for an operator, the operand itself
+/// for an Output or Extension. It is met with the node's refinement when
+/// `refinements` holds one. The output-port claim is
+/// `ic_clip(intrinsic, w(N))`.
+InfoContent ic_intrinsic(const dfg::Node& n,
+                         std::span<const InfoContent> operands,
+                         const InfoRefinements* refinements);
 
 /// Single forward (inputs-to-outputs) sweep over the graph's frozen CSR
 /// view, O(V + E). `threads` is accepted and ignored; output and work are

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "dpmerge/check/absint_transfer.h"
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 
 namespace dpmerge::check {
@@ -184,12 +185,6 @@ BitVector demand_unresize(const BitVector& d, int from_w, Sign sign) {
   return r;
 }
 
-/// Sign with which edge `e` delivers its operand into `n` (Section 2.2 —
-/// Extension nodes re-interpret with their own t(N)).
-Sign delivered_sign(const Node& n, const Edge& e) {
-  return n.kind == OpKind::Extension ? n.ext_sign : e.sign;
-}
-
 /// Trailing zeros of the operand delivered by `other` into Mul node `n`,
 /// provable from a literal Const source alone. Structural: the constant does
 /// not move when other widths shrink.
@@ -198,8 +193,7 @@ int const_operand_trailing_zeros(const Graph& g, const Node& n,
   const Edge& e = g.edge(other);
   const Node& src = g.node(e.src);
   if (src.kind != OpKind::Const) return 0;
-  const BitVector v =
-      src.value.resize(e.width, e.sign).resize(n.width, delivered_sign(n, e));
+  const BitVector v = dfg::deliver(src.value, e, n);
   if (v.is_zero()) return n.width;  // ×0: nothing upstream is demanded
   int tz = 0;
   while (!v.bit(tz)) ++tz;
@@ -241,7 +235,7 @@ struct Engine {
       const AbsFact carried = abs_resize(r.out(e.src), e.width, e.sign);
       r.at_edge[static_cast<std::size_t>(eid.value)] = carried;
       r.at_operand[static_cast<std::size_t>(eid.value)] =
-          abs_resize(carried, n.width, delivered_sign(n, e));
+          abs_resize(carried, n.width, dfg::delivery_sign(e, n));
     }
 
     AbsFact out = AbsFact::top(n.width);
@@ -392,7 +386,7 @@ struct Engine {
         changed = true;
       }
       const BitVector de =
-          demand_unresize(dop, e.width, delivered_sign(n, e));
+          demand_unresize(dop, e.width, dfg::delivery_sign(e, n));
       auto& e_slot = r.demanded_edge[static_cast<std::size_t>(eid.value)];
       if (!(de == e_slot)) {
         e_slot = de;

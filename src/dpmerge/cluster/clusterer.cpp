@@ -186,7 +186,8 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
     if (dfg::is_arith_operator(n.kind)) ++arith_nodes;
   }
 
-  const int rounds = opt.iterate_rebalancing ? opt.max_iterations : 1;
+  constexpr int kMaxIterations = 16;
+  const int rounds = opt.iterate_rebalancing ? kMaxIterations : 1;
   for (int iter = 0; iter < rounds; ++iter) {
     obs::Span iter_span("cluster.iteration");
     if (obs::prov::DecisionLog* plog = obs::prov::current_log()) {

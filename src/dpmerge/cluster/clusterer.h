@@ -8,12 +8,11 @@ namespace dpmerge::cluster {
 
 /// Knobs for the Section 6 maximal-clustering algorithm; the defaults run
 /// the full paper algorithm. Switching `iterate_rebalancing` off yields the
-/// single-pass variant (used by the ablation bench), and `max_iterations`
-/// bounds the refinement loop (it converges long before the bound in
-/// practice — widths only shrink).
+/// single-pass variant (used by the ablation bench). The refinement loop
+/// runs at most 16 iterations; it converges long before that in practice
+/// (widths only shrink).
 struct ClusterOptions {
   bool iterate_rebalancing = true;
-  int max_iterations = 16;
 };
 
 /// What one iteration of the maximal-merging loop produced: the partition

@@ -186,32 +186,4 @@ std::vector<std::string> validate_partition(const Graph& g,
   return errs;
 }
 
-Components connected_components(const Graph& g) {
-  const dfg::Csr& c = g.freeze();
-  const int n = g.node_count();
-  Components out;
-  out.component.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::int32_t> stack;
-  for (std::int32_t seed = 0; seed < n; ++seed) {
-    if (out.component[static_cast<std::size_t>(seed)] != -1) continue;
-    const int id = out.count++;
-    out.component[static_cast<std::size_t>(seed)] = id;
-    stack.push_back(seed);
-    while (!stack.empty()) {
-      const std::int32_t v = stack.back();
-      stack.pop_back();
-      auto visit = [&](std::int32_t w) {
-        auto& cw = out.component[static_cast<std::size_t>(w)];
-        if (cw == -1) {
-          cw = id;
-          stack.push_back(w);
-        }
-      };
-      for (std::int32_t eid : c.out(NodeId{v})) visit(g.edge(EdgeId{eid}).dst.value);
-      for (std::int32_t eid : c.in(NodeId{v})) visit(g.edge(EdgeId{eid}).src.value);
-    }
-  }
-  return out;
-}
-
 }  // namespace dpmerge::cluster

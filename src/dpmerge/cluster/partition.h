@@ -58,17 +58,4 @@ Partition partition_from_breaks(const dfg::Graph& g,
 std::vector<std::string> validate_partition(const dfg::Graph& g,
                                             const Partition& p);
 
-/// Weakly connected components of the DFG, over the frozen CSR view.
-/// `component[n]` is the component id of node n; ids are dense, assigned in
-/// ascending order of each component's smallest node id (so the labelling is
-/// deterministic and independent of traversal order). `count` is the number
-/// of components. Large designs are frequently forests of independent
-/// kernels; component structure bounds how much work any one clustering
-/// sweep can share and is what a partition-parallel driver shards on.
-struct Components {
-  std::vector<int> component;
-  int count = 0;
-};
-Components connected_components(const dfg::Graph& g);
-
 }  // namespace dpmerge::cluster

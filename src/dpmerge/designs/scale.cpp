@@ -17,6 +17,13 @@ using dfg::OpKind;
 
 namespace {
 
+/// A port or design name: `stem` followed by the decimal `i` ("x" and 3
+/// give "x3").
+std::string indexed(std::string stem, int i) {
+  stem += std::to_string(i);
+  return stem;
+}
+
 int ceil_log2(int n) {
   int b = 0;
   while ((1 << b) < n) ++b;
@@ -65,7 +72,7 @@ Graph layered_network(int layers, int layer_width, int width,
   prev.reserve(static_cast<std::size_t>(layer_width));
   std::vector<std::vector<NodeId>> history;
   for (int i = 0; i < layer_width; ++i) {
-    prev.push_back(b.input("x" + std::to_string(i), width));
+    prev.push_back(b.input(indexed("x", i), width));
   }
   history.push_back(prev);
 
@@ -111,7 +118,7 @@ Graph layered_network(int layers, int layer_width, int width,
   for (std::int32_t i = 0; i < n; ++i) {
     const NodeId id{i};
     if (g.node(id).kind == OpKind::Output || !g.node(id).out.empty()) continue;
-    b.output("y" + std::to_string(out_idx++), width,
+    b.output(indexed("y", out_idx++), width,
              Operand{id, 0, Sign::Signed});
   }
   return g;
@@ -126,7 +133,7 @@ Graph fir(int taps, int width) {
   std::vector<NodeId> products;
   products.reserve(static_cast<std::size_t>(taps));
   for (int i = 0; i < taps; ++i) {
-    const NodeId x = b.input("x" + std::to_string(i), width);
+    const NodeId x = b.input(indexed("x", i), width);
     const NodeId c = b.constant(8, coeff_at(static_cast<std::uint64_t>(i)));
     products.push_back(b.mul(pw, Operand{x, 0, Sign::Signed},
                              Operand{c, 0, Sign::Signed}));
@@ -156,7 +163,7 @@ Graph dct_bank(int rows, int width) {
   const int aw = pw + 3;
   std::vector<NodeId> xs;
   for (int i = 0; i < 8; ++i) {
-    xs.push_back(b.input("x" + std::to_string(i), width));
+    xs.push_back(b.input(indexed("x", i), width));
   }
   for (int r = 0; r < rows; ++r) {
     std::vector<NodeId> terms;
@@ -168,7 +175,7 @@ Graph dct_bank(int rows, int width) {
                             Operand{c, 0, Sign::Signed}));
     }
     const NodeId acc = adder_tree(b, std::move(terms), aw);
-    b.output("y" + std::to_string(r), aw, Operand{acc, 0, Sign::Signed});
+    b.output(indexed("y", r), aw, Operand{acc, 0, Sign::Signed});
   }
   return g;
 }
@@ -185,13 +192,13 @@ Graph matmul(int n, int width) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       a[static_cast<std::size_t>(i * n + j)] = b.input(
-          "a" + std::to_string(i) + "_" + std::to_string(j), width);
+          indexed(indexed("a", i) + "_", j), width);
     }
   }
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       bb[static_cast<std::size_t>(i * n + j)] = b.input(
-          "b" + std::to_string(i) + "_" + std::to_string(j), width);
+          indexed(indexed("b", i) + "_", j), width);
     }
   }
   for (int i = 0; i < n; ++i) {
@@ -207,7 +214,7 @@ Graph matmul(int n, int width) {
                           Sign::Signed}));
       }
       const NodeId acc = adder_tree(b, std::move(terms), aw);
-      b.output("c" + std::to_string(i) + "_" + std::to_string(j), aw,
+      b.output(indexed(indexed("c", i) + "_", j), aw,
                Operand{acc, 0, Sign::Signed});
     }
   }
@@ -222,22 +229,19 @@ std::vector<ScaleDesign> scale_suite(int target_nodes) {
                                   static_cast<double>(t)))));
   const int layers = std::max(2, t / lw);
   Graph lay = layered_network(layers, lw, 16);
-  std::string lname = "layered_" + std::to_string(lay.node_count());
+  std::string lname = indexed("layered_", lay.node_count());
   out.push_back(ScaleDesign{std::move(lname), std::move(lay)});
 
   Graph f = fir(std::max(4, t / 4), 12);
-  out.push_back(
-      ScaleDesign{"fir_" + std::to_string(f.node_count()), std::move(f)});
+  out.push_back(ScaleDesign{indexed("fir_", f.node_count()), std::move(f)});
 
   Graph d = dct_bank(std::max(1, t / 25), 12);
-  out.push_back(
-      ScaleDesign{"dct_" + std::to_string(d.node_count()), std::move(d)});
+  out.push_back(ScaleDesign{indexed("dct_", d.node_count()), std::move(d)});
 
   const int mn = std::max(
       2, static_cast<int>(std::lround(std::cbrt(static_cast<double>(t) / 2))));
   Graph m = matmul(mn, 12);
-  out.push_back(
-      ScaleDesign{"matmul_" + std::to_string(m.node_count()), std::move(m)});
+  out.push_back(ScaleDesign{indexed("matmul_", m.node_count()), std::move(m)});
   return out;
 }
 

@@ -15,6 +15,12 @@ using dfg::Operand;
 
 namespace {
 
+/// A port name: `stem` followed by the decimal `i` ("x" and 3 give "x3").
+std::string indexed(std::string stem, int i) {
+  stem += std::to_string(i);
+  return stem;
+}
+
 /// Bits needed to represent the unsigned value `v` (>= 1 so widths stay
 /// legal).
 int ubits(std::uint64_t v) {
@@ -49,10 +55,10 @@ Graph make_d1() {
   Builder b(g);
   std::vector<NodeId> c1, c2;
   for (int i = 0; i < 8; ++i) {
-    c1.push_back(b.input("a" + std::to_string(i), 8, Sign::Unsigned));
+    c1.push_back(b.input(indexed("a", i), 8, Sign::Unsigned));
   }
   for (int i = 0; i < 8; ++i) {
-    c2.push_back(b.input("b" + std::to_string(i), 8, Sign::Unsigned));
+    c2.push_back(b.input(indexed("b", i), 8, Sign::Unsigned));
   }
   const NodeId s1 = exact_chain(b, c1, 8);  // 11 bits for 8 x 8-bit
   const NodeId s2 = exact_chain(b, c2, 8);
@@ -70,7 +76,7 @@ Graph make_d2() {
   for (int c = 0; c < 3; ++c) {
     std::vector<NodeId> ins;
     for (int i = 0; i < 12; ++i) {
-      ins.push_back(b.input("i" + std::to_string(c) + "_" + std::to_string(i),
+      ins.push_back(b.input(indexed(indexed("i", c) + "_", i),
                             10, Sign::Unsigned));
     }
     chains.push_back(exact_chain(b, ins, 10));  // 14 bits for 12 x 10-bit
@@ -151,12 +157,12 @@ Graph make_d4() {
   auto capture_group = [&](int base) {
     std::vector<NodeId> ins;
     for (int i = 0; i < 4; ++i) {
-      ins.push_back(b.input("x" + std::to_string(base + i), 4));
+      ins.push_back(b.input(indexed("x", base + i), 4));
     }
     const NodeId s = wide_tree(b, ins, kWide);
     // 10-bit capture node: truncates the 32-bit wire, provably lossless.
     return b.add(10, Operand{s, 10, Sign::Signed},
-                 Operand{b.input("y" + std::to_string(base), 4), 10,
+                 Operand{b.input(indexed("y", base), 4), 10,
                          Sign::Signed});
   };
   const NodeId h1 = capture_group(0);
@@ -166,7 +172,7 @@ Graph make_d4() {
   // The long redundant chain: ten more 4-bit inputs accumulated at 32 bits.
   for (int k = 0; k < 10; ++k) {
     z = b.add(kWide, Operand{z, kWide, Sign::Signed},
-              Operand{b.input("w" + std::to_string(k), 4), kWide,
+              Operand{b.input(indexed("w", k), 4), kWide,
                       Sign::Signed});
   }
   b.output("R", kWide, Operand{z, kWide, Sign::Signed});
@@ -187,7 +193,7 @@ Graph make_d5() {
                          Operand{in4("m1"), kWide, Sign::Signed});
   // Capture-bottlenecked accumulation group.
   std::vector<NodeId> leaves;
-  for (int i = 0; i < 4; ++i) leaves.push_back(in4("x" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) leaves.push_back(in4(indexed("x", i)));
   const NodeId t = wide_tree(b, leaves, kWide);
   const NodeId cap = b.add(9, Operand{t, 9, Sign::Signed},
                            Operand{in4("k"), 9, Sign::Signed});
@@ -196,7 +202,7 @@ Graph make_d5() {
                    Operand{n, kWide, Sign::Signed});
   // The long redundant chain of subtractions/additions at 24 bits.
   for (int k = 0; k < 8; ++k) {
-    const Operand w{in4("w" + std::to_string(k)), kWide, Sign::Signed};
+    const Operand w{in4(indexed("w", k)), kWide, Sign::Signed};
     z = (k % 3 == 2) ? b.sub(kWide, Operand{z, kWide, Sign::Signed}, w)
                      : b.add(kWide, Operand{z, kWide, Sign::Signed}, w);
   }

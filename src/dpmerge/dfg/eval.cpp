@@ -8,8 +8,7 @@
 namespace dpmerge::dfg {
 
 BitVector deliver(const BitVector& src, const Edge& e, const Node& dst) {
-  const Sign second = dst.kind == OpKind::Extension ? dst.ext_sign : e.sign;
-  return src.resize(e.width, e.sign).resize(dst.width, second);
+  return src.resize(e.width, e.sign).resize(dst.width, delivery_sign(e, dst));
 }
 
 BitVector apply_op(const Node& n, std::span<const BitVector> ops) {

@@ -8,14 +8,20 @@
 
 namespace dpmerge::dfg {
 
+/// The extension type of the second resize, from edge `e` into its
+/// destination `dst` (Section 2.2): t(e), except that an Extension
+/// destination resizes with its own t(N) (Definition 5.5). Every pass that
+/// follows an operand across an edge (concrete, symbolic, abstract,
+/// information content or gates) takes the sign from here.
+inline Sign delivery_sign(const Edge& e, const Node& dst) {
+  return dst.kind == OpKind::Extension ? dst.ext_sign : e.sign;
+}
+
 /// The operand edge `e` delivers into its destination `dst`, given the
 /// result `src` of its source (Section 2.2):
 ///
 ///   carried(e) = resize(src, w(e), t(e))
-///   operand    = resize(carried(e), w(dst), t(e))
-///
-/// except that an Extension destination resizes with its own t(N)
-/// (Definition 5.5).
+///   operand    = resize(carried(e), w(dst), delivery_sign(e, dst))
 BitVector deliver(const BitVector& src, const Edge& e, const Node& dst);
 
 /// The concrete semantics of every node kind: the result of `n` over its

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dpmerge/dfg/eval.h"
+
 namespace dpmerge::formal {
 
 using dfg::Edge;
@@ -180,8 +182,7 @@ std::vector<Word> sym_eval_graph(Bdd& m, const Graph& g,
     const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
     const Word& src = result[static_cast<std::size_t>(e.src.value)];
     const Word carried = sym_resize(m, src, e.width, e.sign);
-    const Sign second = n.kind == OpKind::Extension ? n.ext_sign : e.sign;
-    return sym_resize(m, carried, n.width, second);
+    return sym_resize(m, carried, n.width, dfg::delivery_sign(e, n));
   };
 
   for (NodeId id : g.freeze().topo) {

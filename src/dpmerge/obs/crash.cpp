@@ -183,10 +183,6 @@ void install_crash_handlers(const CrashOptions& opts) {
   g_prev_terminate = std::set_terminate(terminate_handler);
 }
 
-bool crash_handlers_installed() {
-  return g_installed.load(std::memory_order_relaxed);
-}
-
 void set_run_context(std::string_view tool, std::uint64_t seed) {
   const std::size_t n = std::min(tool.size(), sizeof(g_tool) - 1);
   std::memcpy(g_tool, tool.data(), n);
@@ -196,10 +192,6 @@ void set_run_context(std::string_view tool, std::uint64_t seed) {
 
 void set_current_stage(const char* name) {
   g_stage.store(name, std::memory_order_relaxed);
-}
-
-const char* current_stage() {
-  return g_stage.load(std::memory_order_relaxed);
 }
 
 void note_check_failure(std::string_view site, std::string_view detail) {
@@ -264,10 +256,6 @@ std::string build_crash_json(std::string_view reason, std::string_view detail) {
   FlightRecorder::instance().append_crash_json(out);
   out += "}";
   return out;
-}
-
-std::string write_crash_dump(std::string_view reason, std::string_view detail) {
-  return do_write_dump(reason, detail);
 }
 
 }  // namespace dpmerge::obs

@@ -35,7 +35,6 @@ struct CrashOptions {
 /// Installs the signal and std::terminate handlers process-wide. Idempotent;
 /// a second call only updates the options.
 void install_crash_handlers(const CrashOptions& opts = {});
-bool crash_handlers_installed();
 
 /// Gives the calling thread an alternate signal stack (once per thread).
 /// The handlers run on it, so a stack overflow still writes its dump. The
@@ -52,7 +51,6 @@ void set_run_context(std::string_view tool, std::uint64_t seed);
 /// thread's span stack — this is the headline "where were we" field for
 /// single-flow runs. nullptr clears.
 void set_current_stage(const char* name);
-const char* current_stage();
 
 /// Hook for CheckPolicy fatal paths (guard.cpp): records a flight-recorder
 /// mark naming `site`, and — when handlers are installed with
@@ -63,10 +61,5 @@ void note_check_failure(std::string_view site, std::string_view detail);
 /// Builds the full crash-dump JSON document (schema "dpmerge-crash-v1").
 /// Exposed so tests can validate the schema without crashing.
 std::string build_crash_json(std::string_view reason, std::string_view detail);
-
-/// Builds and writes a dump now; returns the path, or "" on I/O failure.
-/// Does not require handlers to be installed (uses the configured or
-/// default directory).
-std::string write_crash_dump(std::string_view reason, std::string_view detail);
 
 }  // namespace dpmerge::obs

@@ -22,7 +22,7 @@ void append_i64_map(std::string& out,
     if (!first) out += ",";
     first = false;
     json_append_quoted(out, k);
-    out += ":" + std::to_string(v);
+    out.append(":").append(std::to_string(v));
   }
   out += "}";
 }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 #include "dpmerge/synth/csa_tree.h"
 
@@ -15,7 +16,6 @@ using dfg::Edge;
 using dfg::EdgeId;
 using dfg::Graph;
 using dfg::NodeId;
-using dfg::OpKind;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::Signal;
@@ -27,9 +27,7 @@ Signal operand_signal(Netlist& net, const Graph& g, EdgeId eid,
   const Signal& src = signals[static_cast<std::size_t>(e.src.value)];
   assert(src.width() == g.node(e.src).width && "source not yet synthesised");
   const Signal carried = net.resize(src, e.width, e.sign);
-  const Sign second =
-      dst.kind == OpKind::Extension ? dst.ext_sign : e.sign;
-  return net.resize(carried, dst.width, second);
+  return net.resize(carried, dst.width, dfg::delivery_sign(e, dst));
 }
 
 namespace {

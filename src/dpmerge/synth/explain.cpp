@@ -20,7 +20,7 @@ std::string owner_label(const dfg::Graph& g, int owner) {
   if (owner < 0 || owner >= g.node_count()) return "(untagged)";
   const dfg::Node& n = g.node(dfg::NodeId{owner});
   std::string s(dfg::to_string(n.kind));
-  s += "#" + std::to_string(owner);
+  s.append("#").append(std::to_string(owner));
   if (!g.name(n).empty()) s += " '" + g.name(n) + "'";
   return s;
 }

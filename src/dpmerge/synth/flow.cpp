@@ -135,7 +135,7 @@ cluster::ClusterResult prepare_new_merge(Graph& g, obs::FlowScope* fs,
   // everything required precision then caps), which can in turn merge more.
   for (int round = 0; round < 4; ++round) {
     stage("normalize");
-    const auto stats = transform::normalize_widths(g, 8, &cr.refinements);
+    const auto stats = transform::normalize_widths(g, &cr.refinements);
     done();
     if (!stats.changed()) break;
     stage("cluster");

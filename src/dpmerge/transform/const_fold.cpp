@@ -104,7 +104,7 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
       const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
       NodeId cur = map[static_cast<std::size_t>(e.src.value)];
       int cur_w = g.node(e.src).width;
-      const Sign second = n.kind == OpKind::Extension ? n.ext_sign : e.sign;
+      const Sign second = dfg::delivery_sign(e, n);
       if (e.width != cur_w) {
         const NodeId ext = ng.add_node(OpKind::Extension, e.width);
         ng.set_node_ext_sign(ext, e.sign);

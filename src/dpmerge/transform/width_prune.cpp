@@ -1,6 +1,8 @@
 #include "dpmerge/transform/width_prune.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "dpmerge/analysis/info_content.h"
@@ -56,21 +58,10 @@ PruneStats prune_info_content(Graph& g,
                               const analysis::InfoRefinements* refinements) {
   obs::Span span("transform.prune_ic");
   PruneStats stats;
-  auto refine = [refinements](NodeId id, InfoContent ic) {
-    if (!refinements) return ic;
-    const auto idx = static_cast<std::size_t>(id.value);
-    if (idx < refinements->size() && (*refinements)[idx].has_value()) {
-      return analysis::ic_meet(ic, *(*refinements)[idx]);
-    }
-    return ic;
-  };
   // Forward sweep over the pre-existing nodes; Extension nodes inserted on
   // the way are given their claims at creation time, so consumers (processed
   // later in the original topological order) can look them up.
   std::vector<InfoContent> out_claim(static_cast<std::size_t>(g.node_count()));
-  auto claim_of = [&out_claim](NodeId id) {
-    return out_claim[static_cast<std::size_t>(id.value)];
-  };
   auto set_claim = [&out_claim](NodeId id, InfoContent ic) {
     if (out_claim.size() <= static_cast<std::size_t>(id.value)) {
       out_claim.resize(static_cast<std::size_t>(id.value) + 1);
@@ -82,84 +73,37 @@ PruneStats prune_info_content(Graph& g,
   // nodes, which invalidates the CSR cache mid-iteration.
   const std::vector<NodeId> order = g.freeze().topo;
   for (NodeId id : order) {
-    const OpKind kind = g.node(id).kind;
-
-    // Operand claim for input port `port`, narrowing the edge on the way
-    // (Lemma 5.7). The sign rewrite is skipped for Extension destinations,
-    // whose second resize uses the node's own t(N) rather than t(e).
-    auto operand_ic = [&](int port) {
-      const EdgeId eid = g.node(id).in[static_cast<std::size_t>(port)];
-      const Edge e = g.edge(eid);
-      const InfoContent src_ic = claim_of(e.src);
-      const int src_w = g.node(e.src).width;
-      const InfoContent on_edge =
-          analysis::ic_resize(src_ic, src_w, e.width, e.sign);
-      const Sign second_ext =
-          kind == OpKind::Extension ? g.node(id).ext_sign : e.sign;
-      const InfoContent op =
-          analysis::ic_resize(on_edge, e.width, g.node(id).width, second_ext);
-      if (kind != OpKind::Extension) {
-        const int target = std::max(1, op.width);
-        if (target < e.width) {
-          ++stats.edges_narrowed;
-          g.set_edge_width(eid, target);
-          g.set_edge_sign(eid, op.sign);
-        }
+    const Node& n = g.node(id);
+    const OpKind kind = n.kind;
+    const int W = n.width;
+    const auto arity = static_cast<std::size_t>(dfg::operand_count(kind));
+    std::array<InfoContent, 2> operands;
+    for (std::size_t p = 0; p < arity; ++p) {
+      const EdgeId eid = n.in[p];
+      const Edge& e = g.edge(eid);
+      operands[p] =
+          analysis::ic_edge(out_claim[static_cast<std::size_t>(e.src.value)],
+                            g.node(e.src).width, e, n)
+              .delivered;
+      // Lemma 5.7: narrow the edge to the operand claim it delivers. An
+      // Extension destination keeps its edge: its second resize uses the
+      // node's own t(N), not t(e).
+      const int target = std::max(1, operands[p].width);
+      if (kind != OpKind::Extension && target < e.width) {
+        ++stats.edges_narrowed;
+        g.set_edge_width(eid, target);
+        g.set_edge_sign(eid, operands[p].sign);
       }
-      return op;
-    };
-
-    InfoContent intrinsic;
-    switch (kind) {
-      case OpKind::Input:
-        intrinsic = {g.node(id).width, g.node(id).ext_sign};
-        break;
-      case OpKind::Const: {
-        const BitVector& v = g.node(id).value;
-        const int iu = v.min_extension_width(Sign::Unsigned);
-        const int is = v.min_extension_width(Sign::Signed);
-        intrinsic = iu <= is ? InfoContent{iu, Sign::Unsigned}
-                             : InfoContent{is, Sign::Signed};
-        break;
-      }
-      case OpKind::Output:
-      case OpKind::Extension:
-        intrinsic = operand_ic(0);
-        break;
-      case OpKind::Neg:
-        intrinsic = analysis::ic_neg(operand_ic(0));
-        break;
-      case OpKind::Add:
-        intrinsic = analysis::ic_add(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Sub:
-        intrinsic = analysis::ic_sub(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Mul:
-        intrinsic = analysis::ic_mul(operand_ic(0), operand_ic(1));
-        break;
-      case OpKind::Shl: {
-        const InfoContent op = operand_ic(0);
-        intrinsic = {op.width + g.node(id).shift, op.sign};
-        break;
-      }
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq:
-        operand_ic(0);
-        operand_ic(1);
-        intrinsic = {1, Sign::Unsigned};
-        break;
     }
-    intrinsic = refine(id, intrinsic);
-
-    const int W = g.node(id).width;
-    const InfoContent claim = analysis::ic_clip(intrinsic, W);
+    const InfoContent claim = analysis::ic_clip(
+        analysis::ic_intrinsic(n, std::span(operands).first(arity),
+                               refinements),
+        W);
     if (dfg::is_arith_operator(kind) && claim.width >= 1 && claim.width < W) {
       // Lemma 5.6: shrink the node to its information content. Out-edges are
       // adjusted so every consumer sees a bit-identical operand; only the
       // signed-content/zero-padding combination needs an explicit Extension
-      // node (see DESIGN.md §2 and the comment block above).
+      // node (see DESIGN.md §2).
       const int i = claim.width;
       const Sign t = claim.sign;
       std::vector<EdgeId> need_ext;
@@ -189,13 +133,16 @@ PruneStats prune_info_content(Graph& g,
   return stats;
 }
 
-PruneStats normalize_widths(Graph& g, int max_rounds,
+PruneStats normalize_widths(Graph& g,
                             const analysis::InfoRefinements* refinements) {
+  // Each round either narrows something or ends the loop; every design and
+  // generator in the repository reaches its fixpoint well inside this cap.
+  constexpr int kMaxRounds = 8;
   obs::Span span("transform.normalize_widths");
   check::enforce_pre(g, "transform.normalize_widths.pre");
   PruneStats total;
   int rounds = 0;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     PruneStats s = prune_required_precision(g);
     s += prune_info_content(g, refinements);
     total += s;

@@ -46,9 +46,9 @@ PruneStats prune_info_content(
     dfg::Graph& g, const analysis::InfoRefinements* refinements = nullptr);
 
 /// The full normalisation used before clustering: alternates the two passes
-/// to a fixpoint (information-content shrinkage can expose further
-/// required-precision slack and vice versa).
-PruneStats normalize_widths(dfg::Graph& g, int max_rounds = 8,
+/// to a fixpoint, at most 8 rounds (information-content shrinkage can
+/// expose further required-precision slack and vice versa).
+PruneStats normalize_widths(dfg::Graph& g,
                             const analysis::InfoRefinements* refinements =
                                 nullptr);
 

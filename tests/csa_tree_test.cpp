@@ -23,7 +23,7 @@ void check_sum(int width, const std::vector<bool>& negate,
   for (std::size_t r = 0; r < negate.size(); ++r) {
     Signal s;
     for (int i = 0; i < width; ++i) s.bits.push_back(net.new_net());
-    net.add_input("r" + std::to_string(r), s);
+    net.add_input(std::string("r").append(std::to_string(r)), s);
     rows.push_back(s);
   }
   CsaTree tree(net, width);
@@ -43,7 +43,7 @@ void check_sum(int width, const std::vector<bool>& negate,
     BitVector expect = BitVector::from_int(width, constant);
     for (std::size_t r = 0; r < negate.size(); ++r) {
       const BitVector v = rng.bits(width);
-      stim["r" + std::to_string(r)] = v;
+      stim[std::string("r").append(std::to_string(r))] = v;
       expect = negate[r] ? expect.sub(v) : expect.add(v);
     }
     ASSERT_EQ(sim.run(stim).at("s"), expect)
@@ -91,7 +91,7 @@ TEST(CsaTree, StagesGrowLogarithmically) {
   for (int r = 0; r < 16; ++r) {
     Signal s;
     for (int i = 0; i < 16; ++i) s.bits.push_back(net.new_net());
-    net.add_input("r" + std::to_string(r), s);
+    net.add_input(std::string("r").append(std::to_string(r)), s);
     tree.add_row(s);
   }
   tree.reduce_and_sum(AdderArch::Ripple);

@@ -184,7 +184,7 @@ TEST(Frontend, WidthsPastTheLimitAreLocatedLimitErrors) {
   // A t*t chain doubles the width each line: t8 would be 2048 bits.
   std::string chain = "input t0 : s8\n";
   for (int i = 1; i <= 3000; ++i) {
-    const std::string p = "t" + std::to_string(i - 1);
+    const std::string p = std::string("t").append(std::to_string(i - 1));
     chain += "let t" + std::to_string(i) + " = " + p + " * " + p + "\n";
   }
   chain += "output y : s8 = t3000\n";

@@ -155,7 +155,8 @@ TEST(Graph, DotOutputMentionsAllNodes) {
   const Graph g = simple_sum();
   const std::string dot = g.to_dot();
   for (const Node& n : g.nodes()) {
-    EXPECT_NE(dot.find("n" + std::to_string(n.id.value)), std::string::npos);
+    EXPECT_NE(dot.find(std::string("n").append(std::to_string(n.id.value))),
+              std::string::npos);
   }
   EXPECT_NE(dot.find("digraph"), std::string::npos);
 }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <sstream>
+
 #include "dpmerge/analysis/info_content.h"
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/support/rng.h"
 
 namespace dpmerge::analysis {
@@ -43,6 +47,64 @@ TEST_P(IcResizeProperty, ResizedValueSatisfiesResizedClaim) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IcResizeProperty,
                          ::testing::Values(1001, 1002, 1003, 1004));
+
+// The per-edge step of the information-content transfer against the
+// concrete delivery: for a source value within its claim, the value an edge
+// carries satisfies `ic_edge`'s carried claim, and the operand
+// `dfg::deliver` hands the destination satisfies its delivered claim.
+// Extension destinations resize with their own t(N) (Definition 5.5), and
+// half of them here have t(N) != t(e), where the two rules differ.
+class IcDeliveryProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IcDeliveryProperty, DeliveredValueSatisfiesDeliveredClaim) {
+  constexpr std::array kDestinations = {
+      dfg::OpKind::Extension, dfg::OpKind::Add, dfg::OpKind::Sub,
+      dfg::OpKind::Mul,       dfg::OpKind::Neg, dfg::OpKind::Shl,
+      dfg::OpKind::LtS,       dfg::OpKind::Eq,  dfg::OpKind::Output};
+  auto sign = [](bool s) { return s ? Sign::Signed : Sign::Unsigned; };
+  Rng rng(GetParam());
+  int sign_flipping_extensions = 0;
+  for (int t = 0; t < 4000; ++t) {
+    const int src_width = static_cast<int>(rng.uniform(1, 20));
+    const InfoContent claim{static_cast<int>(rng.uniform(0, src_width)),
+                            sign(rng.chance(0.5))};
+    dfg::Edge e;
+    e.width = static_cast<int>(rng.uniform(1, 20));
+    e.sign = sign(rng.chance(0.5));
+    dfg::Node dst;
+    dst.kind = rng.chance(0.5)
+                   ? dfg::OpKind::Extension
+                   : kDestinations[static_cast<std::size_t>(
+                         rng.uniform(1, kDestinations.size() - 1))];
+    dst.width = static_cast<int>(rng.uniform(1, 20));
+    dst.ext_sign = rng.chance(0.5) ? e.sign : sign(e.sign == Sign::Unsigned);
+    const bool own_sign = dst.kind == dfg::OpKind::Extension;
+    if (own_sign && dst.ext_sign != e.sign) ++sign_flipping_extensions;
+
+    const BitVector v = conforming_value(rng, src_width, claim);
+    const EdgeClaims ec = ic_edge(claim, src_width, e, dst);
+    const BitVector carried = v.resize(e.width, e.sign);
+    const BitVector operand = dfg::deliver(v, e, dst);
+    std::ostringstream what;
+    what << "claim " << claim.to_string() << " on " << v.to_string()
+         << " via <" << e.width << ", " << to_string(e.sign) << "> into "
+         << dfg::to_string(dst.kind) << " <" << dst.width << ", "
+         << to_string(dst.ext_sign) << ">";
+    ASSERT_EQ(operand,
+              carried.resize(dst.width, own_sign ? dst.ext_sign : e.sign))
+        << what.str();
+    EXPECT_TRUE(
+        carried.is_extension_of_low(ec.carried.width, ec.carried.sign))
+        << what.str() << ": carried " << ec.carried.to_string();
+    EXPECT_TRUE(
+        operand.is_extension_of_low(ec.delivered.width, ec.delivered.sign))
+        << what.str() << ": delivered " << ec.delivered.to_string();
+  }
+  EXPECT_GT(sign_flipping_extensions, 500);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IcDeliveryProperty,
+                         ::testing::Values(1101, 1102, 1103));
 
 // The binary/unary tuple ops, property-style on representable values wider
 // than the exhaustive unit test covers (uses 63-bit headroom).

@@ -39,7 +39,8 @@ TEST(Io, EveryOperatorKindRoundTripsThroughItsKeyword) {
     const NodeId n = g.add_node(op.kind, 8, "n");
     if (op.kind == OpKind::Shl) g.set_node_shift(n, 2);
     for (int p = 0; p < op.operands; ++p) {
-      g.add_edge(g.add_node(OpKind::Input, 8, "a" + std::to_string(p)), n, p);
+      const std::string name = std::string("a").append(std::to_string(p));
+      g.add_edge(g.add_node(OpKind::Input, 8, name), n, p);
     }
     g.add_edge(n, g.add_node(OpKind::Output, 8, "r"), 0);
     const std::string text = to_text(g);

@@ -53,7 +53,7 @@ TEST(Kernels, Fir8ComputesDotProduct) {
   std::int64_t expect = 0;
   for (int i = 0; i < 8; ++i) {
     const std::int64_t v = (i * 37 % 200) - 100;
-    in["x" + std::to_string(i)] = v;
+    in[std::string("x").append(std::to_string(i))] = v;
     expect += taps[i] * v;
   }
   EXPECT_EQ(run_named(k.graph, in).at("y"), expect);

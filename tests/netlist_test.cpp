@@ -166,7 +166,9 @@ TEST(Netlist, DerivedLookupsMatchRecordedMaps) {
       const std::int64_t op = rng.uniform(0, 99);
       if (op < 15 || n.net_count() < 4) {
         const NetId a = rec.new_net();
-        if (rng.chance(0.5)) n.add_input("i" + std::to_string(step), {{a}});
+        if (rng.chance(0.5)) {
+          n.add_input(std::string("i").append(std::to_string(step)), {{a}});
+        }
       } else if (op < 70) {
         const auto t =
             static_cast<CellType>(rng.uniform(0, kCellTypeCount - 1));

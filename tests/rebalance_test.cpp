@@ -25,7 +25,8 @@ Graph skewed_chain(int n_inputs, int width) {
   Builder b(g);
   NodeId acc = b.input("x0", 8, Sign::Unsigned);
   for (int i = 1; i < n_inputs; ++i) {
-    const auto x = b.input("x" + std::to_string(i), 8, Sign::Unsigned);
+    const auto x =
+        b.input(std::string("x").append(std::to_string(i)), 8, Sign::Unsigned);
     acc = b.add(width, Operand{acc, width, Sign::Unsigned},
                 Operand{x, width, Sign::Unsigned});
   }

@@ -10,8 +10,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "dpmerge/designs/kernels.h"
 #include "dpmerge/designs/testcases.h"
+#include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/netlist/sta.h"
 #include "dpmerge/netlist/verilog.h"
 #include "dpmerge/obs/obs.h"
@@ -108,15 +111,133 @@ TEST(RegressionLock, Table1ShapeBands) {
   }
 }
 
+/// 64-bit FNV-1a, fed one integer at a time (bytewise, little end first).
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(unsigned char c) { h = (h ^ c) * 0x100000001b3ull; }
+  void add(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
 /// 64-bit FNV-1a of the netlist's structural Verilog, as a hex string.
 std::string verilog_digest(const netlist::Netlist& n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  Fnv1a f;
   for (const char c : netlist::to_verilog(n, "top")) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    f.byte(static_cast<unsigned char>(c));
   }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return f.hex();
+}
+
+/// Runs the new-merge front end on `g` and digests what it leaves: every
+/// node's (kind, width, t(N), shift), every edge's (src, dst, port, w(e),
+/// t(e)), every cluster's root, members and input edges, and the final
+/// information-content claims at each port and edge.
+std::string normalized_digest(dfg::Graph g) {
+  const auto cr = synth::prepare_new_merge(g);
+  Fnv1a f;
+  auto claim = [&f](analysis::InfoContent c) {
+    f.add(c.width);
+    f.add(static_cast<int>(c.sign));
+  };
+  for (const auto& n : g.nodes()) {
+    f.add(static_cast<int>(n.kind));
+    f.add(n.width);
+    f.add(static_cast<int>(n.ext_sign));
+    f.add(n.shift);
+  }
+  for (const auto& e : g.edges()) {
+    f.add(e.src.value);
+    f.add(e.dst.value);
+    f.add(e.dst_port);
+    f.add(e.width);
+    f.add(static_cast<int>(e.sign));
+  }
+  for (const auto& c : cr.partition.clusters) {
+    f.add(c.root.value);
+    for (const auto n : c.nodes) f.add(n.value);
+    for (const auto e : c.input_edges) f.add(e.value);
+  }
+  for (const auto c : cr.info.intrinsic) claim(c);
+  for (const auto c : cr.info.at_output_port) claim(c);
+  for (const auto c : cr.info.at_edge) claim(c);
+  for (const auto c : cr.info.at_operand) claim(c);
+  return f.hex();
+}
+
+/// `g` with an Extension node in front of every Output, two bits wider
+/// than its source and with t(N) opposite to the t(e) of the edge into it:
+/// the case where Definition 5.5's delivery differs from Section 2.2's.
+/// No frontend or transformation builds such an edge.
+dfg::Graph with_sign_flipping_extensions(dfg::Graph g) {
+  for (const dfg::NodeId out : g.outputs()) {
+    const dfg::EdgeId e = g.node(out).in[0];
+    const dfg::NodeId src = g.edge(e).src;
+    const Sign te = g.edge(e).sign;
+    const dfg::NodeId ext = g.insert_extension_retarget(
+        src, g.node(src).width + 2,
+        te == Sign::Signed ? Sign::Unsigned : Sign::Signed, {e});
+    g.set_edge_sign(g.node(ext).in[0], te);
+  }
+  return g;
+}
+
+TEST(RegressionLock, NormalizedGraphsUnchanged) {
+  // The width transformations, the clusterer and the information-content
+  // analysis they share, pinned exactly on the paper's testcases, the DSP
+  // kernels and seeded random graphs: an edit to any transfer rule that
+  // moves one width, sign, cluster or claim shows here.
+  struct Digest {
+    const char* name;
+    const char* digest;
+  };
+  constexpr Digest kDesigns[] = {
+      {"D1", "9f62a30bcab880a7"},          {"D2", "15c4113e3ed6acd8"},
+      {"D3", "d3c01ccaad68bb10"},          {"D4", "36611071468262fa"},
+      {"D5", "3dccb54f4deb4971"},          {"fir8", "6eeb8050a9c4cdd2"},
+      {"biquad", "69651ef742a38681"},      {"complex_mul", "cce02ec915e686ce"},
+      {"dct4", "8a1783202e247aa3"},        {"matvec3", "16399ef8de64f16a"},
+      {"checksum8", "0f34a00057a39248"},
+  };
+  std::vector<std::pair<std::string, const dfg::Graph*>> graphs;
+  const auto cases = designs::all_testcases();
+  const auto kernels = designs::dsp_kernels();
+  for (const auto& tc : cases) graphs.emplace_back(tc.name, &tc.graph);
+  for (const auto& k : kernels) graphs.emplace_back(k.name, &k.graph);
+  ASSERT_EQ(graphs.size(), std::size(kDesigns));
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_EQ(graphs[i].first, kDesigns[i].name);
+    EXPECT_EQ(normalized_digest(*graphs[i].second), kDesigns[i].digest)
+        << graphs[i].first;
+  }
+
+  // Twenty random graphs, wider and deeper than the generator's default so
+  // that narrowing, inserted Extension nodes and refinements all occur,
+  // each also with sign-flipping Extension nodes before its outputs.
+  Fnv1a all;
+  Fnv1a flipped;
+  auto digest_into = [](Fnv1a& f, const dfg::Graph& g) {
+    for (const char c : normalized_digest(g)) {
+      f.byte(static_cast<unsigned char>(c));
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    dfg::RandomGraphOptions opt;
+    opt.num_operators = 24;
+    opt.max_width = 24;
+    const dfg::Graph g = dfg::random_graph(rng, opt);
+    digest_into(all, g);
+    digest_into(flipped, with_sign_flipping_extensions(g));
+  }
+  EXPECT_EQ(all.hex(), "ac0c1cc92979a6c2") << "random graphs";
+  EXPECT_EQ(flipped.hex(), "5fbd547cf40b736f") << "random graphs, sign-flipping extensions";
 }
 
 TEST(RegressionLock, VerilogDigestPerFlow) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dpmerge/cluster/partition.h"
 #include "dpmerge/designs/scale.h"
 #include "dpmerge/dfg/builder.h"
 #include "dpmerge/dfg/eval.h"
@@ -90,26 +89,6 @@ TEST(ScaleDesignsTest, FirComputesAWeightedSum) {
   auto all = stim;
   for (auto& v : all) v = BitVector::from_int(8, 1);
   EXPECT_EQ(ev.run_outputs(all)[0].to_int64(), sum);
-}
-
-TEST(ScaleDesignsTest, ConnectedComponents) {
-  // Two disjoint adders -> two components; labels dense and deterministic.
-  Graph g;
-  dfg::Builder b(g);
-  const auto x0 = b.input("x0", 8);
-  const auto y0 = b.input("y0", 8);
-  b.output("o0", 9, dfg::Operand{b.add(9, {x0}, {y0})});
-  const auto x1 = b.input("x1", 8);
-  const auto y1 = b.input("y1", 8);
-  b.output("o1", 9, dfg::Operand{b.add(9, {x1}, {y1})});
-  const auto cc = cluster::connected_components(g);
-  EXPECT_EQ(cc.count, 2);
-  EXPECT_EQ(cc.component[0], 0);  // first adder's tree
-  EXPECT_EQ(cc.component[static_cast<std::size_t>(x1.value)], 1);
-
-  // A DCT bank shares its inputs across rows: one component.
-  const Graph d = designs::dct_bank(6, 10);
-  EXPECT_EQ(cluster::connected_components(d).count, 1);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST(Normalize, RefinementsTightenFurther) {
   analysis::InfoRefinements refs(static_cast<std::size_t>(g.node_count()));
   refs[static_cast<std::size_t>(widest)] =
       analysis::InfoContent{10, Sign::Signed};
-  normalize_widths(g, 8, &refs);
+  normalize_widths(g, &refs);
   EXPECT_LE(g.node(dfg::NodeId{widest}).width, 10);
   expect_equivalent(before, g, 1007, "d4 refined normalize");
 }
