@@ -15,7 +15,6 @@ using dfg::EdgeId;
 using dfg::Graph;
 using dfg::Node;
 using dfg::NodeId;
-using dfg::OpKind;
 
 std::string InfoContent::to_string() const {
   return std::string("<").append(std::to_string(width)).append(
@@ -102,59 +101,55 @@ InfoContent ic_resize(InfoContent ic, int from_width, int to_width, Sign ext) {
 
 namespace {
 
-/// The exact claim of a constant: the narrower of its unsigned and signed
-/// minimal extensions (ties unsigned).
-InfoContent const_info(const BitVector& v) {
-  const int iu = v.min_extension_width(Sign::Unsigned);
-  const int is = v.min_extension_width(Sign::Signed);
-  if (iu <= is) return {iu, Sign::Unsigned};
-  return {is, Sign::Signed};
-}
+/// The information-content algebra of `dfg::deliver` and `dfg::apply_op`:
+/// `ic_resize` across a resize, the Input and Const claims, and Lemma 5.4
+/// per operator (a shift by s adds s low zeros; a comparator's result is
+/// one unsigned bit).
+struct IcOps {
+  using Value = InfoContent;
+  InfoContent resize(InfoContent ic, int from, int to, Sign ext) const {
+    return ic_resize(ic, from, to, ext);
+  }
+  InfoContent input(const Node& n) const { return {n.width, n.ext_sign}; }
+  /// The exact claim of a constant: the narrower of its unsigned and
+  /// signed minimal extensions (ties unsigned).
+  InfoContent constant(const Node& n) const {
+    const int iu = n.value.min_extension_width(Sign::Unsigned);
+    const int is = n.value.min_extension_width(Sign::Signed);
+    if (iu <= is) return {iu, Sign::Unsigned};
+    return {is, Sign::Signed};
+  }
+  InfoContent neg(InfoContent a, int /*w*/) const { return ic_neg(a); }
+  InfoContent add(InfoContent a, InfoContent b, int /*w*/) const {
+    return ic_add(a, b);
+  }
+  InfoContent sub(InfoContent a, InfoContent b, int /*w*/) const {
+    return ic_sub(a, b);
+  }
+  InfoContent mul(InfoContent a, InfoContent b, int /*w*/) const {
+    return ic_mul(a, b);
+  }
+  InfoContent shl(InfoContent a, int s, int /*w*/) const {
+    return {a.width + s, a.sign};
+  }
+  InfoContent lt(InfoContent, InfoContent, Sign, int /*w*/) const {
+    return {1, Sign::Unsigned};
+  }
+  InfoContent eq(InfoContent, InfoContent, int /*w*/) const {
+    return {1, Sign::Unsigned};
+  }
+};
 
 }  // namespace
 
 EdgeClaims ic_edge(InfoContent src, int src_width, const Edge& e,
                    const Node& dst) {
-  const InfoContent carried = ic_resize(src, src_width, e.width, e.sign);
-  return {carried, ic_resize(carried, e.width, dst.width,
-                             dfg::delivery_sign(e, dst))};
+  return dfg::deliver(src, src_width, e, dst, IcOps{});
 }
 
 InfoContent ic_intrinsic(const Node& n, std::span<const InfoContent> operands,
                          const InfoRefinements* refinements) {
-  InfoContent intrinsic;
-  switch (n.kind) {
-    case OpKind::Input:
-      intrinsic = {n.width, n.ext_sign};
-      break;
-    case OpKind::Const:
-      intrinsic = const_info(n.value);
-      break;
-    case OpKind::Output:
-    case OpKind::Extension:
-      intrinsic = operands[0];
-      break;
-    case OpKind::Neg:
-      intrinsic = ic_neg(operands[0]);
-      break;
-    case OpKind::Add:
-      intrinsic = ic_add(operands[0], operands[1]);
-      break;
-    case OpKind::Sub:
-      intrinsic = ic_sub(operands[0], operands[1]);
-      break;
-    case OpKind::Mul:
-      intrinsic = ic_mul(operands[0], operands[1]);
-      break;
-    case OpKind::Shl:
-      intrinsic = {operands[0].width + n.shift, operands[0].sign};
-      break;
-    case OpKind::LtS:
-    case OpKind::LtU:
-    case OpKind::Eq:
-      intrinsic = {1, Sign::Unsigned};
-      break;
-  }
+  const InfoContent intrinsic = dfg::apply_op(n, operands, IcOps{});
   const auto idx = static_cast<std::size_t>(n.id.value);
   if (refinements && idx < refinements->size() && (*refinements)[idx]) {
     return ic_meet(intrinsic, *(*refinements)[idx]);

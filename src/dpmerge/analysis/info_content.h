@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/dfg/graph.h"
 #include "dpmerge/support/sign.h"
 
@@ -92,12 +93,10 @@ using InfoRefinements = std::vector<std::optional<InfoContent>>;
 /// first resize to <w(e), t(e)>, `delivered` after the second resize to the
 /// destination width with `dfg::delivery_sign` (Definition 5.5 for an
 /// Extension destination).
-struct EdgeClaims {
-  InfoContent carried;
-  InfoContent delivered;
-};
+using EdgeClaims = dfg::Delivery<InfoContent>;
 
-/// The per-node information-content transfer, in two steps. The analysis
+/// The per-node information-content transfer, in two steps: `dfg::deliver`
+/// and `dfg::apply_op` over the information-content algebra. The analysis
 /// (`compute_info_content`) and the width transformations that act on its
 /// claims (`transform::prune_info_content`) both take exactly these steps.
 ///

@@ -21,6 +21,15 @@
 
 namespace dpmerge::check {
 
+/// Tri-state bit: the value of one bit across all stimuli — known 0, known
+/// 1, or unknown (varies with the stimulus).
+enum class Tri : unsigned char { F, T, U };
+
+inline Tri tri_not(Tri a) {
+  if (a == Tri::U) return Tri::U;
+  return a == Tri::T ? Tri::F : Tri::T;
+}
+
 /// Known-bits abstract value: bit i is known iff `known.bit(i)`, in which
 /// case its value on every stimulus is `value.bit(i)` (unknown positions of
 /// `value` are kept zero).

@@ -1,9 +1,12 @@
 #include "dpmerge/check/absint_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "dpmerge/check/absint_transfer.h"
 #include "dpmerge/dfg/eval.h"
@@ -132,13 +135,58 @@ void reduce(AbsFact& f) {
   }
 }
 
-AbsFact abs_resize(const AbsFact& f, int to_w, Sign sign) {
-  AbsFact r{kb_resize(f.bits, to_w, sign),
-            itv_resize(f.range, f.width(), to_w, sign),
-            cong_resize(f.cong, to_w)};
-  reduce(r);
-  return r;
+/// A comparator's 0/1 result zero-extended to `w` bits, decided or not.
+AbsFact bool_fact(Tri t, int w) {
+  return {kb_bool(w, t),
+          fits_u128(w) ? Interval{true, t == Tri::T ? 1u : 0u,
+                                  t == Tri::F ? 0u : 1u}
+                       : interval_top(),
+          t == Tri::U ? Congruence::top()
+                      : cong_make(64, t == Tri::T ? 1 : 0, w)};
 }
+
+/// The forward algebra of `dfg::deliver` and `dfg::apply_op`: each
+/// operation runs the three domains' transfers side by side. A resize is
+/// reduced at once; an operator's result is reduced by the engine.
+struct FactOps {
+  using Value = AbsFact;
+  AbsFact resize(const AbsFact& f, int from, int to, Sign sign) const {
+    AbsFact r{kb_resize(f.bits, to, sign), itv_resize(f.range, from, to, sign),
+              cong_resize(f.cong, to)};
+    reduce(r);
+    return r;
+  }
+  AbsFact input(const Node& n) const { return AbsFact::top(n.width); }
+  AbsFact constant(const Node& n) const { return AbsFact::constant(n.value); }
+  AbsFact neg(const AbsFact& a, int w) const {
+    return {kb_add(KnownBits::constant(BitVector(w)), a.bits, Tri::T,
+                   /*invert_b=*/true),
+            itv_neg(a.range, w), cong_neg(a.cong, w)};
+  }
+  AbsFact add(const AbsFact& a, const AbsFact& b, int w) const {
+    return {kb_add(a.bits, b.bits, Tri::F, /*invert_b=*/false),
+            itv_add(a.range, b.range, w), cong_add(a.cong, b.cong, w)};
+  }
+  AbsFact sub(const AbsFact& a, const AbsFact& b, int w) const {
+    return {kb_add(a.bits, b.bits, Tri::T, /*invert_b=*/true),
+            itv_sub(a.range, b.range, w), cong_sub(a.cong, b.cong, w)};
+  }
+  AbsFact mul(const AbsFact& a, const AbsFact& b, int w) const {
+    return {kb_mul(a.bits, b.bits), itv_mul(a.range, b.range, w),
+            cong_mul(a.cong, b.cong, w)};
+  }
+  AbsFact shl(const AbsFact& a, int s, int w) const {
+    return {kb_shl(a.bits, s), itv_shl(a.range, s, w), cong_shl(a.cong, s, w)};
+  }
+  AbsFact lt(const AbsFact& a, const AbsFact& b, Sign sign, int w) const {
+    return bool_fact(sign == Sign::Signed ? decide_lts(a.value(), b.value())
+                                          : decide_ltu(a.value(), b.value()),
+                     w);
+  }
+  AbsFact eq(const AbsFact& a, const AbsFact& b, int w) const {
+    return bool_fact(decide_eq(a.value(), b.value()), w);
+  }
+};
 
 // ------------------------------------------------- demand helpers --
 
@@ -193,7 +241,8 @@ int const_operand_trailing_zeros(const Graph& g, const Node& n,
   const Edge& e = g.edge(other);
   const Node& src = g.node(e.src);
   if (src.kind != OpKind::Const) return 0;
-  const BitVector v = dfg::deliver(src.value, e, n);
+  const BitVector v =
+      dfg::deliver(src.value, src.width, e, n, dfg::BitVectorOps{}).delivered;
   if (v.is_zero()) return n.width;  // ×0: nothing upstream is demanded
   int tz = 0;
   while (!v.bit(tz)) ++tz;
@@ -222,89 +271,26 @@ struct Engine {
   const dfg::Csr& c;
   AbsintResult& r;
 
-  const AbsFact& operand(EdgeId eid) const {
-    return r.at_operand[static_cast<std::size_t>(eid.value)];
-  }
-
   /// Recomputes the forward fact of one node from its predecessors' output
   /// facts; returns true iff the node's output fact changed.
   bool visit_forward(NodeId id) {
     const Node& n = g.node(id);
-    for (EdgeId eid : n.in) {
-      const Edge& e = g.edge(eid);
-      const AbsFact carried = abs_resize(r.out(e.src), e.width, e.sign);
-      r.at_edge[static_cast<std::size_t>(eid.value)] = carried;
-      r.at_operand[static_cast<std::size_t>(eid.value)] =
-          abs_resize(carried, n.width, dfg::delivery_sign(e, n));
+    std::array<AbsFact, 2> operands;  // every operator has at most two
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      const Edge& e = g.edge(n.in[p]);
+      auto d = dfg::deliver(r.out(e.src), g.node(e.src).width, e, n,
+                            FactOps{});
+      r.at_edge[static_cast<std::size_t>(n.in[p].value)] =
+          std::move(d.carried);
+      operands[p] = std::move(d.delivered);
     }
-
-    AbsFact out = AbsFact::top(n.width);
-    switch (n.kind) {
-      case OpKind::Input:
-        break;
-      case OpKind::Const:
-        out = AbsFact::constant(n.value);
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        out = operand(n.in[0]);
-        break;
-      case OpKind::Add: {
-        const AbsFact& a = operand(n.in[0]);
-        const AbsFact& b = operand(n.in[1]);
-        out = {kb_add(a.bits, b.bits, Tri::F, /*invert_b=*/false),
-               itv_add(a.range, b.range, n.width),
-               cong_add(a.cong, b.cong, n.width)};
-        break;
-      }
-      case OpKind::Sub: {
-        const AbsFact& a = operand(n.in[0]);
-        const AbsFact& b = operand(n.in[1]);
-        out = {kb_add(a.bits, b.bits, Tri::T, /*invert_b=*/true),
-               itv_sub(a.range, b.range, n.width),
-               cong_sub(a.cong, b.cong, n.width)};
-        break;
-      }
-      case OpKind::Mul: {
-        const AbsFact& a = operand(n.in[0]);
-        const AbsFact& b = operand(n.in[1]);
-        out = {kb_mul(a.bits, b.bits), itv_mul(a.range, b.range, n.width),
-               cong_mul(a.cong, b.cong, n.width)};
-        break;
-      }
-      case OpKind::Neg: {
-        const AbsFact& a = operand(n.in[0]);
-        out = {kb_add(KnownBits::constant(BitVector(n.width)), a.bits, Tri::T,
-                      /*invert_b=*/true),
-               itv_neg(a.range, n.width), cong_neg(a.cong, n.width)};
-        break;
-      }
-      case OpKind::Shl: {
-        const AbsFact& a = operand(n.in[0]);
-        out = {kb_shl(a.bits, n.shift), itv_shl(a.range, n.shift, n.width),
-               cong_shl(a.cong, n.shift, n.width)};
-        break;
-      }
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq: {
-        const AbstractValue a = operand(n.in[0]).value();
-        const AbstractValue b = operand(n.in[1]).value();
-        const Tri t = n.kind == OpKind::LtS   ? decide_lts(a, b)
-                      : n.kind == OpKind::LtU ? decide_ltu(a, b)
-                                              : decide_eq(a, b);
-        out.bits = kb_bool(n.width, t);
-        out.range = fits_u128(n.width)
-                        ? Interval{true, t == Tri::T ? 1u : 0u,
-                                   t == Tri::F ? 0u : 1u}
-                        : interval_top();
-        out.cong = t == Tri::U
-                       ? Congruence::top()
-                       : cong_make(64, t == Tri::T ? 1 : 0, n.width);
-        break;
-      }
-    }
+    AbsFact out = dfg::apply_op(
+        n, std::span<const AbsFact>(operands.data(), n.in.size()), FactOps{});
     reduce(out);
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      r.at_operand[static_cast<std::size_t>(n.in[p].value)] =
+          std::move(operands[p]);
+    }
     auto& slot = r.at_output_port[static_cast<std::size_t>(id.value)];
     if (fact_eq(slot, out)) return false;
     slot = out;

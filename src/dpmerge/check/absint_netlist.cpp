@@ -16,10 +16,6 @@ using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
 
-using tristate::kF;
-using tristate::kT;
-using tristate::kU;
-
 }  // namespace
 
 CheckReport lint_netlist_deadlogic(const Netlist& nl,
@@ -35,10 +31,9 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   // Forward: tri-state values per net. Constants are pinned, every other
   // undriven net (primary inputs) varies; gates evaluate in Kahn order,
   // which also fixes the order of the findings.
-  std::vector<unsigned char> tri(static_cast<std::size_t>(nl.net_count()),
-                                 kU);
-  tri[static_cast<std::size_t>(nl.const0().value)] = kF;
-  tri[static_cast<std::size_t>(nl.const1().value)] = kT;
+  std::vector<Tri> tri(static_cast<std::size_t>(nl.net_count()), Tri::U);
+  tri[static_cast<std::size_t>(nl.const0().value)] = Tri::F;
+  tri[static_cast<std::size_t>(nl.const1().value)] = Tri::T;
   const std::vector<GateId> order = netlist::kahn_order(nl);
   netlist::eval_gates(nl, order, tri, tristate::Ops{});
   netlist::OutputCursor outs(nl);
@@ -56,13 +51,12 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
     const Gate& gt = nl.gates()[static_cast<std::size_t>(it->value)];
     const auto out_idx = static_cast<std::size_t>(outs(*it).value);
     if (!obs_net[out_idx]) continue;
-    if (tri[out_idx] != kU) continue;  // constant output: influence stops
+    if (tri[out_idx] != Tri::U) continue;  // constant output: influence stops
     if (gt.type == CellType::MUX2) {
-      const unsigned char sel =
-          tri[static_cast<std::size_t>(gt.pins[2].value)];
-      if (sel != kU) {
+      const Tri sel = tri[static_cast<std::size_t>(gt.pins[2].value)];
+      if (sel != Tri::U) {
         obs_net[static_cast<std::size_t>(
-            gt.pins[sel == kT ? 1 : 0].value)] = 1;
+            gt.pins[sel == Tri::T ? 1 : 0].value)] = 1;
         continue;
       }
     }
@@ -80,13 +74,13 @@ CheckReport lint_netlist_deadlogic(const Netlist& nl,
   for (GateId gid : order) {
     const Gate& gt = nl.gates()[static_cast<std::size_t>(gid.value)];
     const auto out_idx = static_cast<std::size_t>(outs(gid).value);
-    if (tri[out_idx] != kU) {
+    if (tri[out_idx] != Tri::U) {
       ++st.constant_cells;
       if (max_findings < 0 ||
           static_cast<int>(rep.diagnostics().size()) < max_findings) {
         rep.add(Severity::Warning, "net.absint.constant-cell",
                 std::string(to_string(gt.type)) + " output is constant " +
-                    (tri[out_idx] == kT ? "1" : "0") + " on every stimulus",
+                    (tri[out_idx] == Tri::T ? "1" : "0") + " on every stimulus",
                 locus(gid, gt));
       }
     } else if (!obs_net[out_idx]) {

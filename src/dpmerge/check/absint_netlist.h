@@ -13,39 +13,36 @@
 /// findings measure synthesis slack (a MUX with a constant select, masked
 /// partial products, padding of comparator results) rather than bugs.
 
+#include "dpmerge/check/absint.h"
 #include "dpmerge/check/diagnostic.h"
 #include "dpmerge/netlist/netlist.h"
 
 namespace dpmerge::check {
 
-/// The lint's per-net domain and its `netlist::apply_cell` connectives.
+/// The lint's per-net domain (`Tri`, absint.h) and its
+/// `netlist::apply_cell` connectives.
 namespace tristate {
-
-/// Per-net values: known 0, known 1, or varies with the stimulus.
-inline constexpr unsigned char kF = 0, kT = 1, kU = 2;
 
 /// A known input decides an AND/OR by itself, and a MUX with an unknown
 /// select still yields a known output when both data legs agree.
 struct Ops {
-  static unsigned char not_(unsigned char a) { return a == kU ? kU : a ^ 1; }
-  static unsigned char and_(unsigned char a, unsigned char b) {
-    if (a == kF || b == kF) return kF;
-    return a == kT && b == kT ? kT : kU;
+  static Tri not_(Tri a) { return tri_not(a); }
+  static Tri and_(Tri a, Tri b) {
+    if (a == Tri::F || b == Tri::F) return Tri::F;
+    return a == Tri::T && b == Tri::T ? Tri::T : Tri::U;
   }
-  static unsigned char or_(unsigned char a, unsigned char b) {
-    if (a == kT || b == kT) return kT;
-    return a == kF && b == kF ? kF : kU;
+  static Tri or_(Tri a, Tri b) {
+    if (a == Tri::T || b == Tri::T) return Tri::T;
+    return a == Tri::F && b == Tri::F ? Tri::F : Tri::U;
   }
-  static unsigned char xor_(unsigned char a, unsigned char b) {
-    return a == kU || b == kU ? kU : a ^ b;
+  static Tri xor_(Tri a, Tri b) {
+    if (a == Tri::U || b == Tri::U) return Tri::U;
+    return a == b ? Tri::F : Tri::T;
   }
-  static unsigned char xnor_(unsigned char a, unsigned char b) {
-    return not_(xor_(a, b));
-  }
-  static unsigned char mux(unsigned char d0, unsigned char d1,
-                           unsigned char sel) {
-    if (sel != kU) return sel == kT ? d1 : d0;
-    return d0 != kU && d0 == d1 ? d0 : kU;
+  static Tri xnor_(Tri a, Tri b) { return not_(xor_(a, b)); }
+  static Tri mux(Tri d0, Tri d1, Tri sel) {
+    if (sel != Tri::U) return sel == Tri::T ? d1 : d0;
+    return d0 != Tri::U && d0 == d1 ? d0 : Tri::U;
   }
 };
 

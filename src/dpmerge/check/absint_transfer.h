@@ -36,17 +36,9 @@ inline u128 to_u128(const BitVector& v) {
 
 // -------------------------------------------------------- tri-state bits --
 
-/// Tri-state bit: the value of one bit across all stimuli.
-enum class Tri : unsigned char { F, T, U };
-
 inline Tri tri_of(const KnownBits& kb, int i) {
   if (!kb.known.bit(i)) return Tri::U;
   return kb.value.bit(i) ? Tri::T : Tri::F;
-}
-
-inline Tri tri_not(Tri a) {
-  if (a == Tri::U) return Tri::U;
-  return a == Tri::T ? Tri::F : Tri::T;
 }
 
 inline Tri tri_xor3(Tri a, Tri b, Tri c) {

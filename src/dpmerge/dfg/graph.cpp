@@ -90,24 +90,6 @@ void Graph::set_edge_sign(EdgeId id, Sign s) {
   edges_[static_cast<std::size_t>(id.value)].sign = s;
 }
 
-NodeId Graph::insert_extension_after(NodeId n, int ext_width, Sign ext_sign,
-                                     int edge_width) {
-  const NodeId ext = add_node(OpKind::Extension, ext_width);
-  nodes_[static_cast<std::size_t>(ext.value)].ext_sign = ext_sign;
-
-  // Move existing out-edges of n so they originate at ext. The n->ext edge is
-  // added afterwards so it is not itself moved.
-  auto moved = nodes_[static_cast<std::size_t>(n.value)].out;
-  nodes_[static_cast<std::size_t>(n.value)].out.clear();
-  for (EdgeId eid : moved) {
-    edges_[static_cast<std::size_t>(eid.value)].src = ext;
-    nodes_[static_cast<std::size_t>(ext.value)].out.push_back(eid);
-  }
-  ++version_;
-  add_edge(n, ext, 0, edge_width, ext_sign);
-  return ext;
-}
-
 NodeId Graph::insert_extension_retarget(NodeId n, int ext_width,
                                         Sign ext_sign,
                                         const std::vector<EdgeId>& moved) {

@@ -54,8 +54,8 @@ enum class OpClass : unsigned char { Terminal, Arith, Comparator, Resize };
 
 /// Every fact about one operator kind. `kOps` holds one row per `OpKind`
 /// in enum order, and nothing else in the code maps a kind to a name, a
-/// `.dfg` keyword or an operand count; adding a kind means one row here and
-/// one case in `apply_op` (eval.h).
+/// `.dfg` keyword or an operand count; adding a kind means one row here,
+/// one case in `apply_op` (eval.h) and one operation per value algebra.
 struct OpInfo {
   OpKind kind;
   std::string_view name;     ///< display name (`to_string`, dot, reports)
@@ -257,16 +257,12 @@ class Graph {
   void set_edge_width(EdgeId id, int width);
   void set_edge_sign(EdgeId id, Sign s);
 
-  /// Lemma 5.6 rewiring: inserts a new Extension node E after `n`, moving all
-  /// out-edges of `n` so they originate at E, and connecting n -> E with an
-  /// edge of width `edge_width` (signedness immaterial per the lemma; we use
-  /// `ext_sign`). Returns E's id.
-  NodeId insert_extension_after(NodeId n, int ext_width, Sign ext_sign,
-                                int edge_width);
-
-  /// Like `insert_extension_after`, but moves only the listed out-edges of
-  /// `n` to the new Extension node (used when only some consumers need the
-  /// materialised wide value). The n -> E edge gets n's current width.
+  /// Lemma 5.6 rewiring: inserts a new Extension node E <ext_width,
+  /// ext_sign> after `n` and moves the listed out-edges of `n` so they
+  /// originate at E (all of them, or only the consumers that need the
+  /// materialised wide value). The new n -> E edge has n's current width
+  /// and t(e) = `ext_sign`. `edges` must not alias `n`'s own fanout list,
+  /// which this erases from: pass a copy. Returns E's id.
   NodeId insert_extension_retarget(NodeId n, int ext_width, Sign ext_sign,
                                    const std::vector<EdgeId>& edges);
 
@@ -275,7 +271,7 @@ class Graph {
   std::vector<NodeId> outputs() const;
 
   /// Frozen CSR view of the current structure (see `Csr`). Cached; rebuilt
-  /// lazily after the next `add_node`/`add_edge`/`insert_extension_*`.
+  /// lazily after the next `add_node`/`add_edge`/`insert_extension_retarget`.
   /// Width/sign/shift setters do not invalidate it.
   const Csr& freeze() const;
 

@@ -1,6 +1,8 @@
 #include "dpmerge/formal/equiv.h"
 
+#include <array>
 #include <cassert>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,7 +15,6 @@ using dfg::EdgeId;
 using dfg::Graph;
 using dfg::Node;
 using dfg::NodeId;
-using dfg::OpKind;
 using netlist::Netlist;
 
 Word sym_const(Bdd& m, const BitVector& v) {
@@ -174,66 +175,73 @@ std::string SymbolicInputs::witness(const Bdd& m, Bdd::Ref f) const {
   return os.str();
 }
 
+namespace {
+
+/// A 1-bit truth value zero-extended to `w` bits (comparator results).
+Word bit_word(Bdd::Ref r, int w) {
+  Word out;
+  out.bits.assign(static_cast<std::size_t>(w), Bdd::kFalse);
+  out.bits[0] = r;
+  return out;
+}
+
+/// The symbolic algebra of `dfg::deliver` and `dfg::apply_op`: the `sym_*`
+/// word operations, with each Input bound to its word in `in` by name.
+struct WordOps {
+  using Value = Word;
+  Bdd& m;
+  const Graph& g;
+  const SymbolicInputs& in;
+
+  Word resize(const Word& w, int /*from*/, int to, Sign sign) const {
+    return sym_resize(m, w, to, sign);
+  }
+  Word input(const Node& n) const {
+    const Word& w = in.by_name(g.name(n));
+    if (w.width() != n.width) {
+      throw std::invalid_argument("symbolic width mismatch on input '" +
+                                  g.name(n) + "'");
+    }
+    return w;
+  }
+  Word constant(const Node& n) const { return sym_const(m, n.value); }
+  Word neg(const Word& a, int /*w*/) const { return sym_neg(m, a); }
+  Word add(const Word& a, const Word& b, int /*w*/) const {
+    return sym_add(m, a, b);
+  }
+  Word sub(const Word& a, const Word& b, int /*w*/) const {
+    return sym_sub(m, a, b);
+  }
+  Word mul(const Word& a, const Word& b, int /*w*/) const {
+    return sym_mul(m, a, b);
+  }
+  Word shl(const Word& a, int s, int /*w*/) const { return sym_shl(m, a, s); }
+  Word lt(const Word& a, const Word& b, Sign sign, int w) const {
+    return bit_word(sym_lt(m, a, b, sign == Sign::Signed), w);
+  }
+  Word eq(const Word& a, const Word& b, int w) const {
+    return bit_word(sym_eq(m, a, b), w);
+  }
+};
+
+}  // namespace
+
 std::vector<Word> sym_eval_graph(Bdd& m, const Graph& g,
                                  const SymbolicInputs& in) {
   std::vector<Word> result(static_cast<std::size_t>(g.node_count()));
-
-  auto operand = [&](const Node& n, int port) {
-    const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
-    const Word& src = result[static_cast<std::size_t>(e.src.value)];
-    const Word carried = sym_resize(m, src, e.width, e.sign);
-    return sym_resize(m, carried, n.width, dfg::delivery_sign(e, n));
-  };
-
+  const WordOps ops{m, g, in};
+  std::array<Word, 2> operands;  // every operator has at most two
   for (NodeId id : g.freeze().topo) {
     const Node& n = g.node(id);
-    auto& out = result[static_cast<std::size_t>(id.value)];
-    switch (n.kind) {
-      case OpKind::Input:
-        out = in.by_name(g.name(n));
-        if (out.width() != n.width) {
-          throw std::invalid_argument("symbolic width mismatch on input '" +
-                                      g.name(n) + "'");
-        }
-        break;
-      case OpKind::Const:
-        out = sym_const(m, n.value);
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        out = operand(n, 0);
-        break;
-      case OpKind::Add:
-        out = sym_add(m, operand(n, 0), operand(n, 1));
-        break;
-      case OpKind::Sub:
-        out = sym_sub(m, operand(n, 0), operand(n, 1));
-        break;
-      case OpKind::Mul:
-        out = sym_mul(m, operand(n, 0), operand(n, 1));
-        break;
-      case OpKind::Neg:
-        out = sym_neg(m, operand(n, 0));
-        break;
-      case OpKind::Shl:
-        out = sym_shl(m, operand(n, 0), n.shift);
-        break;
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq: {
-        const Word a = operand(n, 0);
-        const Word b = operand(n, 1);
-        Bdd::Ref r;
-        if (n.kind == OpKind::Eq) {
-          r = sym_eq(m, a, b);
-        } else {
-          r = sym_lt(m, a, b, n.kind == OpKind::LtS);
-        }
-        out.bits.assign(static_cast<std::size_t>(n.width), Bdd::kFalse);
-        out.bits[0] = r;
-        break;
-      }
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      const Edge& e = g.edge(n.in[p]);
+      operands[p] =
+          dfg::deliver(result[static_cast<std::size_t>(e.src.value)],
+                       g.node(e.src).width, e, n, ops)
+              .delivered;
     }
+    result[static_cast<std::size_t>(id.value)] = dfg::apply_op(
+        n, std::span<const Word>(operands.data(), n.in.size()), ops);
   }
   return result;
 }

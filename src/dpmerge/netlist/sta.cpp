@@ -50,16 +50,11 @@ double Sta::area(const Netlist& n) const {
 
 IncrementalSta::IncrementalSta(const Netlist& n, const CellLibrary& lib)
     : net_(n), lib_(lib) {
-  rebuild();
-}
-
-void IncrementalSta::rebuild() {
   const std::size_t nets = static_cast<std::size_t>(net_.net_count());
   accumulate_loads(net_, lib_, load_);
   arrival_.assign(nets, 0.0);
   OutputCursor outs(net_);
   if (net_.index_topological()) {
-    order_.clear();
     for (int gi = 0; gi < net_.gate_count(); ++gi) {
       recompute_gate(gi, outs(GateId{gi}));
     }
@@ -69,11 +64,6 @@ void IncrementalSta::rebuild() {
     for (GateId gid : order_) recompute_gate(gid.value, outs(gid));
   }
   refresh_longest();
-  pos_.clear();
-  reader_begin_.clear();
-  readers_.clear();
-  pending_.clear();
-  undoable_ = false;
 }
 
 void IncrementalSta::recompute_gate(int gate_idx, NetId out) {

@@ -58,10 +58,10 @@ class Sta {
 ///                      gate order (the order of a full pass)
 ///   - `arrival_[n]` == from-scratch arrival of net n
 ///
-/// Off index order, the constructor (and `rebuild()`) sorts the netlist
-/// once (`kahn_order`) and keeps that order for the cone updates. The rest
-/// of their state is built on the first update (or `readers` call) and
-/// never by the constructor, so `Sta::analyze` builds none of it:
+/// Off index order, the constructor sorts the netlist once (`kahn_order`)
+/// and keeps that order for the cone updates. The rest of their state is
+/// built on the first update (or `readers` call) and never by the
+/// constructor, so `Sta::analyze` builds none of it:
 ///   - a dense topological order of the gates: gate-index order while the
 ///     netlist is index-topological (nothing stored until a buffer
 ///     insertion moves a gate out of it), otherwise the Kahn order
@@ -79,15 +79,11 @@ class Sta {
 /// A buffer insertion is a cone update too (`update_buffer_insertion`): it
 /// places the buffer in the order and patches two reader lists, so neither
 /// a new sort nor a full pass is needed. Any other structural edit
-/// invalidates the timing state; call `rebuild()` afterwards.
+/// invalidates the timing state: build a new timer over the edited netlist.
 class IncrementalSta {
  public:
+  /// The one full pass: loads, arrivals and the longest path from scratch.
   IncrementalSta(const Netlist& n, const CellLibrary& lib);
-
-  /// Recomputes everything from scratch (use after topology changes): takes
-  /// the order anew and drops the reader lists, to be rebuilt on the next
-  /// update.
-  void rebuild();
 
   /// Call after changing gate `g`'s drive. Recomputes the loads of `g`'s
   /// input nets from their reader lists and re-propagates arrivals over
@@ -109,7 +105,7 @@ class IncrementalSta {
   void update_buffer_insertion(GateId buffer);
 
   /// Gates reading net `n`, one entry per reading pin, in gate order. Valid
-  /// until the next update or rebuild.
+  /// until the next update.
   std::span<const std::int32_t> readers(NetId n);
   /// Gate `g`'s position in the timer's topological order (-1: on a cycle).
   std::int32_t order_position(GateId g);
@@ -167,8 +163,8 @@ class IncrementalSta {
   double longest_ = 0.0;
   NetId longest_net_{};
 
-  // Position -> gate, set by `rebuild()`; empty while gate-index order is
-  // the order.
+  // Position -> gate, set by the constructor; empty while gate-index order
+  // is the order.
   std::vector<GateId> order_;
   // Owned structure, empty until the first update.
   // Gate -> position (-1: on a cycle); empty while `order_` is.

@@ -20,14 +20,27 @@ using netlist::NetId;
 using netlist::Netlist;
 using netlist::Signal;
 
+namespace {
+
+/// Gates as the value algebra of `dfg::deliver`: a resize is wiring
+/// (truncate, replicate the top net, or tie to 0).
+struct SignalOps {
+  using Value = Signal;
+  Netlist& net;
+  Signal resize(const Signal& s, int /*from*/, int to, Sign sign) const {
+    return net.resize(s, to, sign);
+  }
+};
+
+}  // namespace
+
 Signal operand_signal(Netlist& net, const Graph& g, EdgeId eid,
                       const std::vector<Signal>& signals) {
   const Edge& e = g.edge(eid);
-  const dfg::Node& dst = g.node(e.dst);
   const Signal& src = signals[static_cast<std::size_t>(e.src.value)];
   assert(src.width() == g.node(e.src).width && "source not yet synthesised");
-  const Signal carried = net.resize(src, e.width, e.sign);
-  return net.resize(carried, dst.width, dfg::delivery_sign(e, dst));
+  return dfg::deliver(src, src.width(), e, g.node(e.dst), SignalOps{net})
+      .delivered;
 }
 
 namespace {

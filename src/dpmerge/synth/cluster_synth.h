@@ -37,9 +37,9 @@ netlist::Signal synthesize_cluster(
     const std::vector<netlist::Signal>& node_signals, AdderArch arch,
     bool booth = false, ClusterSynthStats* stats = nullptr);
 
-/// The operand signal delivered by edge `e` (the netlist twin of
-/// Evaluator::operand_via_edge): source signal resized to w(e) with t(e),
-/// then to the destination width with t(e) (or the Extension node's t(N)).
+/// The operand signal delivered by edge `e`: `dfg::deliver` over netlist
+/// signals, so the source signal is resized to w(e) with t(e), then to the
+/// destination width with t(e) (or the Extension node's t(N)).
 netlist::Signal operand_signal(netlist::Netlist& net, const dfg::Graph& g,
                                dfg::EdgeId e,
                                const std::vector<netlist::Signal>& signals);

@@ -92,7 +92,8 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
       const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
       const auto& src = cv[static_cast<std::size_t>(e.src.value)];
       if (!src) return std::nullopt;
-      return dfg::deliver(*src, e, n);
+      return dfg::deliver(*src, src->width(), e, n, dfg::BitVectorOps{})
+          .delivered;
     };
     auto make_const = [&](const BitVector& v) {
       slot = ng.add_const(v);
@@ -161,7 +162,7 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
       }
       if (all_const) {
         ++local.constants_folded;
-        make_const(dfg::apply_op(n, ops));
+        make_const(dfg::apply_op(n, ops, dfg::BitVectorOps{}));
         continue;
       }
     }

@@ -46,17 +46,17 @@ TEST(NetlistDeadlogic, ConstantConeIsFlagged) {
 }
 
 TEST(NetlistDeadlogic, TriStateCellAlgebraIsSound) {
-  using check::tristate::kU;
+  using check::Tri;
   for (const netlist::CellInfo& cell : netlist::kCells) {
     const int n = cell.inputs;
     int assignments = 1;
     for (int k = 0; k < n; ++k) assignments *= 3;
     for (int a = 0; a < assignments; ++a) {
-      unsigned char in[netlist::kMaxCellInputs] = {};
+      Tri in[netlist::kMaxCellInputs] = {};
       for (int k = 0, rest = a; k < n; ++k, rest /= 3) {
-        in[k] = static_cast<unsigned char>(rest % 3);
+        in[k] = static_cast<Tri>(rest % 3);
       }
-      const unsigned char out =
+      const Tri out =
           netlist::apply_cell(cell.type, in, check::tristate::Ops{});
       // Every completion of the unknown pins must land inside `out`.
       for (int c = 0; c < (1 << n); ++c) {
@@ -64,20 +64,23 @@ TEST(NetlistDeadlogic, TriStateCellAlgebraIsSound) {
         bool completes = true;
         for (int k = 0; k < n; ++k) {
           const bool bit = (c >> k) & 1;
-          if (in[k] != kU && in[k] != bit) completes = false;
+          if (in[k] != Tri::U && in[k] != (bit ? Tri::T : Tri::F)) {
+            completes = false;
+          }
           concrete.push_back(bit);
         }
         if (!completes) continue;
         const bool v = netlist::eval_cell(cell.type, concrete);
-        if (out != kU) {
-          EXPECT_EQ(out, v) << cell.name << " assignment " << a;
+        if (out != Tri::U) {
+          EXPECT_EQ(out, v ? Tri::T : Tri::F)
+              << cell.name << " assignment " << a;
         }
       }
       // Known inputs give a known output.
       bool all_known = true;
-      for (int k = 0; k < n; ++k) all_known = all_known && in[k] != kU;
+      for (int k = 0; k < n; ++k) all_known = all_known && in[k] != Tri::U;
       if (all_known) {
-        EXPECT_NE(out, kU) << cell.name << " assignment " << a;
+        EXPECT_NE(out, Tri::U) << cell.name << " assignment " << a;
       }
     }
   }

@@ -3,7 +3,9 @@
 //     `in`/`out` edge lists. `Csr::topo` must equal it element for element
 //     (cluster numbering and netlist emission follow that order);
 //   - random-simulation equivalence of two graphs under `dfg::Evaluator`,
-//     the check every graph transformation's tests run.
+//     the check every graph transformation's tests run;
+//   - a rewrite that puts Extension nodes with t(N) != t(e) before every
+//     output, for the tests that drive Definition 5.5's delivery sign.
 
 #pragma once
 
@@ -128,6 +130,23 @@ inline bool equivalent_by_simulation(const Graph& a, const Graph& b,
     if (!check(ea.random_inputs(rng))) return false;
   }
   return true;
+}
+
+/// `g` with an Extension node in front of every Output, two bits wider
+/// than its source and with t(N) opposite to the t(e) of the edge into it:
+/// the case where Definition 5.5's delivery differs from Section 2.2's.
+/// No frontend or transformation builds such an edge; a `.dfg` file can.
+inline Graph with_sign_flipping_extensions(Graph g) {
+  for (const NodeId out : g.outputs()) {
+    const EdgeId e = g.node(out).in[0];
+    const NodeId src = g.edge(e).src;
+    const Sign te = g.edge(e).sign;
+    const NodeId ext = g.insert_extension_retarget(
+        src, g.node(src).width + 2,
+        te == Sign::Signed ? Sign::Unsigned : Sign::Signed, {e});
+    g.set_edge_sign(g.node(ext).in[0], te);
+  }
+  return g;
 }
 
 }  // namespace dpmerge::dfg::oracle

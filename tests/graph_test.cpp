@@ -124,7 +124,8 @@ TEST(Graph, InsertExtensionAfterMovesFanout) {
   const auto n = b.add(4, {a}, {a});
   const auto o1 = b.output("r1", 8, {n, 8, Sign::Signed});
   const auto o2 = b.output("r2", 8, {n, 8, Sign::Signed});
-  const NodeId ext = g.insert_extension_after(n, 8, Sign::Signed, 4);
+  const std::vector<EdgeId> fanout = g.node(n).out;  // a copy, not an alias
+  const NodeId ext = g.insert_extension_retarget(n, 8, Sign::Signed, fanout);
   EXPECT_TRUE(g.validate().empty());
   EXPECT_EQ(g.node(ext).kind, OpKind::Extension);
   EXPECT_EQ(g.node(ext).width, 8);

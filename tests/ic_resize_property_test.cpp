@@ -84,7 +84,8 @@ TEST_P(IcDeliveryProperty, DeliveredValueSatisfiesDeliveredClaim) {
     const BitVector v = conforming_value(rng, src_width, claim);
     const EdgeClaims ec = ic_edge(claim, src_width, e, dst);
     const BitVector carried = v.resize(e.width, e.sign);
-    const BitVector operand = dfg::deliver(v, e, dst);
+    const BitVector operand =
+        dfg::deliver(v, src_width, e, dst, dfg::BitVectorOps{}).delivered;
     std::ostringstream what;
     what << "claim " << claim.to_string() << " on " << v.to_string()
          << " via <" << e.width << ", " << to_string(e.sign) << "> into "

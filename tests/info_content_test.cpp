@@ -205,12 +205,13 @@ TEST_P(IcSoundness, ClaimsHoldOnRandomStimuli) {
           << " value " << v.to_string();
     }
     for (const auto& e : g.edges()) {
-      const auto carried = ev.carried_on_edge(e.id, results);
+      const BitVector& src = results[static_cast<std::size_t>(e.src.value)];
+      const auto [carried, op] = dfg::deliver(src, src.width(), e,
+                                              g.node(e.dst), dfg::BitVectorOps{});
       const auto cl_e = ia.edge(e.id);
       EXPECT_TRUE(carried.is_extension_of_low(cl_e.width, cl_e.sign))
           << "edge " << e.id.value << " claim " << cl_e.to_string()
           << " carried " << carried.to_string();
-      const auto op = ev.operand_via_edge(e.id, results);
       const auto cl_o = ia.operand(e.id);
       EXPECT_TRUE(op.is_extension_of_low(cl_o.width, cl_o.sign))
           << "edge " << e.id.value << " operand claim " << cl_o.to_string()

@@ -144,11 +144,14 @@ TEST(EvalCoverage, CarriedVsOperandDiffer) {
   dfg::Evaluator ev(g);
   const auto results =
       ev.run({BitVector::from_uint(8, 0x1C)});  // s = 0x38, low 4 = 0x8
-  const auto eid = g.node(t).in[0];
-  EXPECT_EQ(ev.carried_on_edge(eid, results).width(), 4);
-  EXPECT_EQ(ev.carried_on_edge(eid, results).to_uint64(), 0x8u);
+  const dfg::Edge& e = g.edge(g.node(t).in[0]);
+  const BitVector& sv = results[static_cast<std::size_t>(s.value)];
+  const auto d =
+      dfg::deliver(sv, sv.width(), e, g.node(t), dfg::BitVectorOps{});
+  EXPECT_EQ(d.carried.width(), 4);
+  EXPECT_EQ(d.carried.to_uint64(), 0x8u);
   // Sign-extended to 10 bits: 1000 -> 1111111000.
-  EXPECT_EQ(ev.operand_via_edge(eid, results).to_int64(), -8);
+  EXPECT_EQ(d.delivered.to_int64(), -8);
 }
 
 TEST(WidthPruneCoverage, StatsToStringMentionsEverything) {

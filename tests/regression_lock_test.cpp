@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "dpmerge/check/absint_engine.h"
 #include "dpmerge/designs/kernels.h"
 #include "dpmerge/designs/testcases.h"
 #include "dpmerge/dfg/random_graph.h"
@@ -20,6 +21,7 @@
 #include "dpmerge/obs/obs.h"
 #include "dpmerge/opt/timing_opt.h"
 #include "dpmerge/synth/flow.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge {
 namespace {
@@ -171,23 +173,6 @@ std::string normalized_digest(dfg::Graph g) {
   return f.hex();
 }
 
-/// `g` with an Extension node in front of every Output, two bits wider
-/// than its source and with t(N) opposite to the t(e) of the edge into it:
-/// the case where Definition 5.5's delivery differs from Section 2.2's.
-/// No frontend or transformation builds such an edge.
-dfg::Graph with_sign_flipping_extensions(dfg::Graph g) {
-  for (const dfg::NodeId out : g.outputs()) {
-    const dfg::EdgeId e = g.node(out).in[0];
-    const dfg::NodeId src = g.edge(e).src;
-    const Sign te = g.edge(e).sign;
-    const dfg::NodeId ext = g.insert_extension_retarget(
-        src, g.node(src).width + 2,
-        te == Sign::Signed ? Sign::Unsigned : Sign::Signed, {e});
-    g.set_edge_sign(g.node(ext).in[0], te);
-  }
-  return g;
-}
-
 TEST(RegressionLock, NormalizedGraphsUnchanged) {
   // The width transformations, the clusterer and the information-content
   // analysis they share, pinned exactly on the paper's testcases, the DSP
@@ -234,10 +219,94 @@ TEST(RegressionLock, NormalizedGraphsUnchanged) {
     opt.max_width = 24;
     const dfg::Graph g = dfg::random_graph(rng, opt);
     digest_into(all, g);
-    digest_into(flipped, with_sign_flipping_extensions(g));
+    digest_into(flipped, dfg::oracle::with_sign_flipping_extensions(g));
   }
   EXPECT_EQ(all.hex(), "ac0c1cc92979a6c2") << "random graphs";
   EXPECT_EQ(flipped.hex(), "5fbd547cf40b736f") << "random graphs, sign-flipping extensions";
+}
+
+/// Runs the abstract interpreter on `g` and digests every fact it leaves:
+/// known bits, interval and congruence at each output port, edge carrier
+/// and delivered operand, the three demand masks, and the round count.
+std::string absint_digest(const dfg::Graph& g) {
+  const check::AbsintResult r = check::compute_absint(g);
+  Fnv1a f;
+  auto bits = [&f](const BitVector& v) {
+    f.add(v.width());
+    for (int i = 0; i < v.width(); ++i) f.byte(v.bit(i) ? 1 : 0);
+  };
+  auto u128 = [&f](unsigned __int128 v) {
+    f.add(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
+    f.add(static_cast<std::int64_t>(static_cast<std::uint64_t>(v >> 64)));
+  };
+  auto fact = [&](const check::AbsFact& a) {
+    bits(a.bits.known);
+    bits(a.bits.value);
+    f.add(a.range.valid);
+    u128(a.range.lo);
+    u128(a.range.hi);
+    f.add(a.cong.modulus_bits);
+    f.add(static_cast<std::int64_t>(a.cong.residue));
+  };
+  for (const auto& a : r.at_output_port) fact(a);
+  for (const auto& a : r.at_edge) fact(a);
+  for (const auto& a : r.at_operand) fact(a);
+  for (const auto& m : r.demanded_out) bits(m);
+  for (const auto& m : r.demanded_edge) bits(m);
+  for (const auto& m : r.demanded_operand) bits(m);
+  f.add(r.rounds);
+  return f.hex();
+}
+
+TEST(RegressionLock, AbsintFactsUnchanged) {
+  // Every fixpoint fact of the abstract interpreter (DESIGN.md §13), pinned
+  // on the paper's testcases, the DSP kernels and seeded random graphs,
+  // each random graph also with sign-flipping Extension nodes before its
+  // outputs: an edit to a forward transfer, the reduction, a demand
+  // transfer or the delivery sign that moves one fact shows here.
+  struct Digest {
+    const char* name;
+    const char* digest;
+  };
+  constexpr Digest kDesigns[] = {
+      {"D1", "1182eeb9e69213f7"},          {"D2", "9fd67d545316b868"},
+      {"D3", "56d2d4958e2b236f"},          {"D4", "45f4ffb83ae4248f"},
+      {"D5", "cbc46ee85550cf91"},          {"fir8", "884f58ef11d24761"},
+      {"biquad", "bd52e1c1ae877d7e"},      {"complex_mul", "1726edb64767677f"},
+      {"dct4", "01e779b556dcbb13"},        {"matvec3", "d8805fc07d47729c"},
+      {"checksum8", "2b288cfe7c81f3a6"},
+  };
+  std::vector<std::pair<std::string, const dfg::Graph*>> graphs;
+  const auto cases = designs::all_testcases();
+  const auto kernels = designs::dsp_kernels();
+  for (const auto& tc : cases) graphs.emplace_back(tc.name, &tc.graph);
+  for (const auto& k : kernels) graphs.emplace_back(k.name, &k.graph);
+  ASSERT_EQ(graphs.size(), std::size(kDesigns));
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_EQ(graphs[i].first, kDesigns[i].name);
+    EXPECT_EQ(absint_digest(*graphs[i].second), kDesigns[i].digest)
+        << graphs[i].first;
+  }
+
+  Fnv1a all;
+  Fnv1a flipped;
+  auto digest_into = [](Fnv1a& f, const dfg::Graph& g) {
+    for (const char c : absint_digest(g)) {
+      f.byte(static_cast<unsigned char>(c));
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    dfg::RandomGraphOptions opt;
+    opt.num_operators = 24;
+    opt.max_width = 24;
+    const dfg::Graph g = dfg::random_graph(rng, opt);
+    digest_into(all, g);
+    digest_into(flipped, dfg::oracle::with_sign_flipping_extensions(g));
+  }
+  EXPECT_EQ(all.hex(), "a1a12cb2a4baa368") << "random graphs";
+  EXPECT_EQ(flipped.hex(), "8eb370bdb9db323c")
+      << "random graphs, sign-flipping extensions";
 }
 
 TEST(RegressionLock, VerilogDigestPerFlow) {

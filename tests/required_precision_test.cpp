@@ -110,8 +110,11 @@ TEST_P(RpSoundness, HighBitsAreSuperfluous) {
       // Mutated copy: truncate n's result to r bits, then re-extend with
       // `garbage` sign; consumers read through the re-extension.
       Graph m = g;
-      const NodeId trunc = m.insert_extension_after(n.id, r, garbage, n.width);
-      m.insert_extension_after(trunc, n.width, garbage, r);
+      // Each call moves a copy of the node's whole fanout.
+      const NodeId trunc = m.insert_extension_retarget(
+          n.id, r, garbage, std::vector<dfg::EdgeId>(m.node(n.id).out));
+      m.insert_extension_retarget(trunc, n.width, garbage,
+                                  std::vector<dfg::EdgeId>(m.node(trunc).out));
       ASSERT_TRUE(m.validate().empty());
       Rng stim_rng(GetParam() ^ 0x9e3779b9);
       std::string why;
