@@ -3,59 +3,59 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 
 namespace dpmerge::analysis {
 
-using dfg::Graph;
-using dfg::Node;
-using dfg::NodeId;
-using dfg::OpKind;
+namespace {
 
-RequiredPrecision compute_required_precision(const Graph& g, int /*threads*/) {
+/// Definition 4.1 as the demand algebra of `dfg::demand_op` and
+/// `dfg::demand_edge`: a demand is the number r of low bits required, and
+/// demands join by max. w(N) bounds a node's input ports (`fit`: r(p_i) =
+/// min{r(p_o), w(N)}), never its output port, which only the edges bound: a
+/// 7-bit node read through a 9-bit edge has r(p_o) = 9, so `uncarry` is the
+/// identity. A Shl operand bit k lands at k + shift, and every operand bit
+/// of a comparator reaches its 1-bit result.
+struct WidthOps {
+  using Value = int;
+  int undeliver(int d, int w_e, int, Sign) const { return std::min(d, w_e); }
+  int uncarry(int d, int, int, Sign) const { return d; }
+  int carry(int d, int) const { return d; }
+  int mul(int d, const dfg::Node&, int) const { return d; }
+  int shl(int d, int s, int) const { return std::max(d - s, 0); }
+  int compare(int d, int w) const { return d >= 1 ? w : 0; }
+  int fit(int d, int w) const { return std::min(d, w); }
+};
+
+}  // namespace
+
+RequiredPrecision compute_required_precision(const dfg::Graph& g,
+                                             int /*threads*/) {
   obs::Span span("analysis.required_precision");
   obs::stat_add("analysis.required_precision.runs");
   const dfg::Csr& c = g.freeze();
   RequiredPrecision rp;
   rp.at_output_port.assign(static_cast<std::size_t>(g.node_count()), 0);
   rp.at_input_port.assign(static_cast<std::size_t>(g.node_count()), 0);
+  const WidthOps ops{};
 
   // Reverse topological: consumers before producers.
   for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) {
-    const NodeId id = *it;
-    const Node& n = g.node(id);
-    const auto idx = static_cast<std::size_t>(n.id.value);
-    if (n.kind == OpKind::Output) {
-      // Base case of Definition 4.1: r(input port of an output node) = w(N).
-      rp.at_input_port[idx] = n.width;
-      rp.at_output_port[idx] = n.width;  // no output port; convenience value
-      continue;
-    }
-    // Output port: max over out-edges of min{w(e), r(p_d)}.
-    int r_out = 0;
-    for (std::int32_t eid : c.out(id)) {
+    const dfg::Node& n = g.node(*it);
+    // Base case: an Output's value is a design output (w(N) stands in for
+    // its missing output port). Any other node joins its out-edges'
+    // demands; with no fanout nothing observes it and r stays 0.
+    int r_out = n.kind == dfg::OpKind::Output ? n.width : 0;
+    for (std::int32_t eid : c.out(n.id)) {
       const dfg::Edge& e = g.edge(dfg::EdgeId{eid});
-      r_out = std::max(r_out,
-                       std::min(e.width, rp.at_input_port[static_cast<std::size_t>(
-                                             e.dst.value)]));
+      r_out = std::max(r_out, dfg::demand_edge(rp.r_in(e.dst), e,
+                                               g.node(e.dst), n.width, ops)
+                                  .at_source);
     }
-    // Nodes with no fanout (possible only in malformed/partial graphs):
-    // everything they compute is unobservable; keep r = 0.
-    rp.at_output_port[idx] = r_out;
-    // Input ports of a non-output node: min{r(p_o), w(N)} (Definition 4.1),
-    // with op-specific transfers for the extended operator set:
-    //  - Shl: operand bit k lands at k + shift, so only r_out - shift low
-    //    operand bits are observable;
-    //  - comparators: every operand bit affects the 1-bit result, so the
-    //    full comparison width is required whenever the result is observed.
-    if (n.kind == OpKind::Shl) {
-      rp.at_input_port[idx] =
-          std::min(std::max(r_out - n.shift, 0), n.width);
-    } else if (dfg::is_comparator(n.kind)) {
-      rp.at_input_port[idx] = r_out >= 1 ? n.width : 0;
-    } else {
-      rp.at_input_port[idx] = std::min(r_out, n.width);
-    }
+    rp.at_output_port[static_cast<std::size_t>(n.id.value)] = r_out;
+    rp.at_input_port[static_cast<std::size_t>(n.id.value)] =
+        dfg::demand_op(n, 0, r_out, ops);
   }
   return rp;
 }

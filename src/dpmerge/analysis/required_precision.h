@@ -15,7 +15,9 @@ namespace dpmerge::analysis {
 /// downstream path and are superfluous.
 ///
 /// Because Definition 4.1 assigns the same value to every input port of an
-/// operator node (min{r(p_o), w(N)}), the result is stored per node:
+/// operator node (min{r(p_o), w(N)}; a shift or a comparator transfers
+/// r(p_o) first, see `compute_required_precision`), the result is stored
+/// per node:
 ///  - `at_output_port[n]` = r of the node's output port; for Output nodes
 ///    (which have no output port) it is set to w(N) for convenience.
 ///  - `at_input_port[n]`  = r of each of the node's input ports.
@@ -34,8 +36,11 @@ struct RequiredPrecision {
 };
 
 /// Computes required precision for all ports by a single reverse-topological
-/// sweep over the graph's frozen CSR view, O(V + E). `threads` is accepted
-/// and ignored; output and work are width-independent.
+/// sweep over the graph's frozen CSR view, O(V + E): the DFG's backward
+/// semantics (`dfg::demand_op`, `dfg::demand_edge`) over a width algebra,
+/// whose bit-mask counterpart is the abstract interpreter's demanded bits.
+/// `threads` is accepted and ignored; output and work are
+/// width-independent.
 RequiredPrecision compute_required_precision(const dfg::Graph& g,
                                              int threads = 1);
 

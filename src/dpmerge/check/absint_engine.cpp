@@ -188,80 +188,85 @@ struct FactOps {
   }
 };
 
-// ------------------------------------------------- demand helpers --
+// ------------------------------------------------- demand algebra --
 
+/// 1 + the highest demanded bit of `d`; 0 when nothing is demanded.
 int demand_msb1(const BitVector& d) {
-  for (int i = d.width() - 1; i >= 0; --i) {
-    if (d.bit(i)) return i + 1;
-  }
-  return 0;
+  return d.min_extension_width(Sign::Unsigned);
 }
 
+/// The low min(k, w) bits of a w-bit mask.
 BitVector low_mask(int w, int k) {
-  BitVector m(w);
-  for (int i = 0; i < std::min(w, k); ++i) m.set_bit(i, true);
-  return m;
+  return BitVector::from_int(std::min(k, w), -1).resize(w, Sign::Unsigned);
 }
 
-bool or_into(BitVector& acc, const BitVector& d) {
-  bool changed = false;
-  for (int i = 0; i < acc.width(); ++i) {
-    if (d.bit(i) && !acc.bit(i)) {
-      acc.set_bit(i, true);
-      changed = true;
+/// Demanded bits as the demand algebra of `dfg::demand_op` and
+/// `dfg::demand_edge`: a demand is a mask as wide as the value it is on,
+/// and demands join by or.
+struct MaskOps {
+  using Value = BitVector;
+  const Graph& g;
+
+  static BitVector join(BitVector a, const BitVector& b) {
+    for (int i = 0; i < a.width(); ++i) {
+      if (b.bit(i)) a.set_bit(i, true);
     }
+    return a;
   }
-  return changed;
-}
-
-/// Demand on the *input* of resize(from_w -> to_w, sign), given demand `d`
-/// on the output. Truncation direction: bits above to_w never reach the
-/// output. Extension direction: the replicated bits all read the sign bit
-/// (signed) or the constant 0 (unsigned).
-BitVector demand_unresize(const BitVector& d, int from_w, Sign sign) {
-  const int to_w = d.width();
-  BitVector r(from_w);
-  for (int i = 0; i < std::min(from_w, to_w); ++i) r.set_bit(i, d.bit(i));
-  if (to_w > from_w && sign == Sign::Signed && from_w > 0) {
-    for (int i = from_w; i < to_w; ++i) {
-      if (d.bit(i)) {
-        r.set_bit(from_w - 1, true);
-        break;
-      }
+  /// A truncation drops the bits above d's width; the bits an extension
+  /// replicates read the sign bit (signed) or nothing (unsigned).
+  BitVector undeliver(const BitVector& d, int from, int, Sign sign) const {
+    BitVector r = d.resize(from, Sign::Unsigned);
+    if (sign == Sign::Signed && from > 0 && demand_msb1(d) > from) {
+      r.set_bit(from - 1, true);
     }
+    return r;
   }
-  return r;
-}
-
-/// Trailing zeros of the operand delivered by `other` into Mul node `n`,
-/// provable from a literal Const source alone. Structural: the constant does
-/// not move when other widths shrink.
-int const_operand_trailing_zeros(const Graph& g, const Node& n,
-                                 EdgeId other) {
-  const Edge& e = g.edge(other);
-  const Node& src = g.node(e.src);
-  if (src.kind != OpKind::Const) return 0;
-  const BitVector v =
-      dfg::deliver(src.value, src.width, e, n, dfg::BitVectorOps{}).delivered;
-  if (v.is_zero()) return n.width;  // ×0: nothing upstream is demanded
-  int tz = 0;
-  while (!v.bit(tz)) ++tz;
-  return tz;
-}
+  BitVector uncarry(const BitVector& d, int from, int to, Sign sign) const {
+    return undeliver(d, from, to, sign);
+  }
+  /// Operand bits above the highest demanded result bit cannot reach it.
+  BitVector carry(const BitVector& d, int w) const {
+    return low_mask(w, demand_msb1(d));
+  }
+  /// Column j of the product reads operand bits [0, j]; a literal Const
+  /// co-factor with t trailing zeros shifts every column up by t (a zero
+  /// one demands nothing). Structural: the constant does not move when
+  /// other widths shrink.
+  BitVector mul(const BitVector& d, const Node& n, int port) const {
+    const Edge& e = g.edge(n.in[static_cast<std::size_t>(1 - port)]);
+    const Node& src = g.node(e.src);
+    int tz = 0;
+    if (src.kind == OpKind::Const) {
+      const BitVector v =
+          dfg::deliver(src.value, src.width, e, n, dfg::BitVectorOps{})
+              .delivered;
+      tz = KnownBits::constant(v).known_trailing_zeros();
+    }
+    return low_mask(n.width, std::max(demand_msb1(d) - tz, 0));
+  }
+  BitVector shl(const BitVector& d, int s, int w) const {
+    BitVector r(w);
+    for (int i = 0; i + s < w; ++i) r.set_bit(i, d.bit(i + s));
+    return r;
+  }
+  /// Bits >= 1 of the result are structurally zero; only a demand on bit 0
+  /// reaches the operands, and then every operand bit matters.
+  BitVector compare(const BitVector& d, int w) const {
+    return !d.is_zero() && d.bit(0) ? low_mask(w, w) : BitVector(w);
+  }
+  BitVector fit(const BitVector& d, int) const { return d; }
+};
 
 // --------------------------------------------------- fact equality --
 
-bool kb_eq(const KnownBits& a, const KnownBits& b) {
-  return a.known == b.known && a.value == b.value;
-}
-
-bool itv_eq(const Interval& a, const Interval& b) {
-  if (a.valid != b.valid) return false;
-  return !a.valid || (a.lo == b.lo && a.hi == b.hi);
-}
-
+/// Equal facts; two invalid intervals are equal whatever their bounds.
 bool fact_eq(const AbsFact& a, const AbsFact& b) {
-  return kb_eq(a.bits, b.bits) && itv_eq(a.range, b.range) && a.cong == b.cong;
+  const Interval& x = a.range;
+  const Interval& y = b.range;
+  return a.bits.known == b.bits.known && a.bits.value == b.bits.value &&
+         x.valid == y.valid && (!x.valid || (x.lo == y.lo && x.hi == y.hi)) &&
+         a.cong == b.cong;
 }
 
 // ------------------------------------------------------ the engine --
@@ -297,87 +302,40 @@ struct Engine {
     return true;
   }
 
-  /// Recomputes the demand fact of one node from its consumers' edge
+  /// Recomputes the demand fact of one node from its consumers' operand
   /// demands, then pushes demand onto its own operands; returns true iff
   /// any demand mask it owns changed.
   bool visit_backward(NodeId id) {
     const Node& n = g.node(id);
+    const MaskOps ops{g};
     bool changed = false;
+    auto update = [&changed](BitVector& slot, BitVector v) {
+      if (v == slot) return;
+      slot = std::move(v);
+      changed = true;
+    };
 
-    auto& dout = r.demanded_out[static_cast<std::size_t>(id.value)];
-    if (n.kind == OpKind::Output) {
-      changed |= or_into(dout, low_mask(n.width, n.width));
-    } else {
-      BitVector join(n.width);
-      for (std::int32_t eid : c.out(id)) {
-        const Edge& e = g.edge(EdgeId{eid});
-        or_into(join, demand_unresize(r.demand_edge(EdgeId{eid}), n.width,
-                                      e.sign));
-      }
-      if (!(join == dout)) {
-        dout = join;
-        changed = true;
-      }
+    // An Output's whole value is a design output; any other node's result
+    // is demanded by its consumers.
+    BitVector dout = n.kind == OpKind::Output ? low_mask(n.width, n.width)
+                                              : BitVector(n.width);
+    for (std::int32_t eid : c.out(id)) {
+      const Edge& e = g.edge(EdgeId{eid});
+      const auto& dop = r.demanded_operand[static_cast<std::size_t>(eid)];
+      const auto d = dfg::demand_edge(dop, e, g.node(e.dst), n.width, ops);
+      dout = MaskOps::join(dout, d.at_source);
     }
-
-    if (n.in.empty()) return changed;
-
-    const int dw = demand_msb1(dout);
+    auto& dout_slot = r.demanded_out[static_cast<std::size_t>(id.value)];
+    update(dout_slot, std::move(dout));
 
     for (std::size_t port = 0; port < n.in.size(); ++port) {
-      const EdgeId eid = n.in[port];
-      const Edge& e = g.edge(eid);
-      BitVector dop(n.width);
-      switch (n.kind) {
-        case OpKind::Input:
-        case OpKind::Const:
-          break;  // no operands
-        case OpKind::Output:
-        case OpKind::Extension:
-          dop = dout;
-          break;
-        case OpKind::Add:
-        case OpKind::Sub:
-        case OpKind::Neg:
-          // Carries ripple strictly low-to-high: operand bits above the
-          // highest demanded result bit cannot reach it.
-          dop = low_mask(n.width, dw);
-          break;
-        case OpKind::Mul: {
-          // Column j of the product reads operand bits [0, j]; a constant
-          // co-factor with t trailing zeros shifts every column up by t.
-          const int tz = const_operand_trailing_zeros(
-              g, n, n.in[port == 0 ? 1 : 0]);
-          dop = low_mask(n.width, std::max(dw - tz, 0));
-          break;
-        }
-        case OpKind::Shl:
-          dop = low_mask(n.width, 0);
-          for (int i = 0; i + n.shift < n.width; ++i) {
-            dop.set_bit(i, dout.bit(i + n.shift));
-          }
-          break;
-        case OpKind::LtS:
-        case OpKind::LtU:
-        case OpKind::Eq:
-          // Bits >= 1 of the result are structurally zero; only a demand on
-          // bit 0 reaches the operands, and then every operand bit matters.
-          dop = dw >= 1 && dout.bit(0) ? low_mask(n.width, n.width)
-                                       : BitVector(n.width);
-          break;
-      }
-      auto& op_slot = r.demanded_operand[static_cast<std::size_t>(eid.value)];
-      if (!(dop == op_slot)) {
-        op_slot = dop;
-        changed = true;
-      }
-      const BitVector de =
-          demand_unresize(dop, e.width, dfg::delivery_sign(e, n));
-      auto& e_slot = r.demanded_edge[static_cast<std::size_t>(eid.value)];
-      if (!(de == e_slot)) {
-        e_slot = de;
-        changed = true;
-      }
+      const auto eid = static_cast<std::size_t>(n.in[port].value);
+      const Edge& e = g.edge(n.in[port]);
+      BitVector dop =
+          dfg::demand_op(n, static_cast<int>(port), dout_slot, ops);
+      update(r.demanded_edge[eid],
+             dfg::demand_edge(dop, e, n, g.node(e.src).width, ops).carried);
+      update(r.demanded_operand[eid], std::move(dop));
     }
     return changed;
   }
@@ -623,10 +581,11 @@ CheckReport lint_absint(const Graph& g, const analysis::InfoAnalysis* ia,
   if (rp) {
     lint_rp_fresh(g, *rp, rep);
     if (rp->at_output_port.size() == nn) {
-      // The demanded-bits transfers are pointwise at least as precise as the
-      // required-precision transfers (DESIGN.md §13 proves the inequality
-      // case by case), so demand above r(p_o) means one of the two backward
-      // analyses is unsound.
+      // Both backward analyses are dfg::demand_op / dfg::demand_edge, and
+      // each operation of the mask algebra is pointwise at least as precise
+      // as the width algebra's (DESIGN.md §13 states the inequality per
+      // operation), so demand above r(p_o) means one of the two algebras
+      // is unsound.
       for (const Node& n : g.nodes()) {
         const int dw = r.demanded_width(n.id);
         const int ro = rp->at_output_port[static_cast<std::size_t>(

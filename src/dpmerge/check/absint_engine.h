@@ -12,9 +12,10 @@
 ///     with shifts, which known-bits alone reconstructs only partially.
 ///   - **Demanded bits** (backward): which bits of each node's output can
 ///     influence any design output bit. This generalises required precision
-///     (Definition 4.1) from a single width to a mask, and every transfer is
-///     pointwise at least as precise, which is what the `rp.unsound`
-///     cross-check in `lint_absint` exploits.
+///     (Definition 4.1) from a single width to a mask: both are
+///     `dfg::demand_op` and `dfg::demand_edge`, over a mask and a width
+///     algebra, and every mask operation is pointwise at least as precise,
+///     which is what the `rp.unsound` cross-check in `lint_absint` exploits.
 ///
 /// Demand uses only the graph structure and literal Const operands, never
 /// the forward facts: an undemanded high bit could be truncated away and the
@@ -88,9 +89,6 @@ struct AbsintResult {
   }
   const BitVector& demand_out(dfg::NodeId n) const {
     return demanded_out[static_cast<std::size_t>(n.value)];
-  }
-  const BitVector& demand_edge(dfg::EdgeId e) const {
-    return demanded_edge[static_cast<std::size_t>(e.value)];
   }
   /// 1 + index of the highest demanded output bit (0 = nothing demanded).
   int demanded_width(dfg::NodeId n) const;

@@ -1,9 +1,12 @@
 #include "dpmerge/cluster/clusterer.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "dpmerge/check/check.h"
 #include "dpmerge/cluster/flatten.h"
+#include "dpmerge/dfg/eval.h"
 #include "dpmerge/obs/obs.h"
 #include "dpmerge/obs/provenance.h"
 
@@ -241,52 +244,34 @@ ClusterResult cluster_maximal(const Graph& g, const ClusterOptions& opt) {
 
 namespace {
 
-/// Width-only "natural width" of every node: what the old algorithm believes
-/// each operator needs. Deliberately *local*, in the spirit of the DAC'98
+/// The old algorithm's width-only algebra of `dfg::apply_op`: the width a
+/// result needs from its operands' widths, not bounded by w(N).
+struct NaturalWidthOps {
+  using Value = int;
+  int input(const Node& n) const { return n.width; }
+  int constant(const Node& n) const { return n.width; }
+  int neg(int a, int /*w*/) const { return a + 1; }
+  int add(int a, int b, int /*w*/) const { return std::max(a, b) + 1; }
+  int sub(int a, int b, int /*w*/) const { return std::max(a, b) + 1; }
+  int mul(int a, int b, int /*w*/) const { return a + b; }
+  int shl(int a, int s, int /*w*/) const { return a + s; }
+  int lt(int /*a*/, int /*b*/, Sign /*s*/, int /*w*/) const { return 1; }
+  int eq(int /*a*/, int /*b*/, int /*w*/) const { return 1; }
+};
+
+/// Width-only "natural width" of node `n`: what the old algorithm believes
+/// the operator needs. Deliberately *local*, in the spirit of the DAC'98
 /// leakage-of-bits criterion: an operand's width is the connection width
 /// min{w(e), w(N)} — no propagation of smaller upstream content, no
 /// signedness reasoning. This is exactly the pessimism the paper's
 /// information-content analysis removes.
-std::vector<int> natural_widths(const Graph& g) {
-  std::vector<int> nat(static_cast<std::size_t>(g.node_count()), 0);
-  for (NodeId id : g.freeze().topo) {
-    const Node& n = g.node(id);
-    auto opw = [&](int port) {
-      const Edge& e = g.edge(n.in[static_cast<std::size_t>(port)]);
-      return std::min(e.width, n.width);
-    };
-    int v = n.width;
-    switch (n.kind) {
-      case OpKind::Input:
-      case OpKind::Const:
-        v = n.width;
-        break;
-      case OpKind::Output:
-      case OpKind::Extension:
-        v = opw(0);
-        break;
-      case OpKind::Neg:
-        v = opw(0) + 1;
-        break;
-      case OpKind::Add:
-      case OpKind::Sub:
-        v = std::max(opw(0), opw(1)) + 1;
-        break;
-      case OpKind::Mul:
-        v = opw(0) + opw(1);
-        break;
-      case OpKind::Shl:
-        v = opw(0) + n.shift;
-        break;
-      case OpKind::LtS:
-      case OpKind::LtU:
-      case OpKind::Eq:
-        v = 1;
-        break;
-    }
-    nat[static_cast<std::size_t>(id.value)] = v;
+int natural_width(const Graph& g, const Node& n) {
+  std::array<int, 2> operands{};  // every operator has at most two
+  for (std::size_t p = 0; p < n.in.size(); ++p) {
+    operands[p] = std::min(g.edge(n.in[p]).width, n.width);
   }
-  return nat;
+  return dfg::apply_op(n, std::span<const int>(operands.data(), n.in.size()),
+                       NaturalWidthOps{});
 }
 
 }  // namespace
@@ -295,7 +280,6 @@ Partition cluster_leakage(const Graph& g) {
   obs::Span span("cluster.leakage");
   obs::prov::DecisionLog* plog = obs::prov::current_log();
   if (plog) plog->next_iteration();
-  const auto nat = natural_widths(g);
   const auto rp = analysis::compute_required_precision(g);
   // The width-only criterion cannot see signedness reinterpretation
   // (zero-extension of signed content); any real tool has the RTL types and
@@ -307,7 +291,7 @@ Partition cluster_leakage(const Graph& g) {
     if (!dfg::is_arith_operator(n.kind)) continue;
     bool b = n.out.empty();
     int max_r = 0;
-    const int nat_n = nat[static_cast<std::size_t>(n.id.value)];
+    const int nat_n = natural_width(g, n);
     const char* leak_reason = nullptr;
     for (EdgeId eid : n.out) {
       if (b) break;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,6 +90,79 @@ typename Ops::Value apply_op(
       return ops.eq(operands[0], operands[1], n.width);
   }
   return ops.input(n);
+}
+
+// The DFG's backward semantics, stated once over a demand algebra `ops`: a
+// demand on a value says which of its bits can reach a design output.
+// `demand_edge` carries the demand on a delivered operand back across the
+// edge's two resizes, and `demand_op` carries the demand on a node's result
+// back to one operand. Required precision (a width) and absint's demanded
+// bits (a mask) instantiate them (DESIGN.md §5). An algebra names its
+// demand type `Value` and supplies, for d the demand on a w-bit result,
+//
+//   undeliver(d, w_e, w_dst, sign)  on carried(e), d on the delivered operand
+//   uncarry(d, w_src, w_e, sign)    on the source's result, d on carried(e)
+//   carry(d, w) for Add/Sub/Neg, mul(d, n, port), shl(d, s, w),
+//   compare(d, w) for comparators, and fit(d, w), d on a w-bit operand.
+
+template <class D>
+struct EdgeDemand {
+  D carried;    ///< on carried(e)
+  D at_source;  ///< e's share of the demand on its source's result
+};
+
+/// What edge `e` into `dst` demands of carried(e) and of its `src_width`-bit
+/// source, given the demand `d_operand` on the operand it delivers: the
+/// second resize undone with its delivery sign, then the first with t(e).
+template <class Ops>
+EdgeDemand<typename Ops::Value> demand_edge(
+    const typename Ops::Value& d_operand, const Edge& e, const Node& dst,
+    int src_width, const Ops& ops) {
+  typename Ops::Value carried = ops.undeliver(d_operand, e.width, dst.width,
+                                              delivery_sign(e, dst));
+  typename Ops::Value at_source =
+      ops.uncarry(carried, src_width, e.width, e.sign);
+  return {std::move(carried), std::move(at_source)};
+}
+
+namespace detail {
+
+/// `apply_op`'s dispatch read backward: every operand slot holds the demand
+/// on the result of `n` (an Output or Extension passes it on), and each
+/// operator returns the demand on its operand `port`.
+template <class Ops>
+struct OperandDemand {
+  using Value = typename Ops::Value;
+  using V = Value;
+  const Ops& ops;
+  const Node& n;
+  int port;
+  const V& d_out;
+
+  V input(const Node&) const { return d_out; }
+  V constant(const Node&) const { return d_out; }
+  V neg(const V& d, int w) const { return ops.carry(d, w); }
+  V add(const V& d, const V&, int w) const { return ops.carry(d, w); }
+  V sub(const V& d, const V&, int w) const { return ops.carry(d, w); }
+  V mul(const V& d, const V&, int) const { return ops.mul(d, n, port); }
+  V shl(const V& d, int s, int w) const { return ops.shl(d, s, w); }
+  V lt(const V& d, const V&, Sign, int w) const { return ops.compare(d, w); }
+  V eq(const V& d, const V&, int w) const { return ops.compare(d, w); }
+};
+
+}  // namespace detail
+
+/// The demand on operand `port` of node `n`, given the demand `d_out` on
+/// its result (for an Input or Const, `fit(d_out)`). The dispatch is
+/// `apply_op`'s, so a new operator kind needs no case here.
+template <class Ops>
+typename Ops::Value demand_op(const Node& n, int port,
+                              const typename Ops::Value& d_out,
+                              const Ops& ops) {
+  const std::array<typename Ops::Value, 2> slots{d_out, d_out};
+  return ops.fit(apply_op(n, std::span<const typename Ops::Value>(slots),
+                          detail::OperandDemand<Ops>{ops, n, port, d_out}),
+                 n.width);
 }
 
 /// The concrete algebra: two's-complement bit vectors, for `Evaluator` and

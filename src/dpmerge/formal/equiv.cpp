@@ -278,23 +278,20 @@ namespace {
 EquivResult compare_words(Bdd& m, const SymbolicInputs& in,
                           const std::string& name, const Word& expect,
                           const Word& got) {
-  EquivResult res;
   if (expect.width() != got.width()) {
-    res.status = EquivResult::Status::Different;
-    res.detail = "output '" + name + "' width mismatch";
-    return res;
+    return {EquivResult::Status::Different,
+            "output '" + name + "' width mismatch"};
   }
   for (int i = 0; i < expect.width(); ++i) {
     const Bdd::Ref diff = m.bdd_xor(expect.bits[static_cast<std::size_t>(i)],
                                     got.bits[static_cast<std::size_t>(i)]);
     if (diff != Bdd::kFalse) {
-      res.status = EquivResult::Status::Different;
-      res.detail = "output '" + name + "' bit " + std::to_string(i) +
-                   " differs; witness:" + in.witness(m, diff);
-      return res;
+      return {EquivResult::Status::Different,
+              "output '" + name + "' bit " + std::to_string(i) +
+                  " differs; witness:" + in.witness(m, diff)};
     }
   }
-  return res;
+  return {};
 }
 
 }  // namespace
@@ -314,20 +311,15 @@ EquivResult check_netlist_vs_graph(const Netlist& n, const Graph& g,
         if (nm == name) got = &w;
       }
       if (!got) {
-        EquivResult r;
-        r.status = EquivResult::Status::Different;
-        r.detail = "netlist has no output '" + name + "'";
-        return r;
+        return {EquivResult::Status::Different,
+                "netlist has no output '" + name + "'"};
       }
       const EquivResult r = compare_words(m, in, name, expect, *got);
       if (!r.equivalent()) return r;
     }
     return {};
   } catch (const BddLimitExceeded&) {
-    EquivResult r;
-    r.status = EquivResult::Status::ResourceLimit;
-    r.detail = "BDD node limit exceeded";
-    return r;
+    return {EquivResult::Status::ResourceLimit, "BDD node limit exceeded"};
   }
 }
 
@@ -345,10 +337,8 @@ EquivResult check_graph_vs_graph(const Graph& a, const Graph& b,
         if (b.name(cand) == name) ob = cand;
       }
       if (!ob.valid()) {
-        EquivResult r;
-        r.status = EquivResult::Status::Different;
-        r.detail = "second graph has no output '" + name + "'";
-        return r;
+        return {EquivResult::Status::Different,
+                "second graph has no output '" + name + "'"};
       }
       const EquivResult r =
           compare_words(m, in, name, va[static_cast<std::size_t>(oa.value)],
@@ -357,10 +347,7 @@ EquivResult check_graph_vs_graph(const Graph& a, const Graph& b,
     }
     return {};
   } catch (const BddLimitExceeded&) {
-    EquivResult r;
-    r.status = EquivResult::Status::ResourceLimit;
-    r.detail = "BDD node limit exceeded";
-    return r;
+    return {EquivResult::Status::ResourceLimit, "BDD node limit exceeded"};
   }
 }
 

@@ -30,11 +30,21 @@ int power_of_two(const BitVector& v) {
   return k;
 }
 
-bool all_ones(const BitVector& v) {
-  for (int i = 0; i < v.width(); ++i) {
-    if (!v.bit(i)) return false;
+/// Appends a copy of `n` to `ng`, reading its operands' sources through
+/// `map` (old node id -> new node id).
+NodeId copy_node(const Graph& g, const Node& n, const std::vector<NodeId>& map,
+                 Graph& ng) {
+  const NodeId nn = n.kind == OpKind::Const
+                        ? ng.add_const(n.value, g.name(n))
+                        : ng.add_node(n.kind, n.width, g.name(n));
+  ng.set_node_ext_sign(nn, n.ext_sign);
+  ng.set_node_shift(nn, n.shift);
+  for (std::size_t p = 0; p < n.in.size(); ++p) {
+    const Edge& e = g.edge(n.in[p]);
+    ng.add_edge(map[static_cast<std::size_t>(e.src.value)], nn,
+                static_cast<int>(p), e.width, e.sign);
   }
-  return v.width() > 0;
+  return nn;
 }
 
 /// Keep only nodes that reach an output (inputs always stay — they are the
@@ -55,17 +65,7 @@ Graph eliminate_dead(const Graph& g) {
   for (NodeId id : g.freeze().topo) {
     const Node& n = g.node(id);
     if (!live[static_cast<std::size_t>(id.value)]) continue;
-    const NodeId nn = n.kind == OpKind::Const
-                          ? ng.add_const(n.value, g.name(n))
-                          : ng.add_node(n.kind, n.width, g.name(n));
-    ng.set_node_ext_sign(nn, n.ext_sign);
-    ng.set_node_shift(nn, n.shift);
-    for (std::size_t p = 0; p < n.in.size(); ++p) {
-      const Edge& e = g.edge(n.in[p]);
-      ng.add_edge(map[static_cast<std::size_t>(e.src.value)], nn,
-                  static_cast<int>(p), e.width, e.sign);
-    }
-    map[static_cast<std::size_t>(id.value)] = nn;
+    map[static_cast<std::size_t>(id.value)] = copy_node(g, n, map, ng);
   }
   return ng;
 }
@@ -121,19 +121,7 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
       }
       slot = cur;
     };
-    auto clone = [&] {
-      const NodeId nn = n.kind == OpKind::Const
-                            ? ng.add_const(n.value, g.name(n))
-                            : ng.add_node(n.kind, n.width, g.name(n));
-      ng.set_node_ext_sign(nn, n.ext_sign);
-      ng.set_node_shift(nn, n.shift);
-      for (std::size_t p = 0; p < n.in.size(); ++p) {
-        const Edge& e = g.edge(n.in[p]);
-        ng.add_edge(map[static_cast<std::size_t>(e.src.value)], nn,
-                    static_cast<int>(p), e.width, e.sign);
-      }
-      slot = nn;
-    };
+    auto clone = [&] { slot = copy_node(g, n, map, ng); };
 
     switch (n.kind) {
       case OpKind::Const:
@@ -183,7 +171,7 @@ Graph fold_constants(const Graph& g, FoldStats* stats) {
           make_identity(other);
           break;
         }
-        if (all_ones(*v)) {  // delivered -1 (mod 2^w)
+        if (!v->empty() && v->bit_not().is_zero()) {  // delivered -1
           ++local.strength_reduced;
           const Edge& e = g.edge(n.in[static_cast<std::size_t>(other)]);
           const NodeId neg = ng.add_node(OpKind::Neg, n.width);

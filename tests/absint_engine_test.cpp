@@ -1,14 +1,18 @@
 // Property and unit tests for the bidirectional fixpoint engine
 // (check::compute_absint): the forward product domain (known bits x
 // intervals x congruences) must contain every concrete value, and the
-// backward demanded-bits results must stay within required precision. The
-// lint built on top (check::lint_absint) must be clean on the paper designs
-// and a 500-seed fuzz corpus.
+// backward demanded-bits results must stay within required precision and
+// leave every undemanded bit unobservable. The lint built on top
+// (check::lint_absint) must be clean on the paper designs and a 500-seed
+// fuzz corpus.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "dpmerge/analysis/info_content.h"
 #include "dpmerge/analysis/required_precision.h"
@@ -19,6 +23,7 @@
 #include "dpmerge/dfg/io.h"
 #include "dpmerge/dfg/random_graph.h"
 #include "dpmerge/obs/json.h"
+#include "dfg_oracle.h"
 
 namespace dpmerge {
 namespace {
@@ -66,19 +71,107 @@ TEST(AbsintEngineProperty, ContainsEveryConcreteValue) {
 
 // Demanded bits generalise required precision: the demanded width can only
 // be tighter, never wider (rp.unsound's inequality, DESIGN.md §13).
+// Each seed is checked raw and with sign-flipping Extension nodes before
+// its outputs, whose t(N) differs from the t(e) of the edge into them.
 TEST(AbsintEngineProperty, DemandedWidthNeverExceedsRequiredPrecision) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(seed * 1099511628211ull + 11);
-    const Graph g = dfg::random_graph(rng, fuzz_options(seed));
-    const auto r = check::compute_absint(g);
-    const auto rp = analysis::compute_required_precision(g);
-    for (const auto& n : g.nodes()) {
-      EXPECT_LE(r.demanded_width(n.id), rp.r_out(n.id))
-          << "seed " << seed << " node " << n.id.value << " ("
-          << dfg::to_string(n.kind) << ")";
+    const Graph raw = dfg::random_graph(rng, fuzz_options(seed));
+    for (const Graph& g :
+         {raw, dfg::oracle::with_sign_flipping_extensions(raw)}) {
+      const auto r = check::compute_absint(g);
+      const auto rp = analysis::compute_required_precision(g);
+      for (const auto& n : g.nodes()) {
+        EXPECT_LE(r.demanded_width(n.id), rp.r_out(n.id))
+            << "seed " << seed << " node " << n.id.value << " ("
+            << dfg::to_string(n.kind) << ")";
+      }
     }
   }
 }
+
+/// The design outputs of `g` on `inputs`, computed with `dfg::deliver` and
+/// `dfg::apply_op` over `BitVectorOps`, with `flip` XORed into the result of
+/// node `at` before any consumer reads it.
+std::vector<BitVector> outputs_with_flip(const Graph& g,
+                                         const std::vector<BitVector>& inputs,
+                                         NodeId at, const BitVector& flip) {
+  std::vector<BitVector> val(static_cast<std::size_t>(g.node_count()));
+  for (std::size_t i = 0; i < g.inputs().size(); ++i) {
+    val[static_cast<std::size_t>(g.inputs()[i].value)] = inputs[i];
+  }
+  std::array<BitVector, 2> operands;
+  for (const NodeId id : g.freeze().topo) {
+    const dfg::Node& n = g.node(id);
+    BitVector& v = val[static_cast<std::size_t>(id.value)];
+    if (n.kind != OpKind::Input) {
+      for (std::size_t p = 0; p < n.in.size(); ++p) {
+        const dfg::Edge& e = g.edge(n.in[p]);
+        const BitVector& src = val[static_cast<std::size_t>(e.src.value)];
+        operands[p] =
+            dfg::deliver(src, src.width(), e, n, dfg::BitVectorOps{}).delivered;
+      }
+      v = dfg::apply_op(
+          n, std::span<const BitVector>(operands.data(), n.in.size()),
+          dfg::BitVectorOps{});
+    }
+    if (id == at) {
+      for (int i = 0; i < flip.width(); ++i) {
+        if (flip.bit(i)) v.set_bit(i, !v.bit(i));
+      }
+    }
+  }
+  std::vector<BitVector> outs;
+  for (const NodeId o : g.outputs()) {
+    outs.push_back(val[static_cast<std::size_t>(o.value)]);
+  }
+  return outs;
+}
+
+// Demanded bits claim that a node's undemanded result bits cannot reach any
+// design output. Checked against the concrete semantics, not the demand
+// transfers: XORing random garbage into exactly those bits of one node's
+// result leaves every Output as it was. Each random graph is also checked
+// with sign-flipping Extension nodes before its outputs.
+class DemandSoundness : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DemandSoundness, UndemandedBitsAreUnobservable) {
+  constexpr std::uint64_t kGraphsPerSeed = 25;
+  for (std::uint64_t k = 0; k < kGraphsPerSeed; ++k) {
+    const std::uint64_t seed = GetParam() * kGraphsPerSeed + k;
+    Rng rng(seed * 0x2545f4914f6cdd1dull + 3);
+    const Graph raw = dfg::random_graph(rng, fuzz_options(seed));
+    for (const Graph& g :
+         {raw, dfg::oracle::with_sign_flipping_extensions(raw)}) {
+      const auto r = check::compute_absint(g);
+      const dfg::Evaluator ev(g);
+      for (int trial = 0; trial < 4; ++trial) {
+        const auto inputs = ev.random_inputs(rng);
+        const auto expect = ev.run_outputs(inputs);
+        for (const auto& n : g.nodes()) {
+          const BitVector& demanded = r.demand_out(n.id);
+          BitVector flip = rng.bits(n.width);
+          for (int i = 0; i < n.width; ++i) {
+            if (demanded.bit(i)) flip.set_bit(i, false);
+          }
+          if (flip.is_zero()) continue;
+          const auto got = outputs_with_flip(g, inputs, n.id, flip);
+          for (std::size_t o = 0; o < got.size(); ++o) {
+            EXPECT_EQ(got[o], expect[o])
+                << "seed " << seed << " node " << n.id.value << " ("
+                << dfg::to_string(n.kind) << ") flip " << flip.to_string()
+                << " demanded " << demanded.to_string() << " output " << o
+                << ": " << got[o].to_string() << " != "
+                << expect[o].to_string();
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DemandSoundness,
+                         ::testing::Range<std::uint64_t>(0, 8));
 
 TEST(AbsintEngineLint, CleanOnPaperDesigns) {
   for (const auto& tc : designs::all_testcases()) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "dpmerge/analysis/required_precision.h"
 #include "dpmerge/check/absint_engine.h"
 #include "dpmerge/designs/kernels.h"
 #include "dpmerge/designs/testcases.h"
@@ -306,6 +307,65 @@ TEST(RegressionLock, AbsintFactsUnchanged) {
   }
   EXPECT_EQ(all.hex(), "a1a12cb2a4baa368") << "random graphs";
   EXPECT_EQ(flipped.hex(), "8eb370bdb9db323c")
+      << "random graphs, sign-flipping extensions";
+}
+
+/// Runs required precision on `g` and digests r(p_o) and r(p_i) of every
+/// node.
+std::string rp_digest(const dfg::Graph& g) {
+  const analysis::RequiredPrecision rp =
+      analysis::compute_required_precision(g);
+  Fnv1a f;
+  for (const int r : rp.at_output_port) f.add(r);
+  for (const int r : rp.at_input_port) f.add(r);
+  return f.hex();
+}
+
+TEST(RegressionLock, RequiredPrecisionUnchanged) {
+  // Definition 4.1 on the raw graphs of the paper's testcases, the DSP
+  // kernels and seeded random graphs, each random graph also with
+  // sign-flipping Extension nodes before its outputs: an edit to a backward
+  // transfer of the width algebra that moves one r shows here.
+  struct Digest {
+    const char* name;
+    const char* digest;
+  };
+  constexpr Digest kDesigns[] = {
+      {"D1", "ad7376dfc8dd9705"},          {"D2", "49c9e816b61c97a1"},
+      {"D3", "ee15ac7105ba5325"},          {"D4", "ab4f7d8aeb7cade5"},
+      {"D5", "d6c9f9215612ca19"},          {"fir8", "ae11181da900211e"},
+      {"biquad", "e22b58a5d1b46ef7"},      {"complex_mul", "44ce405030cfe6e5"},
+      {"dct4", "69a04f87399f4d65"},        {"matvec3", "27d9a53e0c2515e7"},
+      {"checksum8", "4c92c5fbb110af6f"},
+  };
+  std::vector<std::pair<std::string, const dfg::Graph*>> graphs;
+  const auto cases = designs::all_testcases();
+  const auto kernels = designs::dsp_kernels();
+  for (const auto& tc : cases) graphs.emplace_back(tc.name, &tc.graph);
+  for (const auto& k : kernels) graphs.emplace_back(k.name, &k.graph);
+  ASSERT_EQ(graphs.size(), std::size(kDesigns));
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ASSERT_EQ(graphs[i].first, kDesigns[i].name);
+    EXPECT_EQ(rp_digest(*graphs[i].second), kDesigns[i].digest)
+        << graphs[i].first;
+  }
+
+  Fnv1a all;
+  Fnv1a flipped;
+  auto digest_into = [](Fnv1a& f, const dfg::Graph& g) {
+    for (const char c : rp_digest(g)) f.byte(static_cast<unsigned char>(c));
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    dfg::RandomGraphOptions opt;
+    opt.num_operators = 24;
+    opt.max_width = 24;
+    const dfg::Graph g = dfg::random_graph(rng, opt);
+    digest_into(all, g);
+    digest_into(flipped, dfg::oracle::with_sign_flipping_extensions(g));
+  }
+  EXPECT_EQ(all.hex(), "d05e6c9f30c2a08f") << "random graphs";
+  EXPECT_EQ(flipped.hex(), "6201a297e15fe163")
       << "random graphs, sign-flipping extensions";
 }
 

@@ -93,34 +93,39 @@ TEST(RequiredPrecision, Figure1Is9Or7) {
 
 // Soundness property: forcing the bits above r(p_o) of any node's result to
 // arbitrary values (by truncating to r and re-extending with either sign)
-// never changes any primary output.
+// never changes any primary output. Each random graph is also checked with
+// sign-flipping Extension nodes before its outputs, whose t(N) differs from
+// the t(e) of the edge into them.
 class RpSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RpSoundness, HighBitsAreSuperfluous) {
   Rng rng(GetParam());
-  const Graph g = dfg::random_graph(rng);
-  const auto rp = compute_required_precision(g);
-  dfg::Evaluator ev(g);
+  const Graph raw = dfg::random_graph(rng);
+  for (const Graph& g :
+       {raw, dfg::oracle::with_sign_flipping_extensions(raw)}) {
+    const auto rp = compute_required_precision(g);
 
-  for (const auto& n : g.nodes()) {
-    if (!dfg::is_operator(n.kind) && n.kind != dfg::OpKind::Input) continue;
-    const int r = rp.r_out(n.id);
-    if (r >= n.width || r == 0) continue;
-    for (Sign garbage : {Sign::Unsigned, Sign::Signed}) {
-      // Mutated copy: truncate n's result to r bits, then re-extend with
-      // `garbage` sign; consumers read through the re-extension.
-      Graph m = g;
-      // Each call moves a copy of the node's whole fanout.
-      const NodeId trunc = m.insert_extension_retarget(
-          n.id, r, garbage, std::vector<dfg::EdgeId>(m.node(n.id).out));
-      m.insert_extension_retarget(trunc, n.width, garbage,
-                                  std::vector<dfg::EdgeId>(m.node(trunc).out));
-      ASSERT_TRUE(m.validate().empty());
-      Rng stim_rng(GetParam() ^ 0x9e3779b9);
-      std::string why;
-      EXPECT_TRUE(equivalent_by_simulation(g, m, 24, stim_rng, &why))
-          << "node " << n.id.value << " r=" << r << " w=" << n.width << ": "
-          << why;
+    for (const auto& n : g.nodes()) {
+      if (!dfg::is_operator(n.kind) && n.kind != dfg::OpKind::Input) continue;
+      const int r = rp.r_out(n.id);
+      if (r >= n.width || r == 0) continue;
+      for (Sign garbage : {Sign::Unsigned, Sign::Signed}) {
+        // Mutated copy: truncate n's result to r bits, then re-extend with
+        // `garbage` sign; consumers read through the re-extension.
+        Graph m = g;
+        // Each call moves a copy of the node's whole fanout.
+        const NodeId trunc = m.insert_extension_retarget(
+            n.id, r, garbage, std::vector<dfg::EdgeId>(m.node(n.id).out));
+        m.insert_extension_retarget(
+            trunc, n.width, garbage,
+            std::vector<dfg::EdgeId>(m.node(trunc).out));
+        ASSERT_TRUE(m.validate().empty());
+        Rng stim_rng(GetParam() ^ 0x9e3779b9);
+        std::string why;
+        EXPECT_TRUE(equivalent_by_simulation(g, m, 24, stim_rng, &why))
+            << "node " << n.id.value << " r=" << r << " w=" << n.width << ": "
+            << why;
+      }
     }
   }
 }
