@@ -8,28 +8,6 @@
 
 namespace dpmerge::analysis {
 
-namespace {
-
-/// Definition 4.1 as the demand algebra of `dfg::demand_op` and
-/// `dfg::demand_edge`: a demand is the number r of low bits required, and
-/// demands join by max. w(N) bounds a node's input ports (`fit`: r(p_i) =
-/// min{r(p_o), w(N)}), never its output port, which only the edges bound: a
-/// 7-bit node read through a 9-bit edge has r(p_o) = 9, so `uncarry` is the
-/// identity. A Shl operand bit k lands at k + shift, and every operand bit
-/// of a comparator reaches its 1-bit result.
-struct WidthOps {
-  using Value = int;
-  int undeliver(int d, int w_e, int, Sign) const { return std::min(d, w_e); }
-  int uncarry(int d, int, int, Sign) const { return d; }
-  int carry(int d, int) const { return d; }
-  int mul(int d, const dfg::Node&, int) const { return d; }
-  int shl(int d, int s, int) const { return std::max(d - s, 0); }
-  int compare(int d, int w) const { return d >= 1 ? w : 0; }
-  int fit(int d, int w) const { return std::min(d, w); }
-};
-
-}  // namespace
-
 RequiredPrecision compute_required_precision(const dfg::Graph& g,
                                              int /*threads*/) {
   obs::Span span("analysis.required_precision");

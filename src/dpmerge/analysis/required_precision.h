@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -35,10 +36,29 @@ struct RequiredPrecision {
   }
 };
 
+/// Definition 4.1 as the demand algebra of `dfg::demand_op` and
+/// `dfg::demand_edge`: a demand is the number r of low bits required, and
+/// demands join by max. w(N) bounds a node's input ports (`fit`: r(p_i) =
+/// min{r(p_o), w(N)}), never its output port, which only the edges bound: a
+/// 7-bit node read through a 9-bit edge has r(p_o) = 9, so `uncarry` is the
+/// identity. A Shl operand bit k lands at k + shift, and every operand bit
+/// of a comparator reaches its 1-bit result. The abstract interpreter's
+/// demanded widths (`check::compute_absint`) are this algebra with a
+/// tighter `uncarry` and `mul`.
+struct WidthOps {
+  using Value = int;
+  int undeliver(int d, int w_e, int, Sign) const { return std::min(d, w_e); }
+  int uncarry(int d, int, int, Sign) const { return d; }
+  int carry(int d, int) const { return d; }
+  int mul(int d, const dfg::Node&, int) const { return d; }
+  int shl(int d, int s, int) const { return std::max(d - s, 0); }
+  int compare(int d, int w) const { return d >= 1 ? w : 0; }
+  int fit(int d, int w) const { return std::min(d, w); }
+};
+
 /// Computes required precision for all ports by a single reverse-topological
 /// sweep over the graph's frozen CSR view, O(V + E): the DFG's backward
-/// semantics (`dfg::demand_op`, `dfg::demand_edge`) over a width algebra,
-/// whose bit-mask counterpart is the abstract interpreter's demanded bits.
+/// semantics (`dfg::demand_op`, `dfg::demand_edge`) over `WidthOps`.
 /// `threads` is accepted and ignored; output and work are
 /// width-independent.
 RequiredPrecision compute_required_precision(const dfg::Graph& g,

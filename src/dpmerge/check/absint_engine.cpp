@@ -17,7 +17,6 @@ namespace dpmerge::check {
 namespace {
 
 using dfg::Edge;
-using dfg::EdgeId;
 using dfg::Graph;
 using dfg::Node;
 using dfg::NodeId;
@@ -147,7 +146,7 @@ AbsFact bool_fact(Tri t, int w) {
 
 /// The forward algebra of `dfg::deliver` and `dfg::apply_op`: each
 /// operation runs the three domains' transfers side by side. A resize is
-/// reduced at once; an operator's result is reduced by the engine.
+/// reduced at once; an operator's result is reduced by the forward sweep.
 struct FactOps {
   using Value = AbsFact;
   AbsFact resize(const AbsFact& f, int from, int to, Sign sign) const {
@@ -190,191 +189,27 @@ struct FactOps {
 
 // ------------------------------------------------- demand algebra --
 
-/// 1 + the highest demanded bit of `d`; 0 when nothing is demanded.
-int demand_msb1(const BitVector& d) {
-  return d.min_extension_width(Sign::Unsigned);
-}
-
-/// The low min(k, w) bits of a w-bit mask.
-BitVector low_mask(int w, int k) {
-  return BitVector::from_int(std::min(k, w), -1).resize(w, Sign::Unsigned);
-}
-
-/// Demanded bits as the demand algebra of `dfg::demand_op` and
-/// `dfg::demand_edge`: a demand is a mask as wide as the value it is on,
-/// and demands join by or.
-struct MaskOps {
-  using Value = BitVector;
+/// Demanded bits as a width: the low d bits of a value can reach a design
+/// output and no bit above them can. Required precision's algebra with two
+/// rules that are pointwise <= its own (DESIGN.md §13), which is what the
+/// `rp.unsound` cross-check in `lint_absint` exploits.
+struct DemandedWidthOps : analysis::WidthOps {
   const Graph& g;
 
-  static BitVector join(BitVector a, const BitVector& b) {
-    for (int i = 0; i < a.width(); ++i) {
-      if (b.bit(i)) a.set_bit(i, true);
-    }
-    return a;
-  }
-  /// A truncation drops the bits above d's width; the bits an extension
-  /// replicates read the sign bit (signed) or nothing (unsigned).
-  BitVector undeliver(const BitVector& d, int from, int, Sign sign) const {
-    BitVector r = d.resize(from, Sign::Unsigned);
-    if (sign == Sign::Signed && from > 0 && demand_msb1(d) > from) {
-      r.set_bit(from - 1, true);
-    }
-    return r;
-  }
-  BitVector uncarry(const BitVector& d, int from, int to, Sign sign) const {
-    return undeliver(d, from, to, sign);
-  }
-  /// Operand bits above the highest demanded result bit cannot reach it.
-  BitVector carry(const BitVector& d, int w) const {
-    return low_mask(w, demand_msb1(d));
-  }
+  /// A value has no bits above its width.
+  int uncarry(int d, int from, int, Sign) const { return std::min(d, from); }
   /// Column j of the product reads operand bits [0, j]; a literal Const
   /// co-factor with t trailing zeros shifts every column up by t (a zero
   /// one demands nothing). Structural: the constant does not move when
   /// other widths shrink.
-  BitVector mul(const BitVector& d, const Node& n, int port) const {
+  int mul(int d, const Node& n, int port) const {
     const Edge& e = g.edge(n.in[static_cast<std::size_t>(1 - port)]);
     const Node& src = g.node(e.src);
-    int tz = 0;
-    if (src.kind == OpKind::Const) {
-      const BitVector v =
-          dfg::deliver(src.value, src.width, e, n, dfg::BitVectorOps{})
-              .delivered;
-      tz = KnownBits::constant(v).known_trailing_zeros();
-    }
-    return low_mask(n.width, std::max(demand_msb1(d) - tz, 0));
-  }
-  BitVector shl(const BitVector& d, int s, int w) const {
-    BitVector r(w);
-    for (int i = 0; i + s < w; ++i) r.set_bit(i, d.bit(i + s));
-    return r;
-  }
-  /// Bits >= 1 of the result are structurally zero; only a demand on bit 0
-  /// reaches the operands, and then every operand bit matters.
-  BitVector compare(const BitVector& d, int w) const {
-    return !d.is_zero() && d.bit(0) ? low_mask(w, w) : BitVector(w);
-  }
-  BitVector fit(const BitVector& d, int) const { return d; }
-};
-
-// --------------------------------------------------- fact equality --
-
-/// Equal facts; two invalid intervals are equal whatever their bounds.
-bool fact_eq(const AbsFact& a, const AbsFact& b) {
-  const Interval& x = a.range;
-  const Interval& y = b.range;
-  return a.bits.known == b.bits.known && a.bits.value == b.bits.value &&
-         x.valid == y.valid && (!x.valid || (x.lo == y.lo && x.hi == y.hi)) &&
-         a.cong == b.cong;
-}
-
-// ------------------------------------------------------ the engine --
-
-struct Engine {
-  const Graph& g;
-  const dfg::Csr& c;
-  AbsintResult& r;
-
-  /// Recomputes the forward fact of one node from its predecessors' output
-  /// facts; returns true iff the node's output fact changed.
-  bool visit_forward(NodeId id) {
-    const Node& n = g.node(id);
-    std::array<AbsFact, 2> operands;  // every operator has at most two
-    for (std::size_t p = 0; p < n.in.size(); ++p) {
-      const Edge& e = g.edge(n.in[p]);
-      auto d = dfg::deliver(r.out(e.src), g.node(e.src).width, e, n,
-                            FactOps{});
-      r.at_edge[static_cast<std::size_t>(n.in[p].value)] =
-          std::move(d.carried);
-      operands[p] = std::move(d.delivered);
-    }
-    AbsFact out = dfg::apply_op(
-        n, std::span<const AbsFact>(operands.data(), n.in.size()), FactOps{});
-    reduce(out);
-    for (std::size_t p = 0; p < n.in.size(); ++p) {
-      r.at_operand[static_cast<std::size_t>(n.in[p].value)] =
-          std::move(operands[p]);
-    }
-    auto& slot = r.at_output_port[static_cast<std::size_t>(id.value)];
-    if (fact_eq(slot, out)) return false;
-    slot = out;
-    return true;
-  }
-
-  /// Recomputes the demand fact of one node from its consumers' operand
-  /// demands, then pushes demand onto its own operands; returns true iff
-  /// any demand mask it owns changed.
-  bool visit_backward(NodeId id) {
-    const Node& n = g.node(id);
-    const MaskOps ops{g};
-    bool changed = false;
-    auto update = [&changed](BitVector& slot, BitVector v) {
-      if (v == slot) return;
-      slot = std::move(v);
-      changed = true;
-    };
-
-    // An Output's whole value is a design output; any other node's result
-    // is demanded by its consumers.
-    BitVector dout = n.kind == OpKind::Output ? low_mask(n.width, n.width)
-                                              : BitVector(n.width);
-    for (std::int32_t eid : c.out(id)) {
-      const Edge& e = g.edge(EdgeId{eid});
-      const auto& dop = r.demanded_operand[static_cast<std::size_t>(eid)];
-      const auto d = dfg::demand_edge(dop, e, g.node(e.dst), n.width, ops);
-      dout = MaskOps::join(dout, d.at_source);
-    }
-    auto& dout_slot = r.demanded_out[static_cast<std::size_t>(id.value)];
-    update(dout_slot, std::move(dout));
-
-    for (std::size_t port = 0; port < n.in.size(); ++port) {
-      const auto eid = static_cast<std::size_t>(n.in[port].value);
-      const Edge& e = g.edge(n.in[port]);
-      BitVector dop =
-          dfg::demand_op(n, static_cast<int>(port), dout_slot, ops);
-      update(r.demanded_edge[eid],
-             dfg::demand_edge(dop, e, n, g.node(e.src).width, ops).carried);
-      update(r.demanded_operand[eid], std::move(dop));
-    }
-    return changed;
-  }
-
-  /// One directional worklist pass: nodes are drained in dependency order
-  /// (topo-position priority); a change requeues the dependent side, which
-  /// is always later in the drain order, so each pass reaches its
-  /// directional fixpoint in a single drain on a DAG.
-  bool forward_pass() {
-    std::vector<char> dirty(static_cast<std::size_t>(c.num_nodes), 1);
-    bool any = false;
-    for (NodeId id : c.topo) {
-      if (!dirty[static_cast<std::size_t>(id.value)]) continue;
-      dirty[static_cast<std::size_t>(id.value)] = 0;
-      if (visit_forward(id)) {
-        any = true;
-        for (std::int32_t eid : c.out(id)) {
-          dirty[static_cast<std::size_t>(g.edge(EdgeId{eid}).dst.value)] = 1;
-        }
-      }
-    }
-    return any;
-  }
-
-  bool backward_pass() {
-    std::vector<char> dirty(static_cast<std::size_t>(c.num_nodes), 1);
-    bool any = false;
-    for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) {
-      const NodeId id = *it;
-      if (!dirty[static_cast<std::size_t>(id.value)]) continue;
-      dirty[static_cast<std::size_t>(id.value)] = 0;
-      if (visit_backward(id)) {
-        any = true;
-        for (EdgeId eid : g.node(id).in) {
-          dirty[static_cast<std::size_t>(g.edge(eid).src.value)] = 1;
-        }
-      }
-    }
-    return any;
+    if (src.kind != OpKind::Const) return d;
+    const BitVector v =
+        dfg::deliver(src.value, src.width, e, n, dfg::BitVectorOps{})
+            .delivered;
+    return std::max(d - KnownBits::constant(v).known_trailing_zeros(), 0);
   }
 };
 
@@ -427,40 +262,64 @@ bool contains(const AbsFact& f, const BitVector& v) {
   return true;
 }
 
-int AbsintResult::demanded_width(dfg::NodeId n) const {
-  return demand_msb1(demand_out(n));
-}
-
-// ---------------------------------------------------------- fixpoint --
+// ------------------------------------------------------------ sweeps --
 
 AbsintResult compute_absint(const Graph& g) {
   obs::Span span("check.absint2");
   obs::stat_add("check.absint2.runs");
   const dfg::Csr& c = g.freeze();
-  AbsintResult r;
   const auto nn = static_cast<std::size_t>(g.node_count());
   const auto ne = static_cast<std::size_t>(g.edge_count());
-  r.at_output_port.reserve(nn);
-  for (const Node& n : g.nodes()) {
-    r.at_output_port.push_back(AbsFact::top(n.width));
-    r.demanded_out.emplace_back(n.width);
-  }
-  r.at_edge.reserve(ne);
-  for (const Edge& e : g.edges()) {
-    r.at_edge.push_back(AbsFact::top(e.width));
-    r.at_operand.push_back(AbsFact::top(g.node(e.dst).width));
-    r.demanded_edge.emplace_back(e.width);
-    r.demanded_operand.emplace_back(g.node(e.dst).width);
+  AbsintResult r;
+  r.at_output_port.resize(nn);
+  r.at_edge.resize(ne);
+  r.at_operand.resize(ne);
+
+  // Forward, producers before consumers: every source fact is final when
+  // an edge reads it.
+  for (NodeId id : c.topo) {
+    const Node& n = g.node(id);
+    std::array<AbsFact, 2> operands;  // every operator has at most two
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      const Edge& e = g.edge(n.in[p]);
+      auto d = dfg::deliver(r.out(e.src), g.node(e.src).width, e, n,
+                            FactOps{});
+      r.at_edge[static_cast<std::size_t>(e.id.value)] = std::move(d.carried);
+      operands[p] = std::move(d.delivered);
+    }
+    AbsFact out = dfg::apply_op(
+        n, std::span<const AbsFact>(operands.data(), n.in.size()), FactOps{});
+    reduce(out);
+    r.at_output_port[static_cast<std::size_t>(id.value)] = std::move(out);
+    for (std::size_t p = 0; p < n.in.size(); ++p) {
+      r.at_operand[static_cast<std::size_t>(n.in[p].value)] =
+          std::move(operands[p]);
+    }
   }
 
-  // Forward/backward alternations; a DAG settles in <= 2.
-  constexpr int kMaxRounds = 4;
-  Engine engine{g, c, r};
-  for (int round = 0; round < kMaxRounds; ++round) {
-    const bool fwd = engine.forward_pass();
-    const bool bwd = engine.backward_pass();
-    r.rounds = round + 1;
-    if (!fwd && !bwd) break;
+  // Backward, consumers before producers: an Output's whole value is a
+  // design output, and every in-edge adds its share to its source's demand
+  // before the source is visited.
+  r.demanded_out.reserve(nn);
+  for (const Node& n : g.nodes()) {
+    r.demanded_out.push_back(n.kind == OpKind::Output ? n.width : 0);
+  }
+  r.demanded_edge.resize(ne);
+  r.demanded_operand.resize(ne);
+  const DemandedWidthOps ops{{}, g};
+  for (auto it = c.topo.rbegin(); it != c.topo.rend(); ++it) {
+    const Node& n = g.node(*it);
+    for (std::size_t port = 0; port < n.in.size(); ++port) {
+      const auto eid = static_cast<std::size_t>(n.in[port].value);
+      const Edge& e = g.edge(n.in[port]);
+      const int d = dfg::demand_op(n, static_cast<int>(port),
+                                   r.demanded_width(n.id), ops);
+      const auto de = dfg::demand_edge(d, e, n, g.node(e.src).width, ops);
+      r.demanded_operand[eid] = d;
+      r.demanded_edge[eid] = de.carried;
+      int& at_src = r.demanded_out[static_cast<std::size_t>(e.src.value)];
+      at_src = std::max(at_src, de.at_source);
+    }
   }
   return r;
 }
@@ -581,11 +440,10 @@ CheckReport lint_absint(const Graph& g, const analysis::InfoAnalysis* ia,
   if (rp) {
     lint_rp_fresh(g, *rp, rep);
     if (rp->at_output_port.size() == nn) {
-      // Both backward analyses are dfg::demand_op / dfg::demand_edge, and
-      // each operation of the mask algebra is pointwise at least as precise
-      // as the width algebra's (DESIGN.md §13 states the inequality per
-      // operation), so demand above r(p_o) means one of the two algebras
-      // is unsound.
+      // Both backward analyses are dfg::demand_op / dfg::demand_edge over
+      // width algebras that differ only in `uncarry` and `mul`, each
+      // pointwise <= required precision's (DESIGN.md §13 argues both), so
+      // demand above r(p_o) means one of the two algebras is unsound.
       for (const Node& n : g.nodes()) {
         const int dw = r.demanded_width(n.id);
         const int ro = rp->at_output_port[static_cast<std::size_t>(
@@ -645,15 +503,14 @@ std::string fact_line(const Graph& g, const Node& n, const AbsintResult& r) {
 }  // namespace
 
 std::string absint_facts_text(const Graph& g, const AbsintResult& r) {
-  std::string out = "absint fixpoint: " + std::to_string(g.node_count()) +
-                    " nodes, " + std::to_string(r.rounds) + " round(s)\n";
+  std::string out =
+      "absint fixpoint: " + std::to_string(g.node_count()) + " nodes\n";
   for (const Node& n : g.nodes()) out += "  " + fact_line(g, n, r) + "\n";
   return out;
 }
 
 std::string absint_facts_json(const Graph& g, const AbsintResult& r) {
-  std::string out = "{\"rounds\": " + std::to_string(r.rounds) +
-                    ", \"nodes\": [";
+  std::string out = "{\"nodes\": [";
   bool first = true;
   for (const Node& n : g.nodes()) {
     const AbsFact& f = r.out(n.id);

